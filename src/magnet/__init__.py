@@ -1,103 +1,17 @@
 """MAG model degree laws: sampling, exact analytics, limits, bounds."""
 
 from ._version import __version__
-from .errors import (
-    BudgetError,
-    ConfigError,
-    InvalidParamsError,
-    MagnetError,
-    RegimeError,
-)
-from .model import (
-    BOUNDARY_TOL,
-    REFERENCE_PARAMS,
-    DerivedConstants,
-    ModelParams,
-    Regime,
-    RegimeResult,
-    Rounding,
-    Scaling,
-    classify_regime,
-    criticality,
-    derive_constants,
-    require_supercritical,
-    scaling_at,
-)
-from .degree_dist import (
-    DegreePmfTable,
-    exact_degree_cdf,
-    exact_degree_pmf,
-    prob_degree_zero,
-    write_pmf_csv,
-)
-from .sampler import (
-    DegreeSampleSet,
-    MagGraph,
-    SampleMethod,
-    link_probability,
-    sample_degrees_direct,
-    sample_degrees_fullgraph,
-    sample_graph,
-    write_attributes,
-    write_degrees_csv,
-    write_edge_list,
-)
-from .limits import (
-    KlParams,
-    LogNormalSpec,
-    cdf_approx,
-    kl_params,
-    kl_reconciled_law,
-    lambda_limit_probe,
-    lognormal_cdf,
-    pmf_approx,
-    std_normal_cdf,
-    transform_degree,
-    x_n_of_t,
-)
-from .bounds import (
-    DEFAULT_C_STAR,
-    BoundCertificate,
-    GridSpec,
-    berry_esseen_bound,
-    default_eta,
-    lognormal_interval_bound,
-    optimize_bound,
-    psi,
-    ratio_concentration_bound,
-    write_bound_csv,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentKind,
-    ExperimentReport,
-    ReportRow,
-    SupDelta,
-    canonical_text,
-    config_hash,
-    empirical_sup_delta,
-    parse_config,
-    run_experiment,
-)
+from . import bounds, degree_dist, errors, experiments, limits, model, sampler
+from .errors import *
+from .model import *
+from .degree_dist import *
+from .sampler import *
+from .limits import *
+from .bounds import *
+from .experiments import *
 
-__all__ = [
-    "__version__",
-    "MagnetError", "InvalidParamsError", "ConfigError", "RegimeError", "BudgetError",
-    "ModelParams", "DerivedConstants", "Rounding", "Scaling", "Regime", "RegimeResult",
-    "derive_constants", "scaling_at", "criticality", "classify_regime",
-    "require_supercritical", "REFERENCE_PARAMS", "BOUNDARY_TOL",
-    "DegreePmfTable", "exact_degree_pmf", "exact_degree_cdf", "prob_degree_zero",
-    "write_pmf_csv",
-    "MagGraph", "DegreeSampleSet", "SampleMethod", "link_probability", "sample_graph",
-    "sample_degrees_direct", "sample_degrees_fullgraph", "write_edge_list",
-    "write_attributes", "write_degrees_csv",
-    "LogNormalSpec", "KlParams", "std_normal_cdf", "lognormal_cdf", "transform_degree",
-    "x_n_of_t", "cdf_approx", "pmf_approx", "kl_params", "kl_reconciled_law",
-    "lambda_limit_probe",
-    "DEFAULT_C_STAR", "psi", "BoundCertificate", "GridSpec", "default_eta",
-    "berry_esseen_bound", "optimize_bound", "ratio_concentration_bound",
-    "lognormal_interval_bound", "write_bound_csv",
-    "SupDelta", "empirical_sup_delta", "ExperimentKind", "ExperimentConfig",
-    "parse_config", "canonical_text", "config_hash", "ReportRow", "ExperimentReport",
-    "run_experiment",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, model, degree_dist, sampler, limits, bounds, experiments)
+    for name in module.__all__
 ]

@@ -59,17 +59,23 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_key(seed: int, tag: int) -> int:
+def stream_key(seed, tag: int):
     """Derive the 64-bit key of stream ``tag`` under ``seed``.
 
-    Two finalizer passes decorrelate related (seed, tag) pairs.
+    Two finalizer passes decorrelate related (seed, tag) pairs.  ``seed``
+    is an int (the key is an int) or a uint64 array (one key per seed).
     """
-    h = mix64((seed ^ (tag * GOLDEN)) & _MASK)
-    return mix64((h + GOLDEN) & _MASK)
+    mix = mix64_array if isinstance(seed, np.ndarray) else mix64
+    h = mix(seed ^ ((tag * GOLDEN) & _MASK))
+    return mix((h + GOLDEN) & _MASK)
 
 
-def words_at(key: int, indices: np.ndarray) -> np.ndarray:
-    """Stream words at absolute positions ``indices`` (uint64 array)."""
+def words_at(key, indices: np.ndarray) -> np.ndarray:
+    """Stream words at absolute positions ``indices`` (uint64 array).
+
+    ``key`` is one key or a uint64 key array that broadcasts against
+    ``indices``.
+    """
     idx = indices.astype(np.uint64, copy=False)
     state = np.uint64(key) + (idx + np.uint64(1)) * np.uint64(GOLDEN)
     return mix64_array(state)
@@ -80,11 +86,8 @@ def word_at(key: int, index: int) -> int:
     return mix64((key + ((index + 1) * GOLDEN)) & _MASK)
 
 
-def uniforms_at(key: int, indices: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) doubles at absolute stream positions."""
+def uniforms_at(key, indices: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) doubles at absolute stream positions (keys as in
+    :func:`words_at`)."""
     w = words_at(key, indices)
     return (w >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-
-def uniform_at(key: int, index: int) -> float:
-    return (word_at(key, index) >> 11) * (2.0 ** -53)

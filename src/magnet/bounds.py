@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ModelParams, Scaling, derive_constants, require_supercritical, _check_n
-from .degree_dist import _check_l
+from .model import ModelParams, Scaling, derive_constants, _check_n, _require_lognormal_limit
+from .degree_dist import _check_l, _write_out
 
 __all__ = [
     "DEFAULT_C_STAR",
@@ -49,16 +49,22 @@ DEFAULT_C_STAR = 0.4748
 _EXP_MAX = 700.0
 
 
+def _xp(x):
+    """``math`` for a scalar, ``numpy`` for an array.
+
+    The two disagree in the last bit on some inputs; scalars go through
+    libm so that printed values keep their bytes.
+    """
+    return math if np.isscalar(x) else np
+
+
 def psi(x):
     """Psi(x) = (x+1) ln(x+1) - x for x > -1; Psi(0) = 0, Psi >= x^2/(2(1+x))."""
-    if np.isscalar(x):
-        if x <= -1.0:
-            raise InvalidParamsError(f"psi needs x > -1, got {x}")
-        return (x + 1.0) * math.log1p(x) - x
-    x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(x_arr <= -1.0):
-        raise InvalidParamsError("psi needs x > -1")
-    return (x_arr + 1.0) * np.log1p(x_arr) - x_arr
+    if not np.isscalar(x):
+        x = np.asarray(x, dtype=np.float64)
+    if np.any(x <= -1.0):
+        raise InvalidParamsError(f"psi needs x > -1, got {x}")
+    return (x + 1.0) * _xp(x).log1p(x) - x
 
 
 @dataclass(frozen=True)
@@ -89,19 +95,9 @@ def default_eta(params: ModelParams) -> float:
     return min(params.mu1, params.mu0) / 4.0
 
 
-def _check_delta_eta(delta: float, eta: float, mu1: float) -> None:
-    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
-        raise InvalidParamsError(f"delta must lie in (0, 1), got {delta}")
+def _check_eta(eta: float, mu1: float) -> None:
     if not (math.isfinite(eta) and 0.0 < eta < mu1):
         raise InvalidParamsError(f"eta must lie in (0, mu1) = (0, {mu1}), got {eta}")
-
-
-def _chernoff_exponent_log(params: ModelParams, n: int, l: int, eta: float) -> float:
-    """ln( (n-1) * (gamma1**(mu1+eta) gamma0**(mu0+eta))**l )."""
-    c = derive_constants(params)
-    return math.log(n - 1) + l * (
-        (params.mu1 + eta) * c.log_gamma1 + (params.mu0 + eta) * c.log_gamma0
-    )
 
 
 def _log_n_over_n_minus_1(n: int) -> float:
@@ -112,37 +108,52 @@ def _log_n_over_n_minus_1(n: int) -> float:
         return 0.0
 
 
+def _tail_terms(params: ModelParams, n: int, l: int, delta, eta):
+    """(term_hoeffding, term_chernoff) at (delta, eta); arrays broadcast.
+
+    The Chernoff term collapses to 0 once its inner exponent passes
+    ``_EXP_MAX``.
+    """
+    c = derive_constants(params)
+    xp = _xp(eta)
+    hoeffding = 4.0 * xp.exp(-2.0 * l * eta ** 2)
+    ln_inner = math.log(n - 1) + l * (
+        (params.mu1 + eta) * c.log_gamma1 + (params.mu0 + eta) * c.log_gamma0
+    )
+    inner = xp.exp(np.minimum(ln_inner, _EXP_MAX))
+    chernoff = 2.0 * _xp(delta).exp(-psi(delta) * inner) * (ln_inner <= _EXP_MAX)
+    return hoeffding, chernoff
+
+
+def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta, c_star: float):
+    """(term_clt, term_be, term_hoeffding, term_chernoff); arrays broadcast."""
+    c = derive_constants(params)
+    mu1, mu0 = params.mu1, params.mu0
+    clt = (
+        _xp(delta).log((1.0 + delta) / (1.0 - delta)) + _log_n_over_n_minus_1(n)
+    ) / math.sqrt(2.0 * math.pi * c.sigma ** 2 * l)
+    be = (3.0 * c_star / math.sqrt(l)) * (mu1 ** 2 + mu0 ** 2) / math.sqrt(mu1 * mu0)
+    return (clt, be, *_tail_terms(params, n, l, delta, eta))
+
+
 def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
                        delta: float, eta: float | None = None,
                        c_star: float = DEFAULT_C_STAR) -> BoundCertificate:
     """Evaluate the four-term certificate at (n, delta, eta)."""
     _check_n(n)
-    require_supercritical(params, scaling.rho, "the Berry-Esseen certificate")
+    _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
     if eta is None:
         eta = default_eta(params)
-    _check_delta_eta(delta, eta, params.mu1)
+    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
+        raise InvalidParamsError(f"delta must lie in (0, 1), got {delta}")
+    _check_eta(eta, params.mu1)
     if not (math.isfinite(c_star) and c_star > 0.0):
         raise InvalidParamsError(f"c_star must be positive, got {c_star}")
-    c = derive_constants(params)
-    if c.sigma == 0.0:
-        raise InvalidParamsError("sigma = 0 (gamma0 = gamma1): certificate undefined")
     l = scaling.attr_count(n)
-    mu1, mu0 = params.mu1, params.mu0
-
-    term_clt = (
-        math.log((1.0 + delta) / (1.0 - delta)) + _log_n_over_n_minus_1(n)
-    ) / math.sqrt(2.0 * math.pi * c.sigma ** 2 * l)
-    term_be = (3.0 * c_star / math.sqrt(l)) * (mu1 ** 2 + mu0 ** 2) / math.sqrt(mu1 * mu0)
-    term_hoeffding = 4.0 * math.exp(-2.0 * l * eta ** 2)
-    ln_inner = _chernoff_exponent_log(params, n, l, eta)
-    if ln_inner > _EXP_MAX:
-        term_chernoff = 0.0
-    else:
-        term_chernoff = 2.0 * math.exp(-psi(delta) * math.exp(ln_inner))
+    clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta, c_star)
     return BoundCertificate(
         n=n, l=l, delta=delta, eta=eta, c_star=c_star,
-        term_clt=term_clt, term_be=term_be,
-        term_hoeffding=term_hoeffding, term_chernoff=term_chernoff,
+        term_clt=clt, term_be=be, term_hoeffding=hoeffding, term_chernoff=chernoff,
     )
 
 
@@ -181,28 +192,16 @@ def optimize_bound(params: ModelParams, n: int, scaling: Scaling,
     ascending row-major scan realizes as "first minimum wins".
     """
     _check_n(n)
-    require_supercritical(params, scaling.rho, "the Berry-Esseen certificate")
-    c = derive_constants(params)
-    if c.sigma == 0.0:
-        raise InvalidParamsError("sigma = 0 (gamma0 = gamma1): certificate undefined")
+    _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
     if grid is None:
         grid = GridSpec()
     l = scaling.attr_count(n)
-    mu1, mu0 = params.mu1, params.mu0
     deltas = grid.deltas()
-    etas = grid.etas(mu1)
-
-    coef = 1.0 / math.sqrt(2.0 * math.pi * c.sigma ** 2 * l)
-    t_clt = coef * (np.log((1.0 + deltas) / (1.0 - deltas)) + _log_n_over_n_minus_1(n))
-    t_be = (3.0 * c_star / math.sqrt(l)) * (mu1 ** 2 + mu0 ** 2) / math.sqrt(mu1 * mu0)
-    t_hoef = 4.0 * np.exp(-2.0 * l * etas ** 2)
-    ln_inner = math.log(n - 1) + l * (
-        (mu1 + etas) * c.log_gamma1 + (mu0 + etas) * c.log_gamma0
+    etas = grid.etas(params.mu1)
+    t_clt, t_be, t_hoef, t_chern = _certificate_terms(
+        params, n, l, deltas[:, None], etas, c_star
     )
-    inner = np.exp(np.minimum(ln_inner, _EXP_MAX))
-    t_chern = 2.0 * np.exp(-np.outer(psi(deltas), inner))
-
-    total = t_clt[:, None] + t_be + t_hoef[None, :] + t_chern
+    total = t_clt + t_be + t_hoef + t_chern
     flat = int(np.argmin(total))  # first minimum: smallest delta, then eta
     i, j = divmod(flat, len(etas))
     return berry_esseen_bound(params, n, scaling, float(deltas[i]), float(etas[j]), c_star)
@@ -220,15 +219,9 @@ def ratio_concentration_bound(params: ModelParams, n: int, l: int,
     _check_l(l)
     if not (math.isfinite(delta) and delta > 0.0):
         raise InvalidParamsError(f"delta must be positive, got {delta}")
-    if not (math.isfinite(eta) and 0.0 < eta < params.mu1):
-        raise InvalidParamsError(f"eta must lie in (0, mu1) = (0, {params.mu1}), got {eta}")
-    term_hoeffding = 4.0 * math.exp(-2.0 * l * eta ** 2)
-    ln_inner = _chernoff_exponent_log(params, n, l, eta)
-    if ln_inner > _EXP_MAX:
-        term_chernoff = 0.0
-    else:
-        term_chernoff = 2.0 * math.exp(-psi(delta) * math.exp(ln_inner))
-    return term_hoeffding + term_chernoff
+    _check_eta(eta, params.mu1)
+    hoeffding, chernoff = _tail_terms(params, n, l, delta, eta)
+    return hoeffding + chernoff
 
 
 def lognormal_interval_bound(u: float, v: float, sigma: float) -> float:
@@ -249,9 +242,4 @@ def write_bound_csv(target, certificates: list[BoundCertificate]) -> None:
             f"{c.term_hoeffding:.17g},{c.term_chernoff:.17g},{c.total:.17g},"
             f"{str(c.vacuous).lower()}"
         )
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    _write_out(target, lines)

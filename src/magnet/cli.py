@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import sys
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import DEFAULT_C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
-from .degree_dist import DegreePmfTable, write_pmf_csv
+from .degree_dist import DegreePmfTable, _write_out, write_pmf_csv
 from .errors import BudgetError, InvalidParamsError, MagnetError, RegimeError
 from .experiments import config_hash, parse_config, run_experiment
 from .limits import cdf_approx
@@ -150,20 +149,15 @@ def _attr_count(args: argparse.Namespace) -> int:
     return _scaling(args).attr_count(args.n)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _target(args: argparse.Namespace):
+    """Where a subcommand writes: the --out path, else standard output."""
+    return sys.stdout if args.out is None else args.out
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     graph = sample_graph(_params(args), args.n, _attr_count(args), _seed(args),
                          pair_budget=args.pair_budget)
-    buf = io.StringIO()
-    write_edge_list(graph, buf)
-    _emit(buf.getvalue(), args.out)
+    write_edge_list(graph, _target(args))
     if args.attributes_out is not None:
         write_attributes(graph, args.attributes_out)
     return 0
@@ -179,16 +173,12 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
     )
     samples = sampler(_params(args), args.n, _attr_count(args), args.count,
                       _seed(args), threads=args.threads)
-    buf = io.StringIO()
-    write_degrees_csv(samples, buf)
-    _emit(buf.getvalue(), args.out)
+    write_degrees_csv(samples, _target(args))
     return 0
 
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
-    buf = io.StringIO()
-    write_pmf_csv(buf, _params(args), args.n, _attr_count(args), d_max=args.d_max)
-    _emit(buf.getvalue(), args.out)
+    write_pmf_csv(_target(args), _params(args), args.n, _attr_count(args), d_max=args.d_max)
     return 0
 
 
@@ -205,10 +195,10 @@ def _cmd_regime(args: argparse.Namespace) -> int:
         "sigma0": c.sigma0,
         "sigma": c.sigma,
         "r": c.r,
-        "r_kl": c.r_kl,
+        "r_kl": c.gamma0 / c.gamma1,
         "log_gamma_bar": c.log_gamma_bar,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_out(_target(args), [json.dumps(payload, indent=2, sort_keys=True)])
     return 0
 
 
@@ -232,7 +222,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     lines = ["n,t,cdf_exact,cdf_approx,abs_err"]
     for ti, ei, ai in zip(t, exact, approx):
         lines.append(f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _write_out(_target(args), lines)
     return 0
 
 
@@ -249,20 +239,12 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                 raise InvalidParamsError("--eta needs --delta (or drop both to optimize)")
             certs.append(optimize_bound(params, n, scaling, c_star=args.c_star))
     if args.format == "csv":
-        buf = io.StringIO()
-        write_bound_csv(buf, certs)
-        _emit(buf.getvalue(), args.out)
+        write_bound_csv(_target(args), certs)
     else:
         payload = [
-            {
-                "n": c.n, "l": c.l, "delta": c.delta, "eta": c.eta,
-                "c_star": c.c_star, "term_clt": c.term_clt, "term_be": c.term_be,
-                "term_hoeffding": c.term_hoeffding, "term_chernoff": c.term_chernoff,
-                "total": c.total, "vacuous": c.vacuous,
-            }
-            for c in certs
+            {**dataclasses.asdict(c), "total": c.total, "vacuous": c.vacuous} for c in certs
         ]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _write_out(_target(args), [json.dumps(payload, indent=2, sort_keys=True)])
     return 0
 
 
@@ -273,7 +255,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     report = run_experiment(config, threads=args.threads)
     out = args.out if args.out is not None else config.out
     if out is None:
-        sys.stdout.write(report.to_text())
+        _write_out(sys.stdout, report.lines())
     else:
         report.write(out)
         sys.stdout.write(

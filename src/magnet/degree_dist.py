@@ -29,9 +29,6 @@ from .model import ModelParams, derive_constants, _check_n
 
 __all__ = [
     "DegreePmfTable",
-    "exact_degree_pmf",
-    "exact_degree_cdf",
-    "prob_degree_zero",
     "write_pmf_csv",
 ]
 
@@ -159,25 +156,6 @@ def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
     return d_arr, scalar
 
 
-# ---------------------------------------------------------------------
-# Functional surface
-# ---------------------------------------------------------------------
-
-def exact_degree_pmf(params: ModelParams, n: int, l: int, d) -> float | np.ndarray:
-    """P(D = d) under the compound-binomial degree law."""
-    return DegreePmfTable.from_model(params, n, l).pmf(d)
-
-
-def exact_degree_cdf(params: ModelParams, n: int, l: int, d) -> float | np.ndarray:
-    """P(D <= d) under the compound-binomial degree law."""
-    return DegreePmfTable.from_model(params, n, l).cdf(d)
-
-
-def prob_degree_zero(params: ModelParams, n: int, l: int) -> float:
-    """Isolation probability P(D = 0) = E[(1 - p_S)**(n-1)]."""
-    return DegreePmfTable.from_model(params, n, l).prob_zero()
-
-
 def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
                   d_max: int | None = None) -> None:
     """Emit ``d,pmf,cdf`` rows (17 significant digits) for d = 0..d_max.
@@ -194,10 +172,12 @@ def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
     cdf = np.minimum(np.cumsum(pmf), 1.0)
     lines = ["d,pmf,cdf"]
     lines.extend(f"{int(di)},{pi:.17g},{ci:.17g}" for di, pi, ci in zip(d, pmf, cdf))
-    _write_lines(target, lines)
+    _write_out(target, lines)
 
 
-def _write_lines(target: str | IO[str], lines: Iterable[str]) -> None:
+def _write_out(target: str | IO[str], lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, to a path or an open text
+    stream; the package's one text writer."""
     text = "\n".join(lines) + "\n"
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8") as fh:

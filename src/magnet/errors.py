@@ -6,6 +6,8 @@ configuration -> 2, regime violations -> 3, budget violations -> 4.
 
 from __future__ import annotations
 
+__all__ = ["MagnetError", "InvalidParamsError", "ConfigError", "RegimeError", "BudgetError"]
+
 
 class MagnetError(Exception):
     """Base class for all package-specific errors."""

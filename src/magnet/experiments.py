@@ -15,6 +15,7 @@ JSON sidecar next to the report, never inside it.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import datetime
 import enum
 import hashlib
@@ -28,7 +29,7 @@ import numpy as np
 from . import _rng
 from ._version import __version__
 from .bounds import DEFAULT_C_STAR, optimize_bound
-from .degree_dist import DegreePmfTable
+from .degree_dist import DegreePmfTable, _write_out
 from .errors import ConfigError, InvalidParamsError, RegimeError
 from .limits import (
     LogNormalSpec,
@@ -46,7 +47,7 @@ from .model import (
     Scaling,
     classify_regime,
     derive_constants,
-    require_supercritical,
+    _require_lognormal_limit,
 )
 from .sampler import DegreeSampleSet, sample_degrees_direct, sample_degrees_fullgraph
 from .stats import chi_square_gof, dkw_proxy, ks_statistic, tv_to_exact, two_sample_ks
@@ -101,10 +102,7 @@ def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling,
     """
     params = samples.params
     n = samples.n
-    require_supercritical(params, scaling.rho, "the log-normal KS statistic")
-    c = derive_constants(params)
-    if c.sigma == 0.0:
-        raise RegimeError("sigma = 0 (gamma0 = gamma1): KS statistic undefined")
+    c = _require_lognormal_limit(params, scaling.rho, "the log-normal KS statistic")
     l = scaling.attr_count(n)
     if samples.l != l:
         raise InvalidParamsError(
@@ -191,12 +189,20 @@ class ExperimentConfig:
         return self.graph_draws if self.graph_draws is not None else max(100, self.draws // 4)
 
 
-_MODEL_KEYS = {"q11", "q10", "q00", "mu1"}
-_SCALING_KEYS = {"rho", "rounding"}
-_EXPERIMENT_KEYS = {
-    "kind", "n_grid", "draws", "seed", "out", "graph_draws", "t_values",
-    "tolerance", "param_sets", "c_star", "tv_direct_max", "tv_graph_max",
-    "p_min", "final_sup_delta_max", "final_p0_min", "final_p0_max",
+#: The [experiment] keys: every config field but the [model] and [scaling]
+#: sections.
+_EXPERIMENT_FIELDS = tuple(
+    f for f in dataclasses.fields(ExperimentConfig) if f.name not in ("params", "scaling")
+)
+
+#: How an [experiment] value is read, by the annotation of its field.
+_CASTS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str | None": str,
+    "tuple[int, ...]": lambda raw: tuple(int(tok) for tok in raw.split()),
+    "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.split()),
 }
 
 
@@ -211,15 +217,18 @@ def parse_config(path: str) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
 
-    for section, allowed in (
-        ("model", _MODEL_KEYS), ("scaling", _SCALING_KEYS), ("experiment", _EXPERIMENT_KEYS)
-    ):
+    sections = {
+        "model": dataclasses.fields(ModelParams),
+        "scaling": dataclasses.fields(Scaling),
+        "experiment": _EXPERIMENT_FIELDS,
+    }
+    for section, section_fields in sections.items():
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
-        unknown = set(cp.options(section)) - allowed
+        unknown = set(cp.options(section)) - {f.name for f in section_fields}
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    extra = set(cp.sections()) - {"model", "scaling", "experiment"}
+    extra = set(cp.sections()) - set(sections)
     if extra:
         raise ConfigError(f"unknown sections: {sorted(extra)}")
 
@@ -235,10 +244,7 @@ def parse_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
 
     try:
-        params = ModelParams(
-            q11=fget("model", "q11"), q10=fget("model", "q10"),
-            q00=fget("model", "q00"), mu1=fget("model", "mu1"),
-        )
+        params = ModelParams(**{f.name: fget("model", f.name) for f in sections["model"]})
     except InvalidParamsError as exc:
         raise ConfigError(str(exc)) from exc
     rounding_raw = fget("scaling", "rounding", default="round", cast=str).lower()
@@ -260,32 +266,11 @@ def parse_config(path: str) -> ExperimentConfig:
             f"{[k.value for k in ExperimentKind]}"
         ) from exc
 
-    def int_tuple(raw: str) -> tuple[int, ...]:
-        return tuple(int(tok) for tok in raw.split())
-
-    def float_tuple(raw: str) -> tuple[float, ...]:
-        return tuple(float(tok) for tok in raw.split())
-
-    kwargs = dict(
-        params=params,
-        scaling=scaling,
-        kind=kind,
-        n_grid=fget("experiment", "n_grid", cast=int_tuple),
-        draws=fget("experiment", "draws", cast=int),
-        seed=fget("experiment", "seed", cast=int),
-    )
-    if cp.has_option("experiment", "out"):
-        kwargs["out"] = fget("experiment", "out", cast=str)
-    if cp.has_option("experiment", "graph_draws"):
-        kwargs["graph_draws"] = fget("experiment", "graph_draws", cast=int)
-    if cp.has_option("experiment", "t_values"):
-        kwargs["t_values"] = fget("experiment", "t_values", cast=float_tuple)
-    if cp.has_option("experiment", "param_sets"):
-        kwargs["param_sets"] = fget("experiment", "param_sets", cast=int)
-    for key in ("tolerance", "c_star", "tv_direct_max", "tv_graph_max", "p_min",
-                "final_sup_delta_max", "final_p0_min", "final_p0_max"):
-        if cp.has_option("experiment", key):
-            kwargs[key] = fget("experiment", key)
+    kwargs = dict(params=params, scaling=scaling, kind=kind)
+    for f in _EXPERIMENT_FIELDS:
+        required = f.default is dataclasses.MISSING
+        if f.name != "kind" and (required or cp.has_option("experiment", f.name)):
+            kwargs[f.name] = fget("experiment", f.name, cast=_CASTS[f.type])
     try:
         return ExperimentConfig(**kwargs)
     except InvalidParamsError as exc:
@@ -295,31 +280,25 @@ def parse_config(path: str) -> ExperimentConfig:
 def canonical_text(config: ExperimentConfig) -> str:
     """Canonical serialization of the parsed config (the hash input).
 
-    The output path is excluded: it does not influence any number.
+    One ``section.key = value`` line per config field, sorted; floats in
+    ``repr`` form.  The output path is excluded: it does not influence any
+    number.  ``graph_draws`` enters with its default resolved.
     """
-    items = {
-        "model.q11": repr(config.params.q11),
-        "model.q10": repr(config.params.q10),
-        "model.q00": repr(config.params.q00),
-        "model.mu1": repr(config.params.mu1),
-        "scaling.rho": repr(config.scaling.rho),
-        "scaling.rounding": config.scaling.rounding.value,
-        "experiment.kind": config.kind.value,
-        "experiment.n_grid": " ".join(str(n) for n in config.n_grid),
-        "experiment.draws": str(config.draws),
-        "experiment.seed": str(config.seed),
-        "experiment.graph_draws": str(config.effective_graph_draws),
-        "experiment.t_values": " ".join(repr(t) for t in config.t_values),
-        "experiment.tolerance": repr(config.tolerance),
-        "experiment.param_sets": str(config.param_sets),
-        "experiment.c_star": repr(config.c_star),
-        "experiment.tv_direct_max": repr(config.tv_direct_max),
-        "experiment.tv_graph_max": repr(config.tv_graph_max),
-        "experiment.p_min": repr(config.p_min),
-        "experiment.final_sup_delta_max": repr(config.final_sup_delta_max),
-        "experiment.final_p0_min": repr(config.final_p0_min),
-        "experiment.final_p0_max": repr(config.final_p0_max),
-    }
+    items = {}
+    for section, obj in (("model", config.params), ("scaling", config.scaling),
+                         ("experiment", config)):
+        for f in dataclasses.fields(obj):
+            if f.name in ("params", "scaling", "out"):
+                continue
+            name = "effective_graph_draws" if f.name == "graph_draws" else f.name
+            value = getattr(obj, name)
+            if isinstance(value, enum.Enum):
+                text = value.value
+            elif isinstance(value, tuple):
+                text = " ".join(repr(v) for v in value)
+            else:
+                text = repr(value)
+            items[f"{section}.{f.name}"] = text
     return "\n".join(f"{k} = {items[k]}" for k in sorted(items)) + "\n"
 
 
@@ -358,24 +337,22 @@ class ExperimentReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows if r.passed is not None)
 
-    def to_text(self) -> str:
+    def lines(self) -> list[str]:
+        """The report body, one string per line."""
         lines = ["# magnet experiment report"]
         lines.extend(f"# {k}={self.provenance[k]}" for k in sorted(self.provenance))
         lines.append("n,statistic,value,stderr,exact,pass")
         lines.extend(r.to_csv() for r in self.rows)
-        return "\n".join(lines) + "\n"
+        return lines
 
-    def write(self, path: str, sidecar: bool = True) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-        if sidecar:
-            meta = {
-                "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                "report": os.path.basename(path),
-            }
-            with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    def write(self, path: str) -> None:
+        """Write the report to ``path`` and its wall-clock sidecar beside it."""
+        _write_out(path, self.lines())
+        meta = {
+            "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "report": os.path.basename(path),
+        }
+        _write_out(path + ".meta.json", [json.dumps(meta, indent=2, sort_keys=True)])
 
 
 # =====================================================================
@@ -393,6 +370,14 @@ def _sub_seed(seed: int, *components: int) -> int:
 _ROLE_DIRECT = 1
 _ROLE_GRAPH = 2
 _ROLE_PARAMS = 3
+
+
+def _direct_draws(config: ExperimentConfig, n: int, threads: int) -> DegreeSampleSet:
+    """The config's direct degree draws at node count ``n``."""
+    return sample_degrees_direct(
+        config.params, n, config.scaling.attr_count(n), config.draws,
+        _sub_seed(config.seed, _ROLE_DIRECT, n), threads=threads,
+    )
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -427,10 +412,7 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for n in config.n_grid:
         l = config.scaling.attr_count(n)
-        direct = sample_degrees_direct(
-            config.params, n, l, config.draws,
-            _sub_seed(config.seed, _ROLE_DIRECT, n), threads=threads,
-        )
+        direct = _direct_draws(config, n, threads)
         graph = sample_degrees_fullgraph(
             config.params, n, l, config.effective_graph_draws,
             _sub_seed(config.seed, _ROLE_GRAPH, n), threads=threads,
@@ -457,17 +439,10 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
 def _run_lognormal_ks(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     rows: list[ReportRow] = []
     deltas: list[SupDelta] = []
-    totals: list[float] = []
     for n in config.n_grid:
-        l = config.scaling.attr_count(n)
-        samples = sample_degrees_direct(
-            config.params, n, l, config.draws,
-            _sub_seed(config.seed, _ROLE_DIRECT, n), threads=threads,
-        )
-        sd = empirical_sup_delta(samples, config.scaling)
+        sd = empirical_sup_delta(_direct_draws(config, n, threads), config.scaling)
         deltas.append(sd)
         cert = optimize_bound(config.params, n, config.scaling, c_star=config.c_star)
-        totals.append(cert.total)
         dominates = cert.vacuous or (sd.sup_delta + 3.0 * sd.proxy <= cert.total)
         rows.extend([
             ReportRow(n, "zero_fraction", sd.zero_fraction,
@@ -526,11 +501,7 @@ def _run_zero_one_law(config: ExperimentConfig, threads: int) -> list[ReportRow]
 def _run_lambda_probe(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for n in config.n_grid:
-        l = config.scaling.attr_count(n)
-        samples = sample_degrees_direct(
-            config.params, n, l, config.draws,
-            _sub_seed(config.seed, _ROLE_DIRECT, n), threads=threads,
-        )
+        samples = _direct_draws(config, n, threads)
         for t in config.t_values:
             frac = lambda_limit_probe(t, samples, config.scaling)
             rows.append(ReportRow(
@@ -580,8 +551,7 @@ def _run_kl_reconcile(config: ExperimentConfig, threads: int) -> list[ReportRow]
         log_n = math.log(n)
         for p in param_sets:
             c = derive_constants(p)
-            l = config.scaling.attr_count(n)
-            rho_n = l / log_n
+            rho_n = config.scaling.rho_n(n)
             kp = kl_params(p, n, config.scaling)
             if kp.sigma2 > 0:
                 var_resid = max(

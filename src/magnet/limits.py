@@ -6,7 +6,8 @@ a fixed node satisfies, in the supercritical regime,
     ( D * n**-(1 + rho_n * ln(gamma1**mu1 gamma0**mu0)) )**(1/sqrt(L_n))
         ==> LogNormal(0, sigma**2),        sigma = sigma0 * ln(gamma1/gamma0).
 
-The deterministic change of variable behind the display is
+The deterministic change of variable behind the display
+(``transform_degree``) is
 
     x_n(t) = ( t * n**-(1 + rho_n * lgbar) )**(1/sqrt(L_n)),   x_n(0) = 0,
 
@@ -34,17 +35,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .errors import InvalidParamsError, RegimeError
-from .model import ModelParams, Scaling, derive_constants, require_supercritical, _check_n
+from .errors import InvalidParamsError
+from .model import (
+    ModelParams,
+    Scaling,
+    derive_constants,
+    require_supercritical,
+    _check_n,
+    _require_lognormal_limit,
+)
 from .sampler import DegreeSampleSet
 
 __all__ = [
     "LogNormalSpec",
-    "KlParams",
     "std_normal_cdf",
     "lognormal_cdf",
     "transform_degree",
-    "x_n_of_t",
     "cdf_approx",
     "pmf_approx",
     "kl_params",
@@ -75,14 +81,6 @@ class LogNormalSpec:
             raise InvalidParamsError("log-normal parameters must be finite")
         if self.sigma2 < 0.0:
             raise InvalidParamsError(f"sigma2 must be >= 0, got {self.sigma2}")
-
-
-@dataclass(frozen=True)
-class KlParams:
-    """Historical mean/variance pair for ln D (see module docstring)."""
-
-    m: float
-    sigma2: float
 
 
 def lognormal_cdf(x, spec: LogNormalSpec):
@@ -142,26 +140,10 @@ def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):
     return out
 
 
-def x_n_of_t(t, n: int, scaling: Scaling, params: ModelParams):
-    """x_n(t) = (t * n**-(1 + rho_n * lgbar))**(1/sqrt(L_n)), x_n(0) = 0."""
-    if np.isscalar(t) and t < 0 or not np.isscalar(t) and np.any(np.asarray(t) < 0):
-        raise InvalidParamsError("t must be >= 0")
-    return transform_degree(t, n, scaling, params)
-
-
-def _abs_sigma(params: ModelParams) -> float:
-    sigma = derive_constants(params).sigma
-    if sigma == 0.0:
-        raise RegimeError(
-            "sigma = 0 (gamma0 = gamma1): the log-normal limit is degenerate"
-        )
-    return abs(sigma)
-
-
 def cdf_approx(t, n: int, scaling: Scaling, params: ModelParams):
     """Log-normal approximation of P(D <= t): Phi(ln x_n(t) / |sigma|)."""
-    sd = _abs_sigma(params)
     l, _, expo = _scale_exponent(params, n, scaling)
+    sd = abs(_require_lognormal_limit(params, scaling.rho, "the log-normal limit").sigma)
     sq = math.sqrt(l)
     log_n = math.log(n)
     if np.isscalar(t):
@@ -194,7 +176,7 @@ def pmf_approx(d, n: int, scaling: Scaling, params: ModelParams):
 # Historical parameterization and its reconciliation
 # ---------------------------------------------------------------------
 
-def kl_params(params: ModelParams, n: int, scaling: Scaling) -> KlParams:
+def kl_params(params: ModelParams, n: int, scaling: Scaling) -> LogNormalSpec:
     """Mean/variance of ln D in the historical parameterization."""
     _check_n(n)
     l = scaling.attr_count(n)
@@ -207,7 +189,7 @@ def kl_params(params: ModelParams, n: int, scaling: Scaling) -> KlParams:
         + 0.5 * l * mu0 * mu1 * log_r_kl ** 2
     )
     sigma2 = l * mu1 * mu0 * log_r_kl ** 2
-    return KlParams(m=m, sigma2=sigma2)
+    return LogNormalSpec(m=m, sigma2=sigma2)
 
 
 def kl_reconciled_law(params: ModelParams, n: int, scaling: Scaling) -> LogNormalSpec:
@@ -215,7 +197,7 @@ def kl_reconciled_law(params: ModelParams, n: int, scaling: Scaling) -> LogNorma
     with LogNormal((1 + rho_n * lgbar) ln n, rho_n sigma**2 ln n)."""
     kp = kl_params(params, n, scaling)
     c = derive_constants(params)
-    rho_n = scaling.attr_count(n) / math.log(n)
+    rho_n = scaling.rho_n(n)
     m = kp.m - 0.5 * (c.sigma ** 2) * rho_n * math.log(n)
     return LogNormalSpec(m=m, sigma2=kp.sigma2)
 

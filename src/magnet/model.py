@@ -45,11 +45,11 @@ __all__ = [
     "Regime",
     "RegimeResult",
     "derive_constants",
-    "scaling_at",
     "criticality",
     "classify_regime",
     "require_supercritical",
     "REFERENCE_PARAMS",
+    "BOUNDARY_TOL",
 ]
 
 #: Half-open tolerance used to declare kappa "on the boundary".
@@ -99,7 +99,6 @@ class DerivedConstants:
     sigma0: float
     sigma: float
     r: float
-    r_kl: float
     log_gamma0: float
     log_gamma1: float
     log_gamma_bar: float
@@ -120,7 +119,6 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
         sigma0=sigma0,
         sigma=sigma,
         r=gamma1 / gamma0,
-        r_kl=gamma0 / gamma1,
         log_gamma0=log_gamma0,
         log_gamma1=log_gamma1,
         log_gamma_bar=mu1 * log_gamma1 + mu0 * log_gamma0,
@@ -167,12 +165,6 @@ class Scaling:
     def rho_n(self, n: int) -> float:
         """The effective ratio rho_n = L_n / ln n (exactly, no re-rounding)."""
         return self.attr_count(n) / math.log(n)
-
-
-def scaling_at(scaling: Scaling, n: int) -> tuple[int, float]:
-    """Return ``(L_n, rho_n)`` of ``scaling`` at node count ``n``."""
-    l = scaling.attr_count(n)
-    return l, l / math.log(n)
 
 
 def _check_n(n: int) -> None:
@@ -230,3 +222,13 @@ def require_supercritical(params: ModelParams, rho: float, what: str) -> RegimeR
             f"kappa = {res.kappa:.6g} at rho = {rho:.6g} is {res.regime.value}"
         )
     return res
+
+
+def _require_lognormal_limit(params: ModelParams, rho: float, what: str) -> DerivedConstants:
+    """Raise :class:`RegimeError` unless (params, rho) is supercritical with
+    sigma != 0, the conditions of a nondegenerate log-normal limit."""
+    require_supercritical(params, rho, what)
+    c = derive_constants(params)
+    if c.sigma == 0.0:
+        raise RegimeError(f"sigma = 0 (gamma0 = gamma1): {what} is degenerate")
+    return c

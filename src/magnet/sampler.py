@@ -34,7 +34,7 @@ import numpy as np
 from . import _rng
 from .errors import BudgetError, InvalidParamsError
 from .model import ModelParams, derive_constants, _check_n
-from .degree_dist import _check_l
+from .degree_dist import _check_l, _write_out
 
 __all__ = [
     "SampleMethod",
@@ -47,7 +47,6 @@ __all__ = [
     "write_edge_list",
     "write_attributes",
     "write_degrees_csv",
-    "DEFAULT_PAIR_BUDGET",
 ]
 
 DEFAULT_PAIR_BUDGET = 10 ** 9
@@ -146,21 +145,8 @@ class MagGraph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
 
-    def degree(self, u: int) -> int:
-        if not 0 <= u < self.n:
-            raise InvalidParamsError(f"node index out of range: {u}")
-        return int((self.edges == u).sum())
-
-    def attribute_bits(self, u: int) -> np.ndarray:
-        if not 0 <= u < self.n:
-            raise InvalidParamsError(f"node index out of range: {u}")
-        return unpack_rows(self.attr_words[u], self.l)
-
     def attribute_matrix(self) -> np.ndarray:
         return unpack_rows(self.attr_words, self.l)
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
 
 
 @dataclass(frozen=True)
@@ -185,24 +171,9 @@ class DegreeSampleSet:
 
 def _attr_bits_for_seed(seeds: np.ndarray, n: int, l: int, mu1: float) -> np.ndarray:
     """Attribute bit matrices, one per seed: shape (len(seeds), n, l) uint8."""
-    keys = _stream_keys(seeds, _rng.TAG_ATTR_BITS)
-    idx = np.arange(n * l, dtype=np.uint64)
-    u = _uniform_matrix(keys, idx)
+    keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)
+    u = _rng.uniforms_at(keys[:, None], np.arange(n * l, dtype=np.uint64))
     return (u < mu1).astype(np.uint8).reshape(len(seeds), n, l)
-
-
-def _stream_keys(seeds: np.ndarray, tag: int) -> np.ndarray:
-    """Vectorized :func:`_rng.stream_key` over a uint64 seed array."""
-    s = seeds.astype(np.uint64, copy=False)
-    h = _rng.mix64_array(s ^ np.uint64((tag * _rng.GOLDEN) & ((1 << 64) - 1)))
-    return _rng.mix64_array(h + np.uint64(_rng.GOLDEN))
-
-
-def _uniform_matrix(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Uniforms at positions ``idx`` for every key: shape (len(keys), len(idx))."""
-    state = keys[:, None] + (idx[None, :] + np.uint64(1)) * np.uint64(_rng.GOLDEN)
-    w = _rng.mix64_array(state)
-    return (w >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
 def _pair_index(u: int, v: np.ndarray, n: int) -> np.ndarray:
@@ -292,9 +263,9 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
         c11 = _popcount(words[:, 0:1, :] & words[:, 1:, :])
         c10 = _popcount(words[:, 0:1, :] ^ words[:, 1:, :])
         log_p = _log_link(c11, c10, l, params)  # (R, n-1)
-        pair_keys = _stream_keys(seeds, _rng.TAG_PAIR_UNIF)
-        idx = _pair_index(0, np.arange(1, n, dtype=np.int64), n).astype(np.uint64)
-        unif = _uniform_matrix(pair_keys, idx)
+        pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
+        idx = _pair_index(0, np.arange(1, n, dtype=np.int64), n)
+        unif = _rng.uniforms_at(pair_keys[:, None], idx)
         out[i0:i1] = (unif <= np.exp(log_p)).sum(axis=1, dtype=np.int64)
 
     _run_chunks(work, count, chunk, threads)
@@ -414,21 +385,19 @@ def _header_lines(params: ModelParams, n: int, l: int, seed: int, kind: str) -> 
     ]
 
 
-def write_edge_list(graph: MagGraph, target: str | IO[str], header: bool = True) -> None:
-    """Edge list: optional '#' header lines, then one ``u<TAB>v`` row per
-    edge with u < v, sorted lexicographically."""
-    lines: list[str] = []
-    if header:
-        lines.extend(_header_lines(graph.params, graph.n, graph.l, graph.seed, "edge list"))
+def write_edge_list(graph: MagGraph, target: str | IO[str]) -> None:
+    """Edge list: '#' header lines, then one ``u<TAB>v`` row per edge with
+    u < v, sorted lexicographically."""
+    lines = _header_lines(graph.params, graph.n, graph.l, graph.seed, "edge list")
     lines.extend(f"{int(u)}\t{int(v)}" for u, v in graph.edges)
-    _write_text(target, lines)
+    _write_out(target, lines)
 
 
 def write_attributes(graph: MagGraph, target: str | IO[str]) -> None:
     """Attribute dump: one line per node of l characters '0'/'1'."""
     bits = graph.attribute_matrix()
     lines = ["".join("1" if b else "0" for b in row) for row in bits]
-    _write_text(target, lines)
+    _write_out(target, lines)
 
 
 def write_degrees_csv(samples: DegreeSampleSet, target: str | IO[str]) -> None:
@@ -437,13 +406,4 @@ def write_degrees_csv(samples: DegreeSampleSet, target: str | IO[str]) -> None:
                           f"degrees method={samples.method.value} count={samples.count}")
     lines.append("degree")
     lines.extend(str(int(d)) for d in samples.degrees)
-    _write_text(target, lines)
-
-
-def _write_text(target: str | IO[str], lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    _write_out(target, lines)

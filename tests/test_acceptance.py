@@ -49,7 +49,6 @@ from magnet import (
     kl_params,
     lambda_limit_probe,
     optimize_bound,
-    prob_degree_zero,
     psi,
     ratio_concentration_bound,
     sample_degrees_direct,
@@ -108,7 +107,7 @@ def test_criterion_03_pmf_normalization():
         table = DegreePmfTable.from_model(params, n, l)
         pmf = np.asarray(table.pmf(np.arange(n)))
         worst_sum_err = max(worst_sum_err, abs(float(pmf.sum()) - 1.0))
-        p0 = prob_degree_zero(params, n, l)
+        p0 = table.prob_zero()
         if pmf[0] > 0:
             worst_p0_rel = max(worst_p0_rel, abs(p0 - pmf[0]) / pmf[0])
     ok = worst_sum_err < 1e-10 and worst_p0_rel < 1e-12
@@ -122,8 +121,9 @@ def test_criterion_03_pmf_normalization():
 def test_criterion_04_zero_one_law_trend():
     t0 = time.monotonic()
     ns = (10**2, 10**3, 10**4)
-    sub = [prob_degree_zero(P, n, Scaling(rho=2.0).attr_count(n)) for n in ns]
-    sup = [prob_degree_zero(P, n, SC.attr_count(n)) for n in ns]
+    sub = [DegreePmfTable.from_model(P, n, Scaling(rho=2.0).attr_count(n)).prob_zero()
+           for n in ns]
+    sup = [DegreePmfTable.from_model(P, n, SC.attr_count(n)).prob_zero() for n in ns]
     elapsed = time.monotonic() - t0
     ok = (
         sub[0] < sub[1] < sub[2] and sub[2] > 0.9

@@ -106,7 +106,7 @@ def test_certificate_validation():
     with pytest.raises(RegimeError):
         berry_esseen_bound(P, 10**6, Scaling(rho=2.0), delta=0.5)
     flat = ModelParams(q11=0.4, q10=0.4, q00=0.4, mu1=0.6)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(RegimeError):  # sigma = 0
         berry_esseen_bound(flat, 10**6, Scaling(rho=0.5), delta=0.5)
 
 
@@ -156,7 +156,10 @@ def test_chernoff_term_collapses_to_zero_past_overflow():
 def test_ratio_bound_shares_terms_with_certificate():
     cert = berry_esseen_bound(P, 10**6, SC, delta=0.5, eta=0.1)
     rb = ratio_concentration_bound(P, 10**6, cert.l, delta=0.5, eta=0.1)
-    assert rb == pytest.approx(cert.term_hoeffding + cert.term_chernoff, rel=1e-14)
+    assert rb == cert.term_hoeffding + cert.term_chernoff
+    # the optimizer reports the certificate of its grid witness, field for field
+    opt = optimize_bound(P, 10**6, SC)
+    assert opt == berry_esseen_bound(P, 10**6, SC, opt.delta, opt.eta)
 
 
 def test_ratio_bound_has_no_regime_or_delta_ceiling():

@@ -158,6 +158,15 @@ def test_exit_code_3_on_regime_violation(capsys):
     assert "regime" in err
 
 
+def test_exit_code_3_on_degenerate_sigma(capsys):
+    # q00 = 0.7 and mu1 = 0.5 give gamma0 = gamma1 = 0.45, so sigma = 0
+    flat = ["--n", "1000", "--q00", "0.7", "--mu1", "0.5"]
+    assert main(["bound", *flat]) == 3
+    assert main(["bound", *flat, "--delta", "0.5"]) == 3
+    assert main(["approx", *flat, "--d-max", "5"]) == 3
+    assert "sigma = 0" in capsys.readouterr().err
+
+
 def test_exit_code_4_on_budget_exceeded(capsys):
     assert main(["generate", "--n", "2000000", "--l", "2"]) == 4
     err = capsys.readouterr().err

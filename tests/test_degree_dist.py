@@ -22,9 +22,6 @@ from magnet import (
     InvalidParamsError,
     ModelParams,
     REFERENCE_PARAMS,
-    exact_degree_cdf,
-    exact_degree_pmf,
-    prob_degree_zero,
     write_pmf_csv,
 )
 
@@ -54,9 +51,10 @@ CDF1E6_AT_50 = 0.99900620092960499
 
 
 def test_small_instance_matches_high_precision_probes():
+    table = DegreePmfTable.from_model(P, 30, 3)
     for d, want in PMF30.items():
-        assert exact_degree_pmf(P, 30, 3, d) == pytest.approx(want, rel=1e-12)
-    assert exact_degree_cdf(P, 30, 3, 3) == pytest.approx(CDF30_AT_3, rel=1e-12)
+        assert table.pmf(d) == pytest.approx(want, rel=1e-12)
+    assert table.cdf(3) == pytest.approx(CDF30_AT_3, rel=1e-12)
 
 
 def test_desk_scale_matches_high_precision_probes():
@@ -86,8 +84,8 @@ def test_prob_zero_equals_pmf_at_zero():
         params = ModelParams(q11=q11, q10=q10, q00=q00, mu1=mu1)
         n = int(rng.integers(2, 10**6))
         l = int(rng.integers(1, 20))
-        p0 = prob_degree_zero(params, n, l)
-        assert p0 == pytest.approx(exact_degree_pmf(params, n, l, 0), rel=1e-12)
+        table = DegreePmfTable.from_model(params, n, l)
+        assert table.prob_zero() == pytest.approx(table.pmf(0), rel=1e-12)
 
 
 def test_mixture_collapses_to_single_binomial_when_gammas_match():

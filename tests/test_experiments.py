@@ -43,6 +43,55 @@ seed = 17
 param_sets = 3
 """
 
+# The example config of the README.
+README_INI = """\
+[model]
+q11 = 0.7
+q10 = 0.2
+q00 = 0.5
+mu1 = 0.6
+
+[scaling]
+rho = 1.0          ; rounding = round | ceil | floor (default round)
+
+[experiment]
+kind = zero_one_law
+n_grid = 100 1000 10000   ; whitespace-separated, strictly increasing
+draws = 2000              ; >= 100
+seed = 7
+"""
+
+# Every optional key set away from its default.
+FULL_INI = """\
+[model]
+q11 = 0.7
+q10 = 0.2
+q00 = 0.5
+mu1 = 0.6
+
+[scaling]
+rho = 1.5
+rounding = ceil
+
+[experiment]
+kind = degree_fit
+n_grid = 30 300
+draws = 400
+seed = 11
+out = report.csv
+graph_draws = 250
+t_values = 0.5 2.0
+tolerance = 0.05
+param_sets = 4
+c_star = 0.56
+tv_direct_max = 0.02
+tv_graph_max = 0.03
+p_min = 0.002
+final_sup_delta_max = 0.2
+final_p0_min = 0.8
+final_p0_max = 0.15
+"""
+
 
 def _write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
@@ -97,15 +146,24 @@ def test_config_hash_ignores_output_path_but_tracks_substance(tmp_path):
     assert config_hash(base) != config_hash(reseeded)
     assert "out" not in canonical_text(base)
     assert len(config_hash(base)) == 64  # sha256 hex
+    # frozen: the README example config and one that sets every optional key
+    readme = parse_config(_write(tmp_path, README_INI, "readme.ini"))
+    assert config_hash(readme) == (
+        "27b996091f795590837637b7c08af04a4c8c3f233123fbfef4ca22e3dfd342cc"
+    )
+    full = parse_config(_write(tmp_path, FULL_INI, "full.ini"))
+    assert config_hash(full) == (
+        "40299902ef5964e29b2a08152f2dc2c72a0283b0d6bd16a616330c0e623b35cf"
+    )
 
 
 def test_report_bytes_are_deterministic(tmp_path):
     cfg = parse_config(_write(tmp_path, GOOD_INI))
-    a = run_experiment(cfg).to_text()
-    b = run_experiment(cfg).to_text()
+    a = run_experiment(cfg).lines()
+    b = run_experiment(cfg).lines()
     assert a == b
     # threads must never leak into the output
-    c = run_experiment(cfg, threads=4).to_text()
+    c = run_experiment(cfg, threads=4).lines()
     assert a == c
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from magnet import (
+    DegreePmfTable,
     InvalidParamsError,
-    KlParams,
     LogNormalSpec,
     ModelParams,
     REFERENCE_PARAMS,
@@ -22,7 +22,6 @@ from magnet import (
     Scaling,
     cdf_approx,
     derive_constants,
-    exact_degree_cdf,
     kl_params,
     kl_reconciled_law,
     lambda_limit_probe,
@@ -31,7 +30,6 @@ from magnet import (
     sample_degrees_direct,
     std_normal_cdf,
     transform_degree,
-    x_n_of_t,
 )
 
 P = REFERENCE_PARAMS
@@ -90,13 +88,13 @@ def test_transform_two_algebraic_forms_agree():
 
 def test_transform_zero_convention_and_validation():
     assert transform_degree(0, 10**6, SC, P) == 0.0
-    assert x_n_of_t(0.0, 10**6, SC, P) == 0.0
+    assert transform_degree(0.0, 10**6, SC, P) == 0.0
     with pytest.raises(InvalidParamsError):
         transform_degree(-1, 10**6, SC, P)
     with pytest.raises(RegimeError):
         transform_degree(5, 10**6, Scaling(rho=2.0), P)  # subcritical
     with pytest.raises(InvalidParamsError):
-        x_n_of_t(-0.5, 10**6, SC, P)
+        transform_degree(-0.5, 10**6, SC, P)
 
 
 def test_cdf_approx_frozen_probe_and_shape():
@@ -112,7 +110,7 @@ def test_cdf_approx_frozen_probe_and_shape():
 
 def test_cdf_approx_near_exact_median_at_desk_scale():
     table_median = 5  # median of the exact law at n=1e6, L=14
-    exact = exact_degree_cdf(P, 10**6, 14, table_median)
+    exact = DegreePmfTable.from_model(P, 10**6, 14).cdf(table_median)
     approx = cdf_approx(float(table_median), 10**6, SC, P)
     assert abs(approx - exact) < 0.05
 
@@ -142,7 +140,7 @@ def test_kl_identities_at_reference_params():
         l = SC.attr_count(n)
         rho_n = l / math.log(n)
         kp = kl_params(P, n, SC)
-        assert isinstance(kp, KlParams)
+        assert isinstance(kp, LogNormalSpec)
         # variance identity: sigma2_kl == rho_n sigma^2 ln n == L sigma0^2 (ln r)^2
         want_var = rho_n * c.sigma**2 * math.log(n)
         assert kp.sigma2 == pytest.approx(want_var, rel=1e-12)

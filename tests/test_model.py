@@ -22,7 +22,6 @@ from magnet import (
     classify_regime,
     derive_constants,
     require_supercritical,
-    scaling_at,
 )
 
 # 40-digit recomputation, rounded to nearest float64:
@@ -42,7 +41,7 @@ def test_reference_constants_match_high_precision_recomputation():
     assert c.sigma**2 == pytest.approx(SIGMA2, rel=1e-14)
     assert c.log_gamma_bar == pytest.approx(LOG_GAMMA_BAR, rel=1e-14)
     assert c.r == pytest.approx(0.50 / 0.32, rel=1e-15)
-    assert c.r * c.r_kl == pytest.approx(1.0, rel=1e-15)
+    assert c.r * (c.gamma0 / c.gamma1) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_kappa_frozen_values():
@@ -114,12 +113,14 @@ def test_params_outside_open_unit_interval_rejected(kwargs):
 
 def test_scaling_attr_count_examples():
     # rho=1, n=8: x = ln 8 = 2.079..., half-up round -> 2
-    l, rho_n = scaling_at(Scaling(rho=1.0), 8)
+    sc = Scaling(rho=1.0)
+    l, rho_n = sc.attr_count(8), sc.rho_n(8)
     assert l == 2
     assert rho_n == pytest.approx(2.0 / math.log(8), rel=1e-15)
     assert rho_n == pytest.approx(0.96179669392597560, rel=1e-13)
     # rho=0.5, n=2: x = 0.346..., ceil -> 1; rho_n = 1/ln 2
-    l, rho_n = scaling_at(Scaling(rho=0.5, rounding=Rounding.CEIL), 2)
+    sc = Scaling(rho=0.5, rounding=Rounding.CEIL)
+    l, rho_n = sc.attr_count(2), sc.rho_n(2)
     assert l == 1
     assert rho_n == pytest.approx(1.44269504088896341, rel=1e-13)
     # floor clamps to >= 1 attribute

@@ -12,7 +12,6 @@ from magnet._rng import (
     mix64,
     mix64_array,
     stream_key,
-    uniform_at,
     uniforms_at,
     word_at,
     words_at,
@@ -57,6 +56,12 @@ def test_words_at_is_pure_in_key_and_index():
     assert word_at(key, 537) == a[537]
     shuffled = np.array([701, 3, 999, 0], dtype=np.uint64)
     assert np.array_equal(words_at(key, shuffled), a[[701, 3, 999, 0]])
+    # A key array broadcasts against the indices: one stream per key.
+    keys = np.array([key, stream_key(1, TAG_ATTR_BITS)], dtype=np.uint64)
+    rows = words_at(keys[:, None], idx)
+    assert np.array_equal(rows[0], a)
+    assert np.array_equal(rows[1], words_at(int(keys[1]), idx))
+    assert np.array_equal(uniforms_at(keys[:, None], idx)[1], uniforms_at(int(keys[1]), idx))
 
 
 def test_stream_keys_separate_tags_and_seeds():
@@ -66,6 +71,10 @@ def test_stream_keys_separate_tags_and_seeds():
     assert k_attr != k_pair
     assert k_attr != k_other
     assert k_attr == stream_key(42, TAG_ATTR_BITS)
+    # A seed array gives the scalar keys elementwise.
+    seeds = np.array([0, 42, 2**64 - 1], dtype=np.uint64)
+    keys = stream_key(seeds, TAG_ATTR_BITS)
+    assert [int(k) for k in keys] == [stream_key(int(s), TAG_ATTR_BITS) for s in seeds]
     # Streams under different keys should not collide over a short prefix.
     idx = np.arange(4096, dtype=np.uint64)
     assert not np.any(words_at(k_attr, idx) == words_at(k_pair, idx))
@@ -79,7 +88,7 @@ def test_uniforms_live_in_unit_interval_with_53_bit_resolution():
     # Values are multiples of 2**-53.
     scaled = u * (1 << 53)
     assert np.array_equal(scaled, np.floor(scaled))
-    assert uniform_at(key, 12345) == u[12345]
+    assert uniforms_at(key, np.array([12345], dtype=np.uint64))[0] == u[12345]
 
 
 def test_uniform_stream_moments_are_sane():
