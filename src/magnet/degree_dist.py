@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+import scipy
 
 from .errors import InvalidParamsError
 from .model import ModelParams, derive_constants, _check_n
@@ -63,9 +63,9 @@ class DegreePmfTable:
         c = derive_constants(params)
         s = np.arange(l + 1, dtype=np.float64)
         log_weights = (
-            gammaln(l + 1.0)
-            - gammaln(s + 1.0)
-            - gammaln(l - s + 1.0)
+            scipy.special.gammaln(l + 1.0)
+            - scipy.special.gammaln(s + 1.0)
+            - scipy.special.gammaln(l - s + 1.0)
             + s * math.log(params.mu1)
             + (l - s) * math.log(params.mu0)
         )
@@ -78,7 +78,11 @@ class DegreePmfTable:
         """ln P(D = d) for scalar or array ``d`` in [0, n - 1]."""
         d_arr, scalar = _as_degree_array(d, self.n)
         m = float(self.n - 1)
-        log_c = gammaln(m + 1.0) - gammaln(d_arr + 1.0) - gammaln(m - d_arr + 1.0)
+        log_c = (
+            scipy.special.gammaln(m + 1.0)
+            - scipy.special.gammaln(d_arr + 1.0)
+            - scipy.special.gammaln(m - d_arr + 1.0)
+        )
         p = np.exp(self.log_p)
         log_1mp = np.log1p(-p)
         terms = (
@@ -87,7 +91,7 @@ class DegreePmfTable:
             + d_arr[:, None] * self.log_p[None, :]
             + (m - d_arr)[:, None] * log_1mp[None, :]
         )
-        out = logsumexp(terms, axis=1)
+        out = scipy.special.logsumexp(terms, axis=1)
         return float(out[0]) if scalar else out
 
     def pmf(self, d) -> np.ndarray | float:
@@ -125,7 +129,7 @@ class DegreePmfTable:
         """P(D = 0) = E[(1 - p_S)**(n-1)], evaluated without forming pmf(0) twice."""
         m = float(self.n - 1)
         log_terms = self.log_weights + m * np.log1p(-np.exp(self.log_p))
-        return float(np.exp(logsumexp(log_terms)))
+        return float(np.exp(scipy.special.logsumexp(log_terms)))
 
     def quantile(self, q: float) -> int:
         """Smallest d with P(D <= d) >= q (scans from 0 in chunks)."""

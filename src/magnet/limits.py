@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+import scipy
 
 from .errors import InvalidParamsError
 from .model import (
@@ -63,7 +63,7 @@ def std_normal_cdf(z):
     """Phi(z) = erfc(-z / sqrt(2)) / 2 for scalars or arrays."""
     if np.isscalar(z):
         return 0.5 * math.erfc(-z / math.sqrt(2.0))
-    return 0.5 * erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
+    return 0.5 * scipy.special.erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

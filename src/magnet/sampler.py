@@ -190,12 +190,7 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
     _check_n(n)
     _check_l(l)
     _check_seed(seed)
-    pairs = n * (n - 1) // 2
-    if pairs > pair_budget:
-        raise BudgetError(
-            f"{pairs} node pairs exceed the pair budget of {pair_budget}; "
-            f"raise the budget or reduce n"
-        )
+    _check_pair_budget(n, pair_budget)
 
     bits = _attr_bits_for_seed(np.array([seed], dtype=np.uint64), n, l, params.mu1)[0]
     words = pack_rows(bits)
@@ -244,13 +239,13 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
     degree equals ``sample_graph(..., replicate_seed(seed, r)).degrees()[0]``
     realization for realization; only the node-0-incident uniforms and the
     attribute rows are evaluated, which is what makes batches affordable.
+    Raises :class:`BudgetError` when n(n-1)/2 exceeds ``pair_budget``.
     """
     _check_n(n)
     _check_l(l)
     _check_seed(seed)
     _check_count(count)
-    if n * (n - 1) // 2 > pair_budget:
-        raise BudgetError(f"{n * (n - 1) // 2} node pairs exceed the pair budget of {pair_budget}")
+    _check_pair_budget(n, pair_budget)
 
     out = np.empty(count, dtype=np.int64)
     rep_key = _rng.stream_key(seed, _rng.TAG_REPLICATE)
@@ -371,6 +366,15 @@ def _check_seed(seed: int) -> None:
 def _check_count(count: int) -> None:
     if not (isinstance(count, int) and count >= 1):
         raise InvalidParamsError(f"count must be a positive integer, got {count!r}")
+
+
+def _check_pair_budget(n: int, pair_budget: int) -> None:
+    pairs = n * (n - 1) // 2
+    if pairs > pair_budget:
+        raise BudgetError(
+            f"{pairs} node pairs exceed the pair budget of {pair_budget}; "
+            f"raise the budget or reduce n"
+        )
 
 
 # =====================================================================

@@ -6,7 +6,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
+import scipy
 
 from .errors import InvalidParamsError
 
@@ -83,7 +83,7 @@ def dkw_proxy(n: int, alpha: float = 0.05) -> float:
 
 def two_sample_ks(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Two-sample KS statistic and p-value."""
-    res = sps.ks_2samp(np.asarray(x), np.asarray(y), method="auto")
+    res = scipy.stats.ks_2samp(np.asarray(x), np.asarray(y), method="auto")
     return float(res.statistic), float(res.pvalue)
 
 
@@ -109,7 +109,7 @@ def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray,
         raise InvalidParamsError("chi-square needs at least two bins with mass")
     # Rescale residual normalization mismatch (regularity, not correction).
     exp_b *= obs_b.sum() / exp_b.sum()
-    stat, p = sps.chisquare(obs_b, exp_b)
+    stat, p = scipy.stats.chisquare(obs_b, exp_b)
     return float(stat), float(p), len(obs_b) - 1
 
 

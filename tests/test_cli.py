@@ -5,13 +5,17 @@ entry point itself is exercised once via a real subprocess.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from magnet.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 INI = """\
 [model]
@@ -173,10 +177,41 @@ def test_exit_code_4_on_budget_exceeded(capsys):
     assert "budget" in err.lower()
 
 
+def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
+    # 50000 nodes are 1,249,975,000 pairs, over the default budget of 10**9
+    assert main(["degrees", "--method", "fullgraph", "--n", "50000", "--count", "1"]) == 4
+    assert "1249975000 node pairs exceed the pair budget" in capsys.readouterr().err
+
+
 def test_approx_rejects_mismatched_l(capsys):
     # --l must match the scaled attribute count for limit comparisons
     assert main(["approx", "--n", "1000000", "--rho", "1.0", "--l", "9"]) == 2
     capsys.readouterr()
+
+
+def test_start_up_path_loads_scipy_on_first_use():
+    # regime and bound need numpy only; pmf needs scipy.special, and only
+    # degree_fit's tests need scipy.stats
+    script = """
+import io, sys
+from contextlib import redirect_stdout
+import magnet
+import magnet.cli as cli
+def loaded():
+    return ["scipy.special" in sys.modules, "scipy.stats" in sys.modules]
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["regime"]) == 0
+    assert cli.main(["bound", "--n", "1000000"]) == 0
+    before = loaded()
+    assert cli.main(["pmf", "--n", "1000", "--d-max", "5"]) == 0
+print(before, loaded())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False] [True, False]"
 
 
 def test_installed_entry_point_runs():

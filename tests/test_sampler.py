@@ -130,6 +130,9 @@ def test_pair_budget_enforced():
     with pytest.raises(BudgetError):
         sample_graph(P, 100, 3, seed=0, pair_budget=1000)  # needs 4950
     sample_graph(P, 100, 3, seed=0, pair_budget=4950)  # exactly enough
+    with pytest.raises(BudgetError):
+        sample_degrees_fullgraph(P, 100, 3, 1, seed=0, pair_budget=4949)
+    sample_degrees_fullgraph(P, 100, 3, 1, seed=0, pair_budget=4950)
 
 
 def test_empirical_edge_density_matches_pair_probability():
