@@ -164,8 +164,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise InvalidParamsError(f"count must be >= 1, got {args.count}")
     sampler = (
         sample_degrees_direct
         if args.method == SampleMethod.DIRECT.value

@@ -39,6 +39,7 @@ from .limits import (
     lambda_limit_probe,
     lognormal_cdf,
     transform_degree,
+    _check_sample_l,
 )
 from .model import (
     ModelParams,
@@ -103,11 +104,7 @@ def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling,
     params = samples.params
     n = samples.n
     c = _require_lognormal_limit(params, scaling.rho, "the log-normal KS statistic")
-    l = scaling.attr_count(n)
-    if samples.l != l:
-        raise InvalidParamsError(
-            f"sample set was drawn at l={samples.l}, but the scaling gives L_n={l} at n={n}"
-        )
+    _check_sample_l(samples, scaling.attr_count(n))
     d = samples.degrees
     zero_fraction = float((d == 0).mean())
     nonzero = d[d > 0]

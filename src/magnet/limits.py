@@ -52,7 +52,6 @@ __all__ = [
     "lognormal_cdf",
     "transform_degree",
     "cdf_approx",
-    "pmf_approx",
     "kl_params",
     "kl_reconciled_law",
     "lambda_limit_probe",
@@ -106,14 +105,14 @@ def lognormal_cdf(x, spec: LogNormalSpec):
 # The degree transform and its deterministic scale
 # ---------------------------------------------------------------------
 
-def _scale_exponent(params: ModelParams, n: int, scaling: Scaling) -> tuple[int, float, float]:
-    """(L_n, rho_n, 1 + rho_n * lgbar) with the supercritical gate applied."""
+def _scale_exponent(params: ModelParams, n: int, scaling: Scaling) -> tuple[int, float]:
+    """(L_n, 1 + rho_n * lgbar) with the supercritical gate applied."""
     _check_n(n)
     require_supercritical(params, scaling.rho, "the log-normal degree limit")
     l = scaling.attr_count(n)
     rho_n = l / math.log(n)
     c = derive_constants(params)
-    return l, rho_n, 1.0 + rho_n * c.log_gamma_bar
+    return l, 1.0 + rho_n * c.log_gamma_bar
 
 
 def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):
@@ -122,7 +121,7 @@ def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):
     W(d) = exp( (ln d - (1 + rho_n * lgbar) * ln n) / sqrt(L_n) ) for d >= 1;
     d = 0 maps to 0 by convention (the zero atom is handled by callers).
     """
-    l, _, expo = _scale_exponent(params, n, scaling)
+    l, expo = _scale_exponent(params, n, scaling)
     sq = math.sqrt(l)
     log_n = math.log(n)
     if np.isscalar(d):
@@ -142,7 +141,7 @@ def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):
 
 def cdf_approx(t, n: int, scaling: Scaling, params: ModelParams):
     """Log-normal approximation of P(D <= t): Phi(ln x_n(t) / |sigma|)."""
-    l, _, expo = _scale_exponent(params, n, scaling)
+    l, expo = _scale_exponent(params, n, scaling)
     sd = abs(_require_lognormal_limit(params, scaling.rho, "the log-normal limit").sigma)
     sq = math.sqrt(l)
     log_n = math.log(n)
@@ -159,17 +158,6 @@ def cdf_approx(t, n: int, scaling: Scaling, params: ModelParams):
     pos = t_arr > 0
     out[pos] = std_normal_cdf((np.log(t_arr[pos]) - expo * log_n) / (sq * sd))
     return out
-
-
-def pmf_approx(d, n: int, scaling: Scaling, params: ModelParams):
-    """cdf_approx(d) - cdf_approx(d - 1) for integer d >= 1."""
-    d_arr = np.atleast_1d(np.asarray(d))
-    if np.any(d_arr < 1) or np.any(d_arr != np.floor(d_arr)):
-        raise InvalidParamsError("pmf_approx needs integer degrees d >= 1")
-    hi = cdf_approx(d_arr.astype(np.float64), n, scaling, params)
-    lo = cdf_approx(d_arr.astype(np.float64) - 1.0, n, scaling, params)
-    out = hi - lo
-    return float(out[0]) if np.isscalar(d) else out
 
 
 # ---------------------------------------------------------------------
@@ -215,10 +203,15 @@ def lambda_limit_probe(t: float, samples: DegreeSampleSet, scaling: Scaling) -> 
     if not (np.isscalar(t) and t > 0):
         raise InvalidParamsError(f"t must be a positive scalar, got {t!r}")
     n = samples.n
-    l, _, expo = _scale_exponent(samples.params, n, scaling)
-    if samples.l != l:
-        raise InvalidParamsError(
-            f"sample set was drawn at l={samples.l}, but the scaling gives L_n={l} at n={n}"
-        )
+    l, expo = _scale_exponent(samples.params, n, scaling)
+    _check_sample_l(samples, l)
     threshold = float(t) * math.exp(expo * math.log(n))
     return float((samples.degrees <= threshold).mean())
+
+
+def _check_sample_l(samples: DegreeSampleSet, l: int) -> None:
+    """Refuse degree draws made at another attribute count than L_n = ``l``."""
+    if samples.l != l:
+        raise InvalidParamsError(
+            f"sample set was drawn at l={samples.l}, but the scaling gives L_n={l} at n={samples.n}"
+        )

@@ -40,7 +40,6 @@ __all__ = [
     "SampleMethod",
     "MagGraph",
     "DegreeSampleSet",
-    "link_probability",
     "sample_graph",
     "sample_degrees_direct",
     "sample_degrees_fullgraph",
@@ -81,37 +80,16 @@ def unpack_rows(words: np.ndarray, l: int) -> np.ndarray:
     return bits[..., :l]
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Total set bits along the last (word) axis."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+def _log_link(row: np.ndarray, others: np.ndarray, l: int, params: ModelParams) -> np.ndarray:
+    """ln prod_j q(a_j, b_j) of packed ``row`` against each packed row of ``others``.
 
-
-def _log_link(c11: np.ndarray, c10: np.ndarray, l: int, params: ModelParams) -> np.ndarray:
-    lq11 = math.log(params.q11)
-    lq10 = math.log(params.q10)
-    lq00 = math.log(params.q00)
-    c00 = l - c11 - c10
-    return c11 * lq11 + c10 * lq10 + c00 * lq00
-
-
-def link_probability(row_u, row_v, params: ModelParams) -> float:
-    """Edge probability of two attribute rows: prod_j q(a_j, b_j).
-
-    Accepts 0/1 sequences of equal length; the product is evaluated from
-    popcounts of the packed rows, in log space.
+    c11 and c10 are popcounts of AND and XOR over the word axis, and
+    c00 = l - c11 - c10.
     """
-    a = np.asarray(row_u)
-    b = np.asarray(row_v)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape or a.size < 1:
-        raise InvalidParamsError("attribute rows must be equal-length 1-D arrays, length >= 1")
-    if not (np.isin(a, (0, 1)).all() and np.isin(b, (0, 1)).all()):
-        raise InvalidParamsError("attribute rows must contain only 0/1 entries")
-    l = int(a.size)
-    wa = pack_rows(a.astype(np.uint8))
-    wb = pack_rows(b.astype(np.uint8))
-    c11 = int(_popcount(wa & wb))
-    c10 = int(_popcount(wa ^ wb))
-    return math.exp(float(_log_link(np.int64(c11), np.int64(c10), l, params)))
+    c11, c10 = (np.bitwise_count(w).sum(axis=-1, dtype=np.int64)
+                for w in (row & others, row ^ others))
+    c00 = l - c11 - c10
+    return c11 * math.log(params.q11) + c10 * math.log(params.q10) + c00 * math.log(params.q00)
 
 
 # =====================================================================
@@ -181,6 +159,19 @@ def _pair_index(u: int, v: np.ndarray, n: int) -> np.ndarray:
     return u * n - (u * (u + 1)) // 2 + (v - u - 1)
 
 
+def _row_edges(words: np.ndarray, u: int, key, n: int, l: int,
+               params: ModelParams) -> np.ndarray:
+    """Edge indicators of node u towards nodes u+1..n-1: the pair is an edge
+    when its uniform is at most its link probability.
+
+    ``words`` holds packed attribute rows with shape (..., n, W); ``key`` is
+    the pair-uniform stream key and broadcasts like ``_rng.uniforms_at``.
+    """
+    log_p = _log_link(words[..., u:u + 1, :], words[..., u + 1:, :], l, params)
+    unif = _rng.uniforms_at(key, _pair_index(u, np.arange(u + 1, n, dtype=np.int64), n))
+    return unif <= np.exp(log_p)
+
+
 def sample_graph(params: ModelParams, n: int, l: int, seed: int,
                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> MagGraph:
     """Sample one MAG graph at (params, n, l) under ``seed``.
@@ -196,32 +187,13 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
     words = pack_rows(bits)
 
     key_pair = _rng.stream_key(seed, _rng.TAG_PAIR_UNIF)
-    chunks_u: list[np.ndarray] = []
-    chunks_v: list[np.ndarray] = []
-    row_block = max(1, _CHUNK_ELEMS // max(1, n))
-    for u0 in range(0, n - 1, row_block):
-        u1 = min(u0 + row_block, n - 1)
-        uu_list = []
-        vv_list = []
-        for u in range(u0, u1):
-            vs = np.arange(u + 1, n, dtype=np.int64)
-            c11 = _popcount(words[u][None, :] & words[u + 1:])
-            c10 = _popcount(words[u][None, :] ^ words[u + 1:])
-            log_p = _log_link(c11, c10, l, params)
-            unif = _rng.uniforms_at(key_pair, _pair_index(u, vs, n))
-            hit = unif <= np.exp(log_p)
-            if hit.any():
-                uu_list.append(np.full(int(hit.sum()), u, dtype=np.int64))
-                vv_list.append(vs[hit])
-        if uu_list:
-            chunks_u.append(np.concatenate(uu_list))
-            chunks_v.append(np.concatenate(vv_list))
-    if chunks_u:
-        edges = np.stack(
-            [np.concatenate(chunks_u), np.concatenate(chunks_v)], axis=1
-        )
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+    us: list[np.ndarray] = []
+    vs: list[np.ndarray] = []
+    for u in range(n - 1):
+        v = np.flatnonzero(_row_edges(words, u, key_pair, n, l, params)) + (u + 1)
+        us.append(np.full(len(v), u, dtype=np.int64))
+        vs.append(v)
+    edges = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
     return MagGraph(params=params, n=n, l=l, seed=seed, attr_words=words, edges=edges)
 
 
@@ -253,15 +225,10 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     def work(i0: int, i1: int) -> None:
         seeds = _rng.words_at(rep_key, np.arange(i0, i1, dtype=np.uint64))
-        bits = _attr_bits_for_seed(seeds, n, l, params.mu1)
-        words = pack_rows(bits)  # (R, n, W)
-        c11 = _popcount(words[:, 0:1, :] & words[:, 1:, :])
-        c10 = _popcount(words[:, 0:1, :] ^ words[:, 1:, :])
-        log_p = _log_link(c11, c10, l, params)  # (R, n-1)
+        words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
         pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
-        idx = _pair_index(0, np.arange(1, n, dtype=np.int64), n)
-        unif = _rng.uniforms_at(pair_keys[:, None], idx)
-        out[i0:i1] = (unif <= np.exp(log_p)).sum(axis=1, dtype=np.int64)
+        hits = _row_edges(words, 0, pair_keys[:, None], n, l, params)  # (R, n-1)
+        out[i0:i1] = hits.sum(axis=1, dtype=np.int64)
 
     _run_chunks(work, count, chunk, threads)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
@@ -372,8 +339,7 @@ def _check_pair_budget(n: int, pair_budget: int) -> None:
     pairs = n * (n - 1) // 2
     if pairs > pair_budget:
         raise BudgetError(
-            f"{pairs} node pairs exceed the pair budget of {pair_budget}; "
-            f"raise the budget or reduce n"
+            f"{pairs} node pairs exceed the pair budget of {pair_budget}"
         )
 
 

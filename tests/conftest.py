@@ -1,7 +1,14 @@
 """Shared pytest wiring: collect acceptance-criterion verdict lines and
 echo them in the terminal summary so every run shows one pass/fail line
-per criterion, whether or not output capture is active.
+per criterion, whether or not output capture is active; and the
+environment under which tests start child interpreters.
 """
+
+import os
+from pathlib import Path
+
+# Child interpreters import this checkout's package, installed or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -56,7 +56,7 @@ from magnet import (
 )
 from magnet.stats import tv_to_exact
 
-from conftest import record_acceptance
+from conftest import CHILD_ENV, record_acceptance
 
 P = REFERENCE_PARAMS
 SC = Scaling(rho=1.0)
@@ -330,7 +330,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     def run(args):
         proc = subprocess.run(
             [sys.executable, "-m", "magnet", *args],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -5,17 +5,15 @@ entry point itself is exercised once via a real subprocess.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from magnet.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import CHILD_ENV
 
 INI = """\
 [model]
@@ -180,7 +178,9 @@ def test_exit_code_4_on_budget_exceeded(capsys):
 def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
     # 50000 nodes are 1,249,975,000 pairs, over the default budget of 10**9
     assert main(["degrees", "--method", "fullgraph", "--n", "50000", "--count", "1"]) == 4
-    assert "1249975000 node pairs exceed the pair budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1249975000 node pairs exceed the pair budget" in err
+    assert "raise the budget" not in err  # degrees has no --pair-budget flag
 
 
 def test_approx_rejects_mismatched_l(capsys):
@@ -208,7 +208,7 @@ print(before, loaded())
 """
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
-        timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False] [True, False]"
@@ -217,13 +217,13 @@ print(before, loaded())
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "magnet", "regime", "--rho", "1.0"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["regime"] == "supercritical"
     ver = subprocess.run(
         [sys.executable, "-m", "magnet", "--version"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert ver.returncode == 0
     assert "magnet" in ver.stdout

@@ -26,7 +26,6 @@ from magnet import (
     kl_reconciled_law,
     lambda_limit_probe,
     lognormal_cdf,
-    pmf_approx,
     sample_degrees_direct,
     std_normal_cdf,
     transform_degree,
@@ -105,6 +104,7 @@ def test_cdf_approx_frozen_probe_and_shape():
     vals = cdf_approx(t, 10**6, SC, P)
     assert vals[0] == 0.0
     assert np.all(np.diff(vals) >= 0)
+    assert np.all(np.diff(cdf_approx(np.arange(400.0), 10**6, SC, P)) >= 0)
     assert cdf_approx(1e9, 10**6, SC, P) > 0.999
 
 
@@ -119,19 +119,6 @@ def test_cdf_approx_rejects_flat_affinity():
     flat = ModelParams(q11=0.4, q10=0.4, q00=0.4, mu1=0.6)
     with pytest.raises(RegimeError):
         cdf_approx(5.0, 10**6, SC, flat)
-
-
-def test_pmf_approx_telescopes_and_is_nonnegative():
-    d = np.arange(1, 400)
-    pm = pmf_approx(d, 10**6, SC, P)
-    assert np.all(pm >= 0)
-    partial = pm.cumsum()
-    want = cdf_approx(d.astype(float), 10**6, SC, P) - cdf_approx(0.0, 10**6, SC, P)
-    np.testing.assert_allclose(partial, want, atol=1e-12)
-    with pytest.raises(InvalidParamsError):
-        pmf_approx(0, 10**6, SC, P)
-    with pytest.raises(InvalidParamsError):
-        pmf_approx(2.5, 10**6, SC, P)
 
 
 def test_kl_identities_at_reference_params():

@@ -2,6 +2,7 @@
 agreement between full-graph realizations and direct compound draws.
 """
 
+import hashlib
 import io
 
 import numpy as np
@@ -15,7 +16,6 @@ from magnet import (
     ModelParams,
     REFERENCE_PARAMS,
     SampleMethod,
-    link_probability,
     sample_degrees_direct,
     sample_degrees_fullgraph,
     sample_graph,
@@ -25,6 +25,7 @@ from magnet import (
 )
 from magnet.sampler import (
     _binomial_inversion,
+    _log_link,
     pack_rows,
     replicate_seed,
     unpack_rows,
@@ -53,17 +54,10 @@ def test_link_probability_matches_per_position_product():
     for _ in range(200):
         a = rng.integers(0, 2, size=l).astype(np.uint8)
         b = rng.integers(0, 2, size=l).astype(np.uint8)
-        got = link_probability(a, b, P)
+        got = float(np.exp(_log_link(pack_rows(a), pack_rows(b), l, P)))
         q = np.array([[P.q00, P.q10], [P.q10, P.q11]])
         want = float(np.prod([q[ai, bi] for ai, bi in zip(a, b)]))
         assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_link_probability_validates_rows():
-    with pytest.raises(InvalidParamsError):
-        link_probability(np.array([0, 1]), np.array([0, 1, 1]), P)
-    with pytest.raises(InvalidParamsError):
-        link_probability(np.array([0, 2]), np.array([0, 1]), P)
 
 
 def test_nearly_all_ones_rows_approach_q11_power():
@@ -72,12 +66,10 @@ def test_nearly_all_ones_rows_approach_q11_power():
     params = ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=0.999)
     l = 8
     graph = sample_graph(params, 400, l, seed=31)
-    rows = graph.attribute_matrix()
     rng = np.random.default_rng(0)
     idx = rng.integers(0, 400, size=(4000, 2))
-    probs = [
-        link_probability(rows[i], rows[j], params) for i, j in idx if i != j
-    ]
+    i, j = idx[idx[:, 0] != idx[:, 1]].T
+    probs = np.exp(_log_link(graph.attr_words[i], graph.attr_words[j], l, params))
     assert np.mean(probs) == pytest.approx(params.q11**l, rel=0.02)
 
 
@@ -149,6 +141,30 @@ def test_empirical_edge_density_matches_pair_probability():
     )
     sem = fracs.std(ddof=1) / np.sqrt(reps)
     assert abs(fracs.mean() - want) < 6 * sem
+
+
+def test_realizations_are_frozen():
+    # sha256 of sampled bytes: the edge-list text, or the little-endian int64
+    # degrees. Any change to the attribute stream, the pair uniforms or the
+    # edge test moves them. At l = 130 each packed row spans 3 words.
+    q = ModelParams(q11=0.99, q10=0.97, q00=0.98, mu1=0.5)
+
+    def edge_list_digest(graph):
+        buf = io.StringIO()
+        write_edge_list(graph, buf)
+        return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+    wide = sample_graph(q, 300, 130, seed=3)
+    assert wide.edge_count == 2372
+    assert edge_list_digest(wide) == (
+        "86f0668708a039d5a9521a498e0c5c8a6551b2b2ee50ebbab4d1669787715427")
+    narrow = sample_graph(P, 300, 6, seed=3)
+    assert narrow.edge_count == 262
+    assert edge_list_digest(narrow) == (
+        "372182bccaf1e53f9a3eb25906e674516b9d26b63d8c3e5335a630bcd9678290")
+    degrees = sample_degrees_fullgraph(q, 500, 70, 64, seed=11).degrees
+    assert hashlib.sha256(degrees.astype("<i8").tobytes()).hexdigest() == (
+        "34d76604b71203c90520664cac1df9e9345659c8f057c2cfb5346981c7bb21bf")
 
 
 # ------------------------------------------------------- batched full graphs
