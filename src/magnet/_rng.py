@@ -35,7 +35,7 @@ TAG_ATTR_BITS = 0xA1  # graph sampler: node attribute bits
 TAG_PAIR_UNIF = 0xA2  # graph sampler: per-pair edge uniforms
 TAG_DIRECT_S = 0xB1  # direct degree sampler: attribute-count bits
 TAG_DIRECT_U = 0xB2  # direct degree sampler: inversion uniforms
-TAG_DIRECT_REJ = 0xB3  # direct degree sampler: rejection-path sub-seeds
+TAG_DIRECT_BTRS = 0xB4  # direct degree sampler: per-attempt keys of BTRS draws
 TAG_REPLICATE = 0xC1  # per-replicate graph seeds in batch experiments
 TAG_SELFTEST = 0xD1  # distribution self-test draws
 

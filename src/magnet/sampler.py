@@ -10,10 +10,11 @@ Two routes produce degrees with identical laws:
 
 * ``sample_degrees_direct`` skips the graph and draws from the compound
   binomial directly: S ~ Bin(l, mu1), then D ~ Bin(n - 1, p_S).  Binomial
-  draws are exact-distribution: vectorized sequential inversion when the
-  mean is at most ``INVERSION_MEAN_MAX``, an exact-rejection generator
-  (numpy's binomial) seeded per draw otherwise.  No normal approximation
-  anywhere.
+  draws are exact-distribution and vectorized over draws: sequential
+  inversion when the mean of Bin(n - 1, min(p, 1 - p)) is at most
+  ``INVERSION_MEAN_MAX``, otherwise Hörmann's (1993) transformed rejection
+  with squeeze (BTRS), whose acceptance test evaluates the log pmf in
+  Loader's saddle-point form.  No normal approximation anywhere.
 
 All randomness is counter-based (see ``_rng``): every value is a pure
 function of ``(seed, stream tag, index)``, so outputs are independent of
@@ -50,7 +51,9 @@ __all__ = [
 
 DEFAULT_PAIR_BUDGET = 10 ** 9
 
-#: Mean at or below which binomial draws use sequential inversion.
+#: Binomial draws whose mean, taken for the smaller of p and 1 - p, is at
+#: or below this use sequential inversion, the others BTRS (which needs a
+#: mean of at least 10).
 INVERSION_MEAN_MAX = 30.0
 
 #: Target element count per vectorized work chunk.
@@ -249,32 +252,28 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
     c = derive_constants(params)
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)
     key_u = _rng.stream_key(seed, _rng.TAG_DIRECT_U)
-    key_rej = _rng.stream_key(seed, _rng.TAG_DIRECT_REJ)
+    key_btrs = _rng.stream_key(seed, _rng.TAG_DIRECT_BTRS)
     m = n - 1
     out = np.empty(count, dtype=np.int64)
     chunk = max(1, _CHUNK_ELEMS // max(1, l))
 
     def work(i0: int, i1: int) -> None:
         idx = np.arange(i0, i1, dtype=np.uint64)
-        bit_idx = (idx[:, None] * np.uint64(l)
-                   + np.arange(l, dtype=np.uint64)[None, :])
-        bit_u = _rng.uniforms_at(key_s, bit_idx.ravel()).reshape(len(idx), l)
-        s = (bit_u < params.mu1).sum(axis=1, dtype=np.int64)
+        first_bit = idx * np.uint64(l)
+        s = np.zeros(len(idx), dtype=np.int64)
+        for j in range(l):
+            s += _rng.uniforms_at(key_s, first_bit + np.uint64(j)) < params.mu1
         log_p = s * c.log_gamma1 + (l - s) * c.log_gamma0
         p = np.exp(log_p)
-        mean = m * p
         d = np.empty(len(idx), dtype=np.int64)
 
-        inv = mean <= INVERSION_MEAN_MAX
+        inv = m * np.minimum(p, 1.0 - p) <= INVERSION_MEAN_MAX
         if inv.any():
             u = _rng.uniforms_at(key_u, idx[inv])
             d[inv] = _binomial_inversion(m, p[inv], u)
         rej = ~inv
         if rej.any():
-            for j in np.nonzero(rej)[0]:
-                sub = _rng.word_at(key_rej, int(idx[j]))
-                gen = np.random.Generator(np.random.PCG64(sub))
-                d[j] = gen.binomial(m, p[j])
+            d[rej] = _binomial_btrs(m, p[rej], key_btrs, idx[rej])
         out[i0:i1] = d
 
     _run_chunks(work, count, chunk, threads)
@@ -311,6 +310,118 @@ def _binomial_inversion(m: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         still &= pf[active] > 0.0
         active = active[still]
     return np.where(flip, m - k, k)
+
+
+def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarray:
+    """Exact Bin(m, p) draws by transformed rejection with squeeze (BTRS).
+
+    Hörmann (1993), "The generation of binomial random variates", J. Stat.
+    Comput. Simul. 46; needs m * min(p, 1 - p) >= 10.  As in
+    :func:`_binomial_inversion`, p > 1/2 draws Bin(m, 1 - p) and returns
+    m minus it.  Attempt a of draw ``idx[i]`` takes its two uniforms from
+    positions 2 idx[i] and 2 idx[i] + 1 of the stream keyed
+    ``_rng.word_at(key, a)``, so every draw is a pure function of (key,
+    draw index, attempt).  The loop runs over attempts, each on the draws
+    still pending.
+    """
+    flip = p > 0.5
+    p = np.where(flip, 1.0 - p, p)
+    spq = np.sqrt(m * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = m * p + 0.5
+    v_r = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    mode = np.floor((m + 1) * p)
+
+    k = np.empty(len(p))
+    pending = np.arange(len(p))
+    attempt = 0
+    # u = -1/2 gives us = 0, hence k = -inf (rejected); v = 0 gives log 0.
+    with np.errstate(divide="ignore"):
+        while pending.size:
+            sub = _rng.word_at(key, attempt)
+            at = idx[pending] * np.uint64(2)
+            u = _rng.uniforms_at(sub, at) - 0.5
+            v = _rng.uniforms_at(sub, at + np.uint64(1))
+            us = 0.5 - np.abs(u)
+            kk = np.floor((2.0 * a[pending] / us + b[pending]) * u + c[pending])
+            done = (us >= 0.07) & (v <= v_r[pending])
+            test = np.nonzero(~done & (kk >= 0.0) & (kk <= m))[0]
+            if test.size:
+                j = pending[test]
+                log_v = np.log(v[test] * alpha[j] / (a[j] / us[test] ** 2 + b[j]))
+                # ln f(k) / f(mode), f the Bin(m, p) pmf: the acceptance bound
+                done[test] = log_v <= (_binomial_log_pmf(m, p[j], kk[test])
+                                       - _binomial_log_pmf(m, p[j], mode[j]))
+            k[pending[done]] = kk[done]
+            pending = pending[~done]
+            attempt += 1
+    k = k.astype(np.int64)
+    return np.where(flip, m - k, k)
+
+
+#: Loader's stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi) / 2 at
+#: k = 1..15 (index 0 is unused), where its asymptotic series is not yet
+#: accurate to double precision.
+_STIRLERR_SMALL = np.array([
+    0.0,
+    0.08106146679532725821967026, 0.04134069595540929409382208,
+    0.02767792568499833914878929, 0.02079067210376509311152277,
+    0.01664469118982119216319487, 0.01387612882307074799874573,
+    0.01189670994589177009505572, 0.01041126526197209649747857,
+    0.009255462182712732917728637, 0.008330563433362871256469319,
+    0.007573675487951840794972024, 0.006942840107209529865664153,
+    0.006408994188004207068439631, 0.005951370112758847735624416,
+    0.005554733551962801371038690,
+])
+
+
+def _stirlerr(k: np.ndarray) -> np.ndarray:
+    """stirlerr(k) for integer-valued k >= 1: the table up to 15, else the
+    series 1/12k - 1/360k^3 + 1/1260k^5 - 1/1680k^7 + 1/1188k^9."""
+    k = np.asarray(k, dtype=np.float64)
+    big = np.maximum(k, 16.0)
+    k2 = big * big
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / k2) / k2) / k2) / k2) / big
+    return np.where(k > 15, series, _STIRLERR_SMALL[np.minimum(k, 15).astype(np.int64)])
+
+
+def _bd0(x: np.ndarray, diff: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Loader's deviance term x ln(x/M) + M - x, given diff = x - M and
+    total = x + M (both formed without cancellation by the caller), x > 0.
+
+    With v = diff / total, x ln(x/M) = 2x atanh(v), so the term equals
+    v diff + 2x (atanh(v) - v); atanh(v) - v is summed as a series for
+    |v| < 0.1, which keeps full relative precision as x/M -> 1.
+    """
+    v = diff / total
+    w = v * v
+    series = w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
+        1 / 13 + w * (1 / 15 + w * (1 / 17 + w * (1 / 19 + w / 21)))))))))
+    tail = np.where(np.abs(v) < 0.1, v * series, np.arctanh(v) - v)
+    return v * diff + 2.0 * x * tail
+
+
+def _binomial_log_pmf(m: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """ln P(X = k), X ~ Bin(m, p), for integer-valued k in [0, m] and 0 < p <= 1/2.
+
+    The saddle-point form of Loader (2000), "Fast and accurate computation
+    of binomial probabilities": stirlerr(m) - stirlerr(k)
+    - stirlerr(m - k) - bd0(k, mp) - bd0(m - k, mq) + ln(m / (2 pi k (m - k))) / 2:
+    every term stays accurate at m = 10^12, where lgamma differences lose
+    up to ~5e-3.
+    """
+    j = m - k
+    inner = (k > 0) & (j > 0)
+    ki = np.where(inner, k, 1.0)
+    ji = np.where(inner, j, 1.0)
+    mp = m * p
+    diff = ki - mp  # k - mp, and (m - k) - mq = -diff
+    body = (_stirlerr(m) - _stirlerr(ki) - _stirlerr(ji)
+            - _bd0(ki, diff, ki + mp) - _bd0(ji, -diff, ji + (m - mp))
+            + 0.5 * np.log(m / (2.0 * math.pi * ki * ji)))
+    return np.where(inner, body, np.where(k == 0, m * np.log1p(-p), m * np.log(p)))
 
 
 def _run_chunks(work, count: int, chunk: int, threads: int) -> None:

@@ -190,8 +190,8 @@ def test_approx_rejects_mismatched_l(capsys):
 
 
 def test_start_up_path_loads_scipy_on_first_use():
-    # regime and bound need numpy only; pmf needs scipy.special, and only
-    # degree_fit's tests need scipy.stats
+    # regime, bound and direct degree draws (BTRS included) need numpy only;
+    # pmf needs scipy.special, and only degree_fit's tests need scipy.stats
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -202,6 +202,8 @@ def loaded():
 with redirect_stdout(io.StringIO()):
     assert cli.main(["regime"]) == 0
     assert cli.main(["bound", "--n", "1000000"]) == 0
+    assert cli.main(["degrees", "--method", "direct", "--n", "1000000",
+                     "--rho", "0.5", "--count", "100"]) == 0
     before = loaded()
     assert cli.main(["pmf", "--n", "1000", "--d-max", "5"]) == 0
 print(before, loaded())

@@ -4,11 +4,14 @@ agreement between full-graph realizations and direct compound draws.
 
 import hashlib
 import io
+import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
+import magnet.sampler as sampler
 from magnet import (
     BudgetError,
     DegreePmfTable,
@@ -16,6 +19,8 @@ from magnet import (
     ModelParams,
     REFERENCE_PARAMS,
     SampleMethod,
+    _rng,
+    derive_constants,
     sample_degrees_direct,
     sample_degrees_fullgraph,
     sample_graph,
@@ -24,7 +29,9 @@ from magnet import (
     write_edge_list,
 )
 from magnet.sampler import (
+    INVERSION_MEAN_MAX,
     _binomial_inversion,
+    _binomial_log_pmf,
     _log_link,
     pack_rows,
     replicate_seed,
@@ -145,8 +152,8 @@ def test_empirical_edge_density_matches_pair_probability():
 
 def test_realizations_are_frozen():
     # sha256 of sampled bytes: the edge-list text, or the little-endian int64
-    # degrees. Any change to the attribute stream, the pair uniforms or the
-    # edge test moves them. At l = 130 each packed row spans 3 words.
+    # degrees. Any change to a random stream, the edge test or a binomial
+    # draw moves them. At l = 130 each packed row spans 3 words.
     q = ModelParams(q11=0.99, q10=0.97, q00=0.98, mu1=0.5)
 
     def edge_list_digest(graph):
@@ -162,9 +169,17 @@ def test_realizations_are_frozen():
     assert narrow.edge_count == 262
     assert edge_list_digest(narrow) == (
         "372182bccaf1e53f9a3eb25906e674516b9d26b63d8c3e5335a630bcd9678290")
-    degrees = sample_degrees_fullgraph(q, 500, 70, 64, seed=11).degrees
-    assert hashlib.sha256(degrees.astype("<i8").tobytes()).hexdigest() == (
+    def degrees_digest(samples):
+        return hashlib.sha256(samples.degrees.astype("<i8").tobytes()).hexdigest()
+
+    assert degrees_digest(sample_degrees_fullgraph(q, 500, 70, 64, seed=11)) == (
         "34d76604b71203c90520664cac1df9e9345659c8f057c2cfb5346981c7bb21bf")
+    # direct route: n = 30, l = 3 takes only the inversion branch, n = 1e6,
+    # l = 7 only BTRS
+    assert degrees_digest(sample_degrees_direct(P, 30, 3, 5000, seed=13)) == (
+        "2c5380f46d42c0bd7e85d8e983ea5396b71f2e5762989c874aff11a3ec68995b")
+    assert degrees_digest(sample_degrees_direct(P, 10**6, 7, 5000, seed=13)) == (
+        "d78aaa3367bb65e5d972a5928f6c0c56ae60bbe63ffe33cdb5978bd1b0983ff3")
 
 
 # ------------------------------------------------------- batched full graphs
@@ -194,7 +209,7 @@ def test_replicate_seeds_are_distinct():
 
 # ------------------------------------------------------------- direct route
 
-def test_direct_sampler_deterministic_and_thread_invariant():
+def test_direct_sampler_deterministic_and_thread_invariant(monkeypatch):
     a = sample_degrees_direct(P, 10**6, 14, 5000, seed=7, threads=1)
     b = sample_degrees_direct(P, 10**6, 14, 5000, seed=7, threads=4)
     c = sample_degrees_direct(P, 10**6, 14, 5000, seed=8, threads=1)
@@ -202,6 +217,13 @@ def test_direct_sampler_deterministic_and_thread_invariant():
     assert not np.array_equal(a.degrees, c.degrees)
     assert a.method is SampleMethod.DIRECT
     assert a.n == 10**6 and a.l == 14 and a.seed == 7
+    # l = 7 sends every draw to BTRS.  Small chunks split the draws over
+    # many work items; bytes depend neither on the split nor on threads.
+    rej = sample_degrees_direct(P, 10**6, 7, 3000, seed=41).degrees
+    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 1000)  # 142 draws per chunk
+    for threads in (1, 2, 4):
+        split = sample_degrees_direct(P, 10**6, 7, 3000, seed=41, threads=threads)
+        assert np.array_equal(split.degrees, rej)
 
 
 def test_direct_sampler_inversion_branch_distribution():
@@ -238,6 +260,67 @@ def test_direct_sampler_rejection_branch_distribution():
     # moments as a second witness
     mean_exact = float((np.arange(n) * exact).sum())
     assert draws.degrees.mean() == pytest.approx(mean_exact, rel=0.01)
+
+
+def test_direct_sampler_complement_flip_distribution():
+    # All q equal: p_S = q^l for every S, so D ~ Bin(n - 1, q) exactly.
+    # q = 0.9: mean 900 and complement mean 100, so BTRS draws Bin(1000, 0.1)
+    # and flips it; q = 0.995: complement mean 5, so inversion takes the draw.
+    for q, seed in ((0.9, 19), (0.995, 20)):
+        params = ModelParams(q11=q, q10=q, q00=q, mu1=0.6)
+        draws = sample_degrees_direct(params, 1001, 1, 100000, seed=seed).degrees
+        exact = stats.binom.pmf(np.arange(1001), 1000, q)
+        assert tv_to_exact(draws, exact) < 0.01
+        _, pval, dof = chi_square_gof(draws, exact)
+        assert pval > 1e-3
+        assert dof >= 5
+
+
+def test_direct_sampler_rejection_draws_at_mixed_scale_match_exact_binomials():
+    # The bench's `mixed` scale: n = 1e12, l = 28, where ~40% of draws take
+    # BTRS.  Each draw's attribute count S is recomputed from its stream, so
+    # every BTRS draw is compared with its own Bin(n - 1, p_S) from scipy
+    # (DegreePmfTable's pmf is too coarse at this n).
+    n, l, count, seed = 10**12, 28, 100000, 23
+    draws = sample_degrees_direct(P, n, l, count, seed=seed).degrees
+    key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)
+    bits = _rng.uniforms_at(key_s, np.arange(count * l, dtype=np.uint64)) < P.mu1
+    s = bits.reshape(count, l).sum(axis=1)
+    c = derive_constants(P)
+    chi2, dof, tested = 0.0, 0, 0
+    for sv in np.unique(s):
+        p = math.exp(sv * c.log_gamma1 + (l - sv) * c.log_gamma0)
+        group = draws[s == sv]
+        if (n - 1) * min(p, 1 - p) <= INVERSION_MEAN_MAX or len(group) < 100:
+            continue
+        support = np.arange(stats.binom.ppf(1 - 1e-12, n - 1, p) + 1)
+        g_chi2, _, g_dof = chi_square_gof(group, stats.binom.pmf(support, n - 1, p))
+        chi2, dof, tested = chi2 + g_chi2, dof + g_dof, tested + len(group)
+    assert tested > 0.35 * count
+    assert dof >= 50
+    assert stats.chi2.sf(chi2, dof) > 1e-3
+
+
+def test_btrs_acceptance_bound_matches_40_digit_reference():
+    # BTRS accepts k when ln v <= ln f(k)/f(mode).  Check that bound at
+    # m = 1e12 - 1, p = 1e-10 (mode 100, sd 10), over k = 0..16 (stirlerr
+    # table and series) and mode +- 6 sd.  A plain
+    # (m + 1) ln((m - M + 1)/(m - k + 1)) or an lgamma difference is off by
+    # up to ~5e-3 here.
+    m, p = 10**12 - 1, 1e-10
+    mode = math.floor((m + 1) * p)
+    ks = np.concatenate([np.arange(17.0), np.arange(mode - 60, mode + 61.0)])
+    got = _binomial_log_pmf(m, p, ks) - _binomial_log_pmf(m, p, float(mode))
+    with mp.workdps(40):
+        pm = mp.mpf(p)
+
+        def log_pmf(k):
+            return (mp.loggamma(m + 1) - mp.loggamma(k + 1) - mp.loggamma(m - k + 1)
+                    + k * mp.log(pm) + (m - k) * mp.log1p(-pm))
+
+        want = [float(log_pmf(int(k)) - log_pmf(mode)) for k in ks]
+    for k, g, w in zip(ks, got, want):
+        assert abs(g - w) <= 1e-10, (k, g, w)
 
 
 def test_both_degree_routes_agree_in_distribution():
