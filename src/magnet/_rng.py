@@ -18,6 +18,13 @@ bit.
 
 Uniform doubles take the top 53 bits of a word: ``u = (w >> 11) * 2**-53``,
 so ``u`` lies in [0, 1).
+
+:func:`words_at` and :func:`uniforms_at` evaluate the finalizer in place,
+block by block (``_BLOCK`` words, so a block and its one scratch array stay
+in cache), writing straight into the array they return.  Every word is the
+same as in the element-wise formula above; only the order of evaluation
+differs.  Each call owns its scratch array, so concurrent calls share no
+state.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+
+#: Words per in-place pass of the finalizer.
+_BLOCK = 1 << 16
 
 # Stream tags.  Each independent random purpose gets its own tag so that
 # streams never overlap even under identical seeds.
@@ -51,12 +61,47 @@ def mix64(x: int) -> int:
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over uint64 arrays."""
     z = x.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MUL1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MUL2)
-    z ^= z >> np.uint64(31)
+    _finalize(z, np.empty_like(z), z)
     return z
+
+
+def _finalize(z: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Run the finalizer over the states ``z`` in place (``t`` is scratch of
+    the same shape) and store the words in ``out``: ``z`` itself, or a
+    float64 array that receives the uniforms."""
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(_MUL1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_MUL2)
+    np.right_shift(z, np.uint64(31), out=t)
+    if out.dtype == np.uint64:
+        z ^= t
+    else:
+        t ^= z
+        t >>= np.uint64(11)
+        # 53-bit integers convert to double exactly; int64 converts faster.
+        np.multiply(t.view(np.int64), 2.0 ** -53, out=out)
+
+
+def _stream_at(key, indices: np.ndarray, dtype) -> np.ndarray:
+    """Words (``dtype`` uint64) or uniforms (float64) of the streams ``key``
+    at ``indices``, evaluated block by block into the returned array."""
+    idx = indices.astype(np.uint64, copy=False)
+    key = key if isinstance(key, np.ndarray) else np.uint64(key)
+    out = np.empty(np.broadcast_shapes(key.shape, idx.shape), dtype)
+    scratch = np.empty(min(out.size, _BLOCK), np.uint64)
+    with np.nditer([key, idx, out], flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"], ["readonly"], ["writeonly"]],
+                   buffersize=_BLOCK) as blocks:
+        for k, i, o in blocks:
+            z = o.view(np.uint64)
+            np.add(i, np.uint64(1), out=z)
+            z *= np.uint64(GOLDEN)
+            z += k
+            _finalize(z, scratch[:z.size], o)
+    return out
 
 
 def stream_key(seed, tag: int):
@@ -76,9 +121,7 @@ def words_at(key, indices: np.ndarray) -> np.ndarray:
     ``key`` is one key or a uint64 key array that broadcasts against
     ``indices``.
     """
-    idx = indices.astype(np.uint64, copy=False)
-    state = np.uint64(key) + (idx + np.uint64(1)) * np.uint64(GOLDEN)
-    return mix64_array(state)
+    return _stream_at(key, indices, np.uint64)
 
 
 def word_at(key: int, index: int) -> int:
@@ -89,5 +132,4 @@ def word_at(key: int, index: int) -> int:
 def uniforms_at(key, indices: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) doubles at absolute stream positions (keys as in
     :func:`words_at`)."""
-    w = words_at(key, indices)
-    return (w >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return _stream_at(key, indices, np.float64)

@@ -7,6 +7,11 @@ Two routes produce degrees with identical laws:
   uniform, and the edge test compares it against
   ``exp(c11 ln q11 + c10 ln q10 + c00 ln q00)`` where c11/c10 come from
   popcounts of AND/XOR of the packed rows and ``c00 = l - c11 - c10``.
+  While the distinct attribute rows (classes) are few enough for a table
+  over class pairs to hold O(n) entries, the edge test reads these
+  probabilities from that table, built once per graph with the same
+  formula, so the doubles are the same.  Pairs are tested in blocks of
+  consecutive pair indices.
 
 * ``sample_degrees_direct`` skips the graph and draws from the compound
   binomial directly: S ~ Bin(l, mu1), then D ~ Bin(n - 1, p_S).  Binomial
@@ -59,6 +64,13 @@ INVERSION_MEAN_MAX = 30.0
 #: Target element count per vectorized work chunk.
 _CHUNK_ELEMS = 1 << 22
 
+#: Pairs per edge-test block of ``sample_graph``.
+_BLOCK_PAIRS = 1 << 16
+
+#: ``sample_graph`` tabulates link probabilities over attribute classes
+#: while the table has at most this many entries per node.
+_TABLE_ENTRIES_PER_NODE = 64
+
 
 # =====================================================================
 # Bit-packed attribute rows
@@ -66,14 +78,15 @@ _CHUNK_ELEMS = 1 << 22
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
     """Pack 0/1 arrays of shape (..., l) into uint64 words (..., ceil(l/64))."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    l = bits.shape[-1]
-    n_bytes = ((l + 63) // 64) * 8
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    if packed.shape[-1] < n_bytes:
-        pad = np.zeros(bits.shape[:-1] + (n_bytes - packed.shape[-1],), dtype=np.uint8)
-        packed = np.concatenate([packed, pad], axis=-1)
-    return np.ascontiguousarray(packed).view(np.uint64)
+    bits = np.asarray(bits, dtype=np.uint8)
+    *lead, l = bits.shape
+    n_bytes = -(-l // 8)
+    if l % 8:  # whole bytes per row, so that the flat array packs row by row
+        bits = np.concatenate([bits, np.zeros((*lead, 8 * n_bytes - l), np.uint8)], axis=-1)
+    packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(*lead, n_bytes)
+    words = np.zeros((*lead, (l + 63) // 64 * 8), dtype=np.uint8)
+    words[..., :n_bytes] = packed
+    return words.view(np.uint64)
 
 
 def unpack_rows(words: np.ndarray, l: int) -> np.ndarray:
@@ -157,22 +170,38 @@ def _attr_bits_for_seed(seeds: np.ndarray, n: int, l: int, mu1: float) -> np.nda
     return (u < mu1).astype(np.uint8).reshape(len(seeds), n, l)
 
 
-def _pair_index(u: int, v: np.ndarray, n: int) -> np.ndarray:
+def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Linear index of pair (u, v), u < v, in row-major upper-triangle order."""
     return u * n - (u * (u + 1)) // 2 + (v - u - 1)
 
 
-def _row_edges(words: np.ndarray, u: int, key, n: int, l: int,
-               params: ModelParams) -> np.ndarray:
-    """Edge indicators of node u towards nodes u+1..n-1: the pair is an edge
-    when its uniform is at most its link probability.
+def _edge_test(p: np.ndarray, key, first: int) -> np.ndarray:
+    """Edge indicators of the consecutive pairs ``first``, ``first`` + 1, ...
+    along the last axis of ``p``, their link probabilities: a pair is an
+    edge when its uniform is at most its probability.
 
-    ``words`` holds packed attribute rows with shape (..., n, W); ``key`` is
-    the pair-uniform stream key and broadcasts like ``_rng.uniforms_at``.
+    ``key`` is the pair-uniform stream key and broadcasts like
+    ``_rng.uniforms_at``.
     """
-    log_p = _log_link(words[..., u:u + 1, :], words[..., u + 1:, :], l, params)
-    unif = _rng.uniforms_at(key, _pair_index(u, np.arange(u + 1, n, dtype=np.int64), n))
-    return unif <= np.exp(log_p)
+    unif = _rng.uniforms_at(key, np.arange(first, first + p.shape[-1], dtype=np.uint64))
+    return unif <= p
+
+
+def _row_probabilities(words: np.ndarray, l: int, params: ModelParams):
+    """Link probabilities of node u towards nodes u+1..n-1, as a function of u.
+
+    While the attribute classes (distinct rows) are few, K^2 <= 64 n, they
+    come from a K x K table of ``exp(_log_link(...))`` over the classes,
+    built once; otherwise each row is evaluated directly.  Equal rows give
+    equal popcounts, so both ways give the same doubles.
+    """
+    n = len(words)
+    classes, cls = np.unique(words, axis=0, return_inverse=True)
+    if len(classes) ** 2 > _TABLE_ENTRIES_PER_NODE * n:
+        return lambda u: np.exp(_log_link(words[u], words[u + 1:], l, params))
+    table = np.array([np.exp(_log_link(c, classes, l, params)) for c in classes])
+    cls = cls.reshape(-1)  # numpy 2.0.0 kept a trailing axis here
+    return lambda u: table[cls[u]].take(cls[u + 1:])
 
 
 def sample_graph(params: ModelParams, n: int, l: int, seed: int,
@@ -188,15 +217,21 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
 
     bits = _attr_bits_for_seed(np.array([seed], dtype=np.uint64), n, l, params.mu1)[0]
     words = pack_rows(bits)
+    probs = _row_probabilities(words, l, params)
 
     key_pair = _rng.stream_key(seed, _rng.TAG_PAIR_UNIF)
-    us: list[np.ndarray] = []
-    vs: list[np.ndarray] = []
-    for u in range(n - 1):
-        v = np.flatnonzero(_row_edges(words, u, key_pair, n, l, params)) + (u + 1)
-        us.append(np.full(len(v), u, dtype=np.int64))
-        vs.append(v)
-    edges = np.stack([np.concatenate(us), np.concatenate(vs)], axis=1)
+    rows = np.arange(n, dtype=np.int64)
+    starts = _pair_index(rows, rows + 1, n)  # row u's first pair; starts[n-1] = n(n-1)/2
+    hits: list[np.ndarray] = []
+    u0 = 0
+    while u0 < n - 1:
+        u1 = min(n - 1, max(u0 + 1, int(np.searchsorted(starts, starts[u0] + _BLOCK_PAIRS))))
+        p = np.concatenate([probs(u) for u in range(u0, u1)])
+        hits.append(np.flatnonzero(_edge_test(p, key_pair, int(starts[u0]))) + starts[u0])
+        u0 = u1
+    pairs = np.concatenate(hits)
+    u = np.searchsorted(starts, pairs, side="right") - 1
+    edges = np.stack([u, pairs - starts[u] + u + 1], axis=1)
     return MagGraph(params=params, n=n, l=l, seed=seed, attr_words=words, edges=edges)
 
 
@@ -224,16 +259,16 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     out = np.empty(count, dtype=np.int64)
     rep_key = _rng.stream_key(seed, _rng.TAG_REPLICATE)
-    chunk = max(1, _CHUNK_ELEMS // max(1, n * l))
 
     def work(i0: int, i1: int) -> None:
         seeds = _rng.words_at(rep_key, np.arange(i0, i1, dtype=np.uint64))
         words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
         pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
-        hits = _row_edges(words, 0, pair_keys[:, None], n, l, params)  # (R, n-1)
+        log_p = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
+        hits = _edge_test(np.exp(log_p), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
         out[i0:i1] = hits.sum(axis=1, dtype=np.int64)
 
-    _run_chunks(work, count, chunk, threads)
+    _run_chunks(work, count, n * l, threads)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.FULL_GRAPH, degrees=out)
 
@@ -255,7 +290,6 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
     key_btrs = _rng.stream_key(seed, _rng.TAG_DIRECT_BTRS)
     m = n - 1
     out = np.empty(count, dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMS // max(1, l))
 
     def work(i0: int, i1: int) -> None:
         idx = np.arange(i0, i1, dtype=np.uint64)
@@ -276,7 +310,7 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
             d[rej] = _binomial_btrs(m, p[rej], key_btrs, idx[rej])
         out[i0:i1] = d
 
-    _run_chunks(work, count, chunk, threads)
+    _run_chunks(work, count, l, threads)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.DIRECT, degrees=out)
 
@@ -424,14 +458,26 @@ def _binomial_log_pmf(m: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(inner, body, np.where(k == 0, m * np.log1p(-p), m * np.log(p)))
 
 
-def _run_chunks(work, count: int, chunk: int, threads: int) -> None:
-    spans = [(i0, min(i0 + chunk, count)) for i0 in range(0, count, chunk)]
-    if threads <= 1 or len(spans) <= 1:
-        for i0, i1 in spans:
+def _run_chunks(work, count: int, item_elems: int, threads: int) -> None:
+    """Run ``work(i0, i1)`` over [0, count) in near-equal spans.
+
+    An item costs about ``item_elems`` array elements.  Each thread used
+    gets at least ``_CHUNK_ELEMS // 16`` elements of work (below that,
+    handing work between threads costs more than it saves).  The number of
+    spans is the least multiple of the threads used that keeps each span
+    within ``_CHUNK_ELEMS`` elements, so every thread gets the same share.
+    """
+    total = count * max(1, item_elems)
+    threads = max(1, min(threads, total // (_CHUNK_ELEMS // 16)))
+    spans = -(-total // _CHUNK_ELEMS)
+    spans = min(count, -(-spans // threads) * threads)
+    bounds = [count * k // spans for k in range(spans + 1)]
+    if threads == 1 or spans == 1:
+        for i0, i1 in zip(bounds, bounds[1:]):
             work(i0, i1)
         return
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, i0, i1) for i0, i1 in spans]
+        futures = [pool.submit(work, i0, i1) for i0, i1 in zip(bounds, bounds[1:])]
         for f in futures:
             f.result()
 

@@ -3,8 +3,13 @@ pure-integer reference, and keyed streams must be deterministic functions
 of (seed, tag, index).
 """
 
-import numpy as np
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+import pytest
+
+from magnet import _rng
 from magnet._rng import (
     GOLDEN,
     TAG_ATTR_BITS,
@@ -100,6 +105,69 @@ def test_uniform_stream_moments_are_sane():
     # 64-bit words over 1e6 draws: birthday collision odds ~ 2.7e-8
     w = words_at(key, np.arange(10**6, dtype=np.uint64))
     assert len(np.unique(w)) == 10**6
+
+
+def _scalar_words(key: int, indices) -> np.ndarray:
+    return np.array([word_at(key, int(i)) for i in indices], dtype=np.uint64)
+
+
+def _scalar_uniforms(words: np.ndarray) -> np.ndarray:
+    return np.array([(int(w) >> 11) * 2.0 ** -53 for w in words])
+
+
+@pytest.mark.parametrize("size", [0, 1, _rng._BLOCK - 1, _rng._BLOCK, _rng._BLOCK + 1,
+                                  3 * _rng._BLOCK + 7])
+def test_blocked_kernel_matches_scalar_words_at_block_edges(size):
+    # The kernel evaluates the finalizer in place, block by block; every
+    # word must still equal the scalar formula, at and across block edges.
+    key = stream_key(2718, TAG_PAIR_UNIF)
+    idx = np.arange(size, dtype=np.uint64) + np.uint64(10 ** 12)
+    want = _scalar_words(key, idx)
+    got = words_at(key, idx)
+    assert got.dtype == np.uint64 and got.shape == (size,)
+    assert np.array_equal(got, want)
+    unif = uniforms_at(key, idx)
+    assert unif.dtype == np.float64 and unif.shape == (size,)
+    assert np.array_equal(unif, _scalar_uniforms(want))
+    # int64 indices (as the samplers pass them) give the same words.
+    assert np.array_equal(words_at(key, idx.astype(np.int64)), want)
+
+
+@pytest.mark.parametrize("n", [7, _rng._BLOCK + 5])
+def test_blocked_kernel_broadcasts_key_columns_against_indices(n):
+    # A (R, 1) key column against (n,) indices: short rows share a block,
+    # long rows span several.
+    keys = np.array([stream_key(s, TAG_ATTR_BITS) for s in (0, 1, 2**64 - 1)],
+                    dtype=np.uint64)
+    idx = np.arange(n, dtype=np.uint64)
+    words = words_at(keys[:, None], idx)
+    unif = uniforms_at(keys[:, None], idx)
+    assert words.shape == unif.shape == (3, n)
+    for r, key in enumerate(keys):
+        want = _scalar_words(int(key), idx)
+        assert np.array_equal(words[r], want)
+        assert np.array_equal(unif[r], _scalar_uniforms(want))
+
+
+def test_blocked_kernel_is_safe_across_threads():
+    # Each call owns its scratch array: concurrent calls on different
+    # streams and sizes must return what sequential calls return.
+    jobs = [(stream_key(s, TAG_PAIR_UNIF), np.arange(s * 1000, s * 1000 + 2 * _rng._BLOCK + s,
+                                                     dtype=np.uint64))
+            for s in range(16)]
+    want = [(words_at(k, i), uniforms_at(k, i)) for k, i in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda k=k, i=i: (words_at(k, i), uniforms_at(k, i)))
+                       for k, i in jobs]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (gw, gu), (ww, wu) in zip(got, want):
+        assert np.array_equal(gw, ww)
+        assert np.array_equal(gu, wu)
 
 
 def test_golden_constant_is_the_64_bit_golden_ratio():

@@ -33,6 +33,7 @@ from magnet.sampler import (
     _binomial_inversion,
     _binomial_log_pmf,
     _log_link,
+    _pair_index,
     pack_rows,
     replicate_seed,
     unpack_rows,
@@ -174,12 +175,53 @@ def test_realizations_are_frozen():
 
     assert degrees_digest(sample_degrees_fullgraph(q, 500, 70, 64, seed=11)) == (
         "34d76604b71203c90520664cac1df9e9345659c8f057c2cfb5346981c7bb21bf")
+    # bench scale: the class table, many pair blocks and several chunks
+    bench = sample_graph(P, 3000, 8, seed=17)
+    assert bench.edge_count == 5201
+    assert edge_list_digest(bench) == (
+        "6276f564f0c8dba057db4d6f68c0aaa3008c91d0892538ab433003c775f4e0f4")
+    assert degrees_digest(sample_degrees_fullgraph(P, 2000, 8, 300, seed=19)) == (
+        "55d19c75239e7d06fc657c28adcfd0ed9c8d6e16bfbbf7bf20eeb9b82464cd0b")
     # direct route: n = 30, l = 3 takes only the inversion branch, n = 1e6,
     # l = 7 only BTRS
     assert degrees_digest(sample_degrees_direct(P, 30, 3, 5000, seed=13)) == (
         "2c5380f46d42c0bd7e85d8e983ea5396b71f2e5762989c874aff11a3ec68995b")
     assert degrees_digest(sample_degrees_direct(P, 10**6, 7, 5000, seed=13)) == (
         "d78aaa3367bb65e5d972a5928f6c0c56ae60bbe63ffe33cdb5978bd1b0983ff3")
+
+
+def _brute_force_edges(params, n, l, seed):
+    """Every pair on its own: its uniform at ``_pair_index`` against
+    ``exp(_log_link)`` of its two attribute rows, rows drawn from their
+    stream by hand."""
+    key_attr = _rng.stream_key(seed, _rng.TAG_ATTR_BITS)
+    bits = _rng.uniforms_at(key_attr, np.arange(n * l, dtype=np.uint64)) < params.mu1
+    words = pack_rows(bits.reshape(n, l))
+    u, v = np.triu_indices(n, 1)
+    p = np.exp(_log_link(words[u], words[v], l, params))
+    unif = _rng.uniforms_at(_rng.stream_key(seed, _rng.TAG_PAIR_UNIF), _pair_index(u, v, n))
+    hit = unif <= p
+    return words, np.stack([u[hit], v[hit]], axis=1)
+
+
+@pytest.mark.parametrize("block_pairs", [None, 1000, 50])
+@pytest.mark.parametrize("params, n, l, table", [
+    (P, 200, 3, True),  # K = 8 classes < n: the class table
+    (ModelParams(q11=0.99, q10=0.97, q00=0.98, mu1=0.5), 120, 130, False),  # K = n, 3 words
+])
+def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, table,
+                                                   block_pairs):
+    if block_pairs is not None:  # 50 pairs is shorter than a row
+        monkeypatch.setattr(sampler, "_BLOCK_PAIRS", block_pairs)
+    words, edges = _brute_force_edges(params, n, l, seed=8)
+    k = len(np.unique(words, axis=0))
+    assert (k * k <= sampler._TABLE_ENTRIES_PER_NODE * n) == table
+    assert k == (8 if table else n)
+    g = sample_graph(params, n, l, seed=8)
+    assert np.array_equal(g.attr_words, words)
+    assert len(edges) > 100
+    assert g.edges.dtype == np.int64
+    assert np.array_equal(g.edges, edges)
 
 
 # ------------------------------------------------------- batched full graphs
@@ -196,10 +238,50 @@ def test_fullgraph_batch_equals_standalone_realizations():
     assert np.array_equal(batch.degrees, solo)
 
 
-def test_fullgraph_batch_thread_invariance():
+def test_fullgraph_batch_thread_invariance(monkeypatch):
     a = sample_degrees_fullgraph(P, 40, 3, 600, seed=5, threads=1)
     b = sample_degrees_fullgraph(P, 40, 3, 600, seed=5, threads=3)
     assert np.array_equal(a.degrees, b.degrees)
+    # Small chunks: 600 replicates of 120 elements each span >= 5 chunks of
+    # <= 10^4 elements; bytes depend neither on the split nor on threads.
+    spans = []
+    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 10 ** 4)
+    real_run_chunks = sampler._run_chunks
+
+    def counting_run_chunks(work, count, item_elems, threads):
+        def counted(i0, i1):
+            spans.append((i0, i1))
+            work(i0, i1)
+        real_run_chunks(counted, count, item_elems, threads)
+
+    monkeypatch.setattr(sampler, "_run_chunks", counting_run_chunks)
+    for threads in (1, 2, 4):
+        spans.clear()
+        split = sample_degrees_fullgraph(P, 40, 3, 600, seed=5, threads=threads)
+        assert np.array_equal(split.degrees, a.degrees)
+        assert len(spans) >= 5 and len(spans) % threads == 0
+        assert sorted(spans)[0][0] == 0 and sum(i1 - i0 for i0, i1 in spans) == 600
+
+
+@pytest.mark.parametrize("count, item_elems, threads, n_spans", [
+    (200_000, 14, 1, 1), (200_000, 14, 2, 2),  # bench `inv`
+    (200_000, 28, 1, 2), (200_000, 28, 2, 2),  # bench `mixed`
+    (25_000, 7, 2, 1),  # bench `rej`: below the per-thread minimum of work
+    (1200, 2000 * 8, 1, 5), (1200, 2000 * 8, 2, 6),  # bench `fullgraph`
+    (100, 1 << 20, 4, 28), (1, 10 ** 9, 4, 1), (3, 1, 8, 1),
+])
+def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, threads,
+                                                            n_spans):
+    assert sampler._CHUNK_ELEMS == 1 << 22
+    spans = []
+    sampler._run_chunks(lambda i0, i1: spans.append((i0, i1)), count, item_elems, threads)
+    spans.sort()
+    assert len(spans) == n_spans
+    assert spans[0][0] == 0 and spans[-1][1] == count
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    sizes = [i1 - i0 for i0, i1 in spans]
+    assert max(sizes) - min(sizes) <= 1  # near-equal
+    assert max(sizes) == 1 or (max(sizes) - 1) * item_elems < sampler._CHUNK_ELEMS
 
 
 def test_replicate_seeds_are_distinct():
@@ -220,7 +302,7 @@ def test_direct_sampler_deterministic_and_thread_invariant(monkeypatch):
     # l = 7 sends every draw to BTRS.  Small chunks split the draws over
     # many work items; bytes depend neither on the split nor on threads.
     rej = sample_degrees_direct(P, 10**6, 7, 3000, seed=41).degrees
-    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 1000)  # 142 draws per chunk
+    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 1000)  # 21-24 chunks of 125-143 draws
     for threads in (1, 2, 4):
         split = sample_degrees_direct(P, 10**6, 7, 3000, seed=41, threads=threads)
         assert np.array_equal(split.degrees, rej)
