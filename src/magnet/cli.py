@@ -3,9 +3,10 @@
 Subcommands: generate, degrees, pmf, regime, approx, bound, experiment.
 Common flags: --seed <u64>, --out <path>, --threads <k> (threads affect
 speed only, never output).  Exit codes: 0 success, 2 invalid
-configuration, 3 regime violation, 4 budget exceeded.  Reruns with the
-same arguments and seed produce byte-identical outputs; wall-clock
-metadata only ever lands in report sidecars.
+configuration (an output path that cannot be opened included), 3 regime
+violation, 4 budget exceeded.  Reruns with the same arguments and seed
+produce byte-identical outputs; wall-clock metadata only ever lands in
+report sidecars.
 """
 
 from __future__ import annotations
@@ -294,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MagnetError as exc:
         print(f"magnet: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out path that cannot be opened
+        print(f"magnet: invalid configuration: {exc}", file=sys.stderr)
         return 2
 
 

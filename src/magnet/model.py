@@ -172,6 +172,15 @@ def _check_n(n: int) -> None:
         raise InvalidParamsError(f"n must be an integer >= 2, got {n!r}")
 
 
+def _check_exact_n(n: int) -> None:
+    """:func:`_check_n` plus n <= 2**53, for the exact law and the samplers:
+    they hold node and degree counts as doubles, exact up to 2**53.  The
+    asymptotic layers (limits, bounds) take any n."""
+    _check_n(n)
+    if n > 2 ** 53:
+        raise InvalidParamsError(f"exact degree laws and sampling need n <= 2**53, got {n}")
+
+
 # =====================================================================
 # Regime classification
 # =====================================================================

@@ -39,8 +39,8 @@ import numpy as np
 
 from . import _rng
 from .errors import BudgetError, InvalidParamsError
-from .model import ModelParams, derive_constants, _check_n
-from .degree_dist import _check_l, _write_out
+from .model import ModelParams, derive_constants, _check_exact_n
+from .degree_dist import _binomial_log_pmf, _check_l, _write_out
 
 __all__ = [
     "SampleMethod",
@@ -210,7 +210,7 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
 
     Raises :class:`BudgetError` when n(n-1)/2 exceeds ``pair_budget``.
     """
-    _check_n(n)
+    _check_exact_n(n)
     _check_l(l)
     _check_seed(seed)
     _check_pair_budget(n, pair_budget)
@@ -251,7 +251,7 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
     attribute rows are evaluated, which is what makes batches affordable.
     Raises :class:`BudgetError` when n(n-1)/2 exceeds ``pair_budget``.
     """
-    _check_n(n)
+    _check_exact_n(n)
     _check_l(l)
     _check_seed(seed)
     _check_count(count)
@@ -280,7 +280,7 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed: int,
                           threads: int = 1) -> DegreeSampleSet:
     """``count`` exact draws of D: S ~ Bin(l, mu1), then D ~ Bin(n-1, p_S)."""
-    _check_n(n)
+    _check_exact_n(n)
     _check_l(l)
     _check_seed(seed)
     _check_count(count)
@@ -393,69 +393,6 @@ def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarr
             attempt += 1
     k = k.astype(np.int64)
     return np.where(flip, m - k, k)
-
-
-#: Loader's stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi) / 2 at
-#: k = 1..15 (index 0 is unused), where its asymptotic series is not yet
-#: accurate to double precision.
-_STIRLERR_SMALL = np.array([
-    0.0,
-    0.08106146679532725821967026, 0.04134069595540929409382208,
-    0.02767792568499833914878929, 0.02079067210376509311152277,
-    0.01664469118982119216319487, 0.01387612882307074799874573,
-    0.01189670994589177009505572, 0.01041126526197209649747857,
-    0.009255462182712732917728637, 0.008330563433362871256469319,
-    0.007573675487951840794972024, 0.006942840107209529865664153,
-    0.006408994188004207068439631, 0.005951370112758847735624416,
-    0.005554733551962801371038690,
-])
-
-
-def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """stirlerr(k) for integer-valued k >= 1: the table up to 15, else the
-    series 1/12k - 1/360k^3 + 1/1260k^5 - 1/1680k^7 + 1/1188k^9."""
-    k = np.asarray(k, dtype=np.float64)
-    big = np.maximum(k, 16.0)
-    k2 = big * big
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / k2) / k2) / k2) / k2) / big
-    return np.where(k > 15, series, _STIRLERR_SMALL[np.minimum(k, 15).astype(np.int64)])
-
-
-def _bd0(x: np.ndarray, diff: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Loader's deviance term x ln(x/M) + M - x, given diff = x - M and
-    total = x + M (both formed without cancellation by the caller), x > 0.
-
-    With v = diff / total, x ln(x/M) = 2x atanh(v), so the term equals
-    v diff + 2x (atanh(v) - v); atanh(v) - v is summed as a series for
-    |v| < 0.1, which keeps full relative precision as x/M -> 1.
-    """
-    v = diff / total
-    w = v * v
-    series = w * (1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
-        1 / 13 + w * (1 / 15 + w * (1 / 17 + w * (1 / 19 + w / 21)))))))))
-    tail = np.where(np.abs(v) < 0.1, v * series, np.arctanh(v) - v)
-    return v * diff + 2.0 * x * tail
-
-
-def _binomial_log_pmf(m: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """ln P(X = k), X ~ Bin(m, p), for integer-valued k in [0, m] and 0 < p <= 1/2.
-
-    The saddle-point form of Loader (2000), "Fast and accurate computation
-    of binomial probabilities": stirlerr(m) - stirlerr(k)
-    - stirlerr(m - k) - bd0(k, mp) - bd0(m - k, mq) + ln(m / (2 pi k (m - k))) / 2:
-    every term stays accurate at m = 10^12, where lgamma differences lose
-    up to ~5e-3.
-    """
-    j = m - k
-    inner = (k > 0) & (j > 0)
-    ki = np.where(inner, k, 1.0)
-    ji = np.where(inner, j, 1.0)
-    mp = m * p
-    diff = ki - mp  # k - mp, and (m - k) - mq = -diff
-    body = (_stirlerr(m) - _stirlerr(ki) - _stirlerr(ji)
-            - _bd0(ki, diff, ki + mp) - _bd0(ji, -diff, ji + (m - mp))
-            + 0.5 * np.log(m / (2.0 * math.pi * ki * ji)))
-    return np.where(inner, body, np.where(k == 0, m * np.log1p(-p), m * np.log(p)))
 
 
 def _run_chunks(work, count: int, item_elems: int, threads: int) -> None:

@@ -183,6 +183,31 @@ def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
     assert "raise the budget" not in err  # degrees has no --pair-budget flag
 
 
+def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
+    # each child caps its own address space at 2 GB: the exact law at
+    # n = 1e12 must fit without --d-max, and an n past 2**53 or an --out
+    # that cannot be opened must be refused with exit 2, not a traceback
+    script = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from magnet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    pmf_out = tmp_path / "pmf.csv"
+    cases = [
+        (["pmf", "--n", str(10**12), "--out", str(pmf_out)], 0),
+        (["approx", "--n", str(10**12), "--out", str(tmp_path / "approx.csv")], 0),
+        (["degrees", "--n", str(10**20)], 2),
+        (["generate", "--n", "30", "--l", "3", "--out", str(tmp_path / "missing" / "x")], 2),
+    ]
+    for args, want in cases:
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, timeout=120, env=CHILD_ENV)
+        assert proc.returncode == want, (args, proc.stderr)
+        assert "Traceback" not in proc.stderr, (args, proc.stderr)
+    assert pmf_out.read_text().splitlines()[-1].startswith("3906,")
+
+
 def test_approx_rejects_mismatched_l(capsys):
     # --l must match the scaled attribute count for limit comparisons
     assert main(["approx", "--n", "1000000", "--rho", "1.0", "--l", "9"]) == 2

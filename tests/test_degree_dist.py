@@ -5,14 +5,15 @@ The frozen probe values below come from a 40-digit (mpmath) evaluation of
     pmf(d) = sum_s C(l,s) mu1^s mu0^(l-s) * C(n-1,d) p_s^d (1-p_s)^(n-1-d),
     p_s = gamma1^s gamma0^(l-s),
 
-rounded to nearest float64.  Small instances must agree to ~1e-12 relative;
-at n=1e6 the log-gamma evaluations carry ~1e-9 relative error (log values
-of magnitude 1e7), so those probes get a wider 1e-8 gate.
+rounded to nearest float64, and must agree to 1e-12 relative.  At
+n = 1e9 and 1e12 the 40-digit reference is recomputed in the test from
+the table's own p_s.
 """
 
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,8 +23,10 @@ from magnet import (
     InvalidParamsError,
     ModelParams,
     REFERENCE_PARAMS,
+    Scaling,
     write_pmf_csv,
 )
+from magnet.degree_dist import _binomial_log_pmf
 
 P = REFERENCE_PARAMS
 
@@ -60,9 +63,72 @@ def test_small_instance_matches_high_precision_probes():
 def test_desk_scale_matches_high_precision_probes():
     table = DegreePmfTable.from_model(P, 10**6, 14)
     for d, want in PMF1E6.items():
-        assert table.pmf(d) == pytest.approx(want, rel=1e-8)
-    assert table.cdf(5) == pytest.approx(CDF1E6_AT_5, rel=1e-8)
-    assert table.cdf(50) == pytest.approx(CDF1E6_AT_50, rel=1e-8)
+        assert table.pmf(d) == pytest.approx(want, rel=1e-12)
+    assert table.cdf(5) == pytest.approx(CDF1E6_AT_5, rel=1e-12)
+    assert table.cdf(50) == pytest.approx(CDF1E6_AT_50, rel=1e-12)
+
+
+def _mp_pmf(table, ds):
+    """40-digit P(D = d) at each d of ``ds``, from the table's own p_s."""
+    m, l = table.n - 1, table.l
+    with mp.workdps(40):
+        mu1, mu0 = mp.mpf(table.params.mu1), mp.mpf(table.params.mu0)
+        comps = [(mp.binomial(l, s) * mu1 ** s * mu0 ** (l - s), mp.mpf(float(p)))
+                 for s, p in enumerate(np.exp(table.log_p))]
+        return [mp.fsum(w * mp.binomial(m, d) * p ** d * (1 - p) ** (m - d) for w, p in comps)
+                for d in ds]
+
+
+@pytest.mark.parametrize("n, pmf_at, cdf_at", [
+    (10**9, (0, 1, 7, 40, 150, 565), (7, 30)),
+    (10**12, (0, 3, 100, 1000, 3906), (16, 40)),
+])
+def test_large_n_matches_40_digit_probes(n, pmf_at, cdf_at):
+    table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+    got = table.pmf(np.array(pmf_at))
+    for d, g, w in zip(pmf_at, got, _mp_pmf(table, pmf_at)):
+        assert abs(g / float(w) - 1.0) <= 1e-12, (d, g, w)
+    # 1e-11, not 1e-12: scipy's betaincc is off by ~2.6e-11 (relative) on
+    # components with mean 3-9, which puts the mixture 1.6e-12 off at
+    # n = 1e9, d = 7.  1 - betainc, bdtr and binom.cdf are all worse.
+    for d in cdf_at:
+        want = float(mp.fsum(_mp_pmf(table, range(d + 1))))
+        assert abs(table.cdf(d) - want) <= 1e-11, (d, table.cdf(d), want)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
+def test_exact_law_normalizes_at_every_scale(n):
+    table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+    assert 1.0 - table.cdf(n - 1) <= 1e-12
+    # past this degree less than 1e-15 of the mass is left
+    d_end = table.quantile(1.0 - 1e-15)
+    assert abs(math.fsum(table.pmf(np.arange(d_end + 1))) - 1.0) <= 1e-12
+
+
+def test_tail_quantiles_at_large_n():
+    # the 1 - 1e-9 levels that end the default pmf table
+    for n, want in ((10**6, 101), (10**9, 565), (10**12, 3906)):
+        table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+        assert table.quantile(1.0 - 1e-9) == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, p", [
+    (88, 0.546),             # p > 1/2 with both ends of the support
+    (10**12 - 1, 1 - 1e-10),  # p > 1/2 at the largest scale
+    (999, 1e-20),            # mean far below k: x ln(x/M) with x/M up to 1e20
+])
+def test_loader_log_pmf_matches_40_digit_reference(m, p):
+    mode = math.floor((m + 1) * p)
+    ks = np.unique(np.clip(np.concatenate([np.arange(4.0), m - np.arange(4.0),
+                                           mode + np.arange(-60.0, 61.0, 10.0)]), 0, m))
+    got = _binomial_log_pmf(m, p, ks)
+    with mp.workdps(40):
+        pm = mp.mpf(p)
+        want = [float(mp.log(mp.binomial(m, int(k))) + k * mp.log(pm) + (m - k) * mp.log1p(-pm))
+                for k in ks]
+    for k, g, w in zip(ks, got, want):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (k, g, w)
 
 
 def test_pmf_normalizes_on_random_small_instances():
@@ -112,7 +178,7 @@ def test_cdf_is_a_proper_distribution_function():
 
 
 def test_cdf_scan_is_consistent_at_large_n():
-    # the chunked scan must agree with a direct pmf cumsum over a prefix
+    # the incomplete-beta cdf must agree with a direct pmf cumsum over a prefix
     table = DegreePmfTable.from_model(P, 10**6, 14)
     d = np.arange(200)
     direct = np.cumsum(np.asarray(table.pmf(d)))

@@ -195,6 +195,20 @@ def test_report_rows_carry_stderr_or_exactness():
         assert row.exact or row.stderr is not None
 
 
+@pytest.mark.parametrize("seed", [6, 46, 270, 271])
+def test_kl_reconcile_passes_its_own_cdf_tolerance(seed):
+    # These seeds draw parameter sets with gamma1 close to gamma0 (sd of
+    # ln D down to 6e-7), where a one-ulp gap between the two laws' centres
+    # would read as a cdf residual near 1e-9.
+    cfg = ExperimentConfig(
+        params=P, scaling=SC, kind=ExperimentKind.KL_RECONCILE,
+        n_grid=(10**3, 10**6, 10**9), draws=100, seed=seed,
+    )
+    rows = [r for r in run_experiment(cfg).rows if r.statistic == "kl_cdf_resid_max"]
+    assert len(rows) == 3
+    assert all(r.passed for r in rows), [(r.n, r.value) for r in rows]
+
+
 def test_zero_one_law_experiment_trends():
     sub = ExperimentConfig(
         params=P, scaling=Scaling(rho=2.0), kind=ExperimentKind.ZERO_ONE_LAW,

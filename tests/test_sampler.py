@@ -28,10 +28,10 @@ from magnet import (
     write_degrees_csv,
     write_edge_list,
 )
+from magnet.degree_dist import _binomial_log_pmf
 from magnet.sampler import (
     INVERSION_MEAN_MAX,
     _binomial_inversion,
-    _binomial_log_pmf,
     _log_link,
     _pair_index,
     pack_rows,
