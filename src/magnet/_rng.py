@@ -47,7 +47,7 @@ TAG_DIRECT_S = 0xB1  # direct degree sampler: attribute-count bits
 TAG_DIRECT_U = 0xB2  # direct degree sampler: inversion uniforms
 TAG_DIRECT_BTRS = 0xB4  # direct degree sampler: per-attempt keys of BTRS draws
 TAG_REPLICATE = 0xC1  # per-replicate graph seeds in batch experiments
-TAG_SELFTEST = 0xD1  # distribution self-test draws
+TAG_PARAM_SETS = 0xC2  # kl_reconcile experiment: random parameter sets
 
 
 def mix64(x: int) -> int:

@@ -4,9 +4,9 @@ Subcommands: generate, degrees, pmf, regime, approx, bound, experiment.
 Common flags: --seed <u64>, --out <path>, --threads <k> (threads affect
 speed only, never output).  Exit codes: 0 success, 2 invalid
 configuration (an output path that cannot be opened included), 3 regime
-violation, 4 budget exceeded.  Reruns with the same arguments and seed
-produce byte-identical outputs; wall-clock metadata only ever lands in
-report sidecars.
+violation, 4 budget exceeded (a failed allocation included).  Reruns with
+the same arguments and seed produce byte-identical outputs; wall-clock
+metadata only ever lands in report sidecars.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import DEFAULT_C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
-from .degree_dist import DegreePmfTable, _write_out, write_pmf_csv
+from .degree_dist import DegreePmfTable, _last_degree, _write_out, write_pmf_csv
 from .errors import BudgetError, InvalidParamsError, MagnetError, RegimeError
 from .experiments import config_hash, parse_config, run_experiment
 from .limits import cdf_approx
@@ -143,11 +143,7 @@ def _scaling(args: argparse.Namespace) -> Scaling:
 
 
 def _attr_count(args: argparse.Namespace) -> int:
-    if args.l is not None:
-        if args.l < 1:
-            raise InvalidParamsError(f"l must be >= 1, got {args.l}")
-        return args.l
-    return _scaling(args).attr_count(args.n)
+    return args.l if args.l is not None else _scaling(args).attr_count(args.n)
 
 
 def _target(args: argparse.Namespace):
@@ -212,10 +208,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
             f"scaling (L_n = {scaling.attr_count(n)} at n = {n})"
         )
     table = DegreePmfTable.from_model(params, n, l)
-    d_max = args.d_max if args.d_max is not None else table.quantile(0.999)
-    if not 0 <= d_max <= n - 1:
-        raise InvalidParamsError(f"d_max must lie in [0, {n - 1}]")
-    t = np.arange(d_max + 1, dtype=np.int64)
+    t = np.arange(_last_degree(table, args.d_max, 0.999) + 1, dtype=np.int64)
     exact = np.asarray(table.cdf(t))
     approx = np.asarray(cdf_approx(t.astype(np.float64), n, scaling, params))
     lines = ["n,t,cdf_exact,cdf_approx,abs_err"]
@@ -287,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except RegimeError as exc:
         print(f"magnet: regime violation: {exc}", file=sys.stderr)
         return 3
-    except BudgetError as exc:
+    except (BudgetError, MemoryError) as exc:  # a refused or a failed allocation
         print(f"magnet: budget exceeded: {exc}", file=sys.stderr)
         return 4
     except (InvalidParamsError, ValueError) as exc:

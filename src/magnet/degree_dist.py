@@ -201,6 +201,16 @@ def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
     return d_arr, scalar
 
 
+def _last_degree(table: DegreePmfTable, d_max: int | None, q: float) -> int:
+    """The last degree of a table over 0..d_max: ``d_max`` itself, which
+    must lie in [0, n - 1], or the law's ``q`` quantile when it is None."""
+    if d_max is None:
+        return table.quantile(q)
+    if not (isinstance(d_max, int) and 0 <= d_max <= table.n - 1):
+        raise InvalidParamsError(f"d_max must be an integer in [0, {table.n - 1}], got {d_max!r}")
+    return d_max
+
+
 def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
                   d_max: int | None = None) -> None:
     """Emit ``d,pmf,cdf`` rows (17 significant digits) for d = 0..d_max;
@@ -209,11 +219,7 @@ def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
     ``d_max`` defaults to the 1 - 1e-9 quantile of the degree law.
     """
     table = DegreePmfTable.from_model(params, n, l)
-    if d_max is None:
-        d_max = table.quantile(1.0 - 1e-9)
-    if not (isinstance(d_max, int) and 0 <= d_max <= n - 1):
-        raise InvalidParamsError(f"d_max must be an integer in [0, {n - 1}], got {d_max!r}")
-    d = np.arange(d_max + 1)
+    d = np.arange(_last_degree(table, d_max, 1.0 - 1e-9) + 1)
     pmf = table.pmf(d)
     cdf = np.minimum(np.cumsum(pmf), 1.0)
     lines = ["d,pmf,cdf"]

@@ -366,7 +366,6 @@ def _sub_seed(seed: int, *components: int) -> int:
 
 _ROLE_DIRECT = 1
 _ROLE_GRAPH = 2
-_ROLE_PARAMS = 3
 
 
 def _direct_draws(config: ExperimentConfig, n: int, threads: int) -> DegreeSampleSet:
@@ -403,6 +402,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         "draws": str(config.draws),
     }
     return ExperimentReport(kind=config.kind, provenance=prov, rows=tuple(rows))
+
+
+def _fraction_stderr(frac: float, count: int) -> float:
+    """Binomial standard error sqrt(f(1 - f)/N) of a fraction ``frac`` of
+    ``count`` draws, kept above 0 when f is 0 or 1."""
+    return math.sqrt(max(frac * (1.0 - frac), 1e-300) / count)
 
 
 def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
@@ -443,8 +448,7 @@ def _run_lognormal_ks(config: ExperimentConfig, threads: int) -> list[ReportRow]
         dominates = cert.vacuous or (sd.sup_delta + 3.0 * sd.proxy <= cert.total)
         rows.extend([
             ReportRow(n, "zero_fraction", sd.zero_fraction,
-                      stderr=math.sqrt(max(sd.zero_fraction * (1 - sd.zero_fraction), 1e-300)
-                                       / sd.n_total)),
+                      stderr=_fraction_stderr(sd.zero_fraction, sd.n_total)),
             ReportRow(n, "ks_nonzero", sd.ks_nonzero, stderr=sd.proxy),
             ReportRow(n, "sup_delta", sd.sup_delta, stderr=sd.proxy),
             ReportRow(n, "bound_total", cert.total, exact=True),
@@ -503,7 +507,7 @@ def _run_lambda_probe(config: ExperimentConfig, threads: int) -> list[ReportRow]
             frac = lambda_limit_probe(t, samples, config.scaling)
             rows.append(ReportRow(
                 n, f"lambda_frac[t={t:g}]", frac,
-                stderr=math.sqrt(max(frac * (1.0 - frac), 1e-300) / samples.count),
+                stderr=_fraction_stderr(frac, samples.count),
                 passed=abs(frac - 0.5) <= config.tolerance,
             ))
     return rows
@@ -532,14 +536,12 @@ def _run_bound_check(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     return rows
 
 
-def _random_params(gen: np.random.Generator) -> ModelParams:
-    q11, q10, q00, mu1 = gen.uniform(0.05, 0.95, size=4)
-    return ModelParams(q11=float(q11), q10=float(q10), q00=float(q00), mu1=float(mu1))
-
-
 def _run_kl_reconcile(config: ExperimentConfig, threads: int) -> list[ReportRow]:
-    gen = np.random.Generator(np.random.PCG64(_sub_seed(config.seed, _ROLE_PARAMS)))
-    param_sets = [config.params] + [_random_params(gen) for _ in range(config.param_sets)]
+    # q11, q10, q00, mu1 of each random set: uniform on [0.05, 0.95)
+    u = _rng.uniforms_at(_rng.stream_key(config.seed, _rng.TAG_PARAM_SETS),
+                         np.arange(4 * config.param_sets))
+    draws = (0.05 + 0.9 * u).reshape(-1, 4).tolist()
+    param_sets = [config.params] + [ModelParams(*q) for q in draws]
     rows: list[ReportRow] = []
     for n in config.n_grid:
         var_resid = 0.0

@@ -82,23 +82,27 @@ class LogNormalSpec:
             raise InvalidParamsError(f"sigma2 must be >= 0, got {self.sigma2}")
 
 
+def _on_log_scale(x, f, what=None):
+    """f(ln x) where x > 0 and 0 where x = 0, for a scalar (returned as a
+    float) or an array.  Negative x is refused when ``what`` names it and
+    mapped to 0 otherwise."""
+    if what is not None and np.any(np.asarray(x) < 0):
+        raise InvalidParamsError(f"{what} must be >= 0")
+    if np.isscalar(x):
+        return float(f(math.log(x))) if x > 0 else 0.0
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros(x.shape, dtype=np.float64)
+    pos = x > 0.0
+    out[pos] = f(np.log(x[pos]))
+    return out
+
+
 def lognormal_cdf(x, spec: LogNormalSpec):
     """P(exp(N(m, sigma2)) <= x); zero for x <= 0."""
     sd = math.sqrt(spec.sigma2)
-    if np.isscalar(x):
-        if x <= 0.0:
-            return 0.0
-        if sd == 0.0:
-            return 1.0 if math.log(x) >= spec.m else 0.0
-        return std_normal_cdf((math.log(x) - spec.m) / sd)
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = np.zeros(x_arr.shape, dtype=np.float64)
-    pos = x_arr > 0.0
     if sd == 0.0:
-        out[pos] = (np.log(x_arr[pos]) >= spec.m).astype(np.float64)
-        return out
-    out[pos] = std_normal_cdf((np.log(x_arr[pos]) - spec.m) / sd)
-    return out
+        return _on_log_scale(x, lambda u: u >= spec.m)
+    return _on_log_scale(x, lambda u: std_normal_cdf((u - spec.m) / sd))
 
 
 # ---------------------------------------------------------------------
@@ -122,42 +126,16 @@ def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):
     d = 0 maps to 0 by convention (the zero atom is handled by callers).
     """
     l, expo = _scale_exponent(params, n, scaling)
-    sq = math.sqrt(l)
-    log_n = math.log(n)
-    if np.isscalar(d):
-        if d < 0:
-            raise InvalidParamsError(f"degree must be >= 0, got {d}")
-        if d == 0:
-            return 0.0
-        return math.exp((math.log(d) - expo * log_n) / sq)
-    d_arr = np.asarray(d, dtype=np.float64)
-    if np.any(d_arr < 0):
-        raise InvalidParamsError("degrees must be >= 0")
-    out = np.zeros(d_arr.shape, dtype=np.float64)
-    pos = d_arr > 0
-    out[pos] = np.exp((np.log(d_arr[pos]) - expo * log_n) / sq)
-    return out
+    shift, sq = expo * math.log(n), math.sqrt(l)
+    return _on_log_scale(d, lambda u: np.exp((u - shift) / sq), "degree")
 
 
 def cdf_approx(t, n: int, scaling: Scaling, params: ModelParams):
     """Log-normal approximation of P(D <= t): Phi(ln x_n(t) / |sigma|)."""
     l, expo = _scale_exponent(params, n, scaling)
     sd = abs(_require_lognormal_limit(params, scaling.rho, "the log-normal limit").sigma)
-    sq = math.sqrt(l)
-    log_n = math.log(n)
-    if np.isscalar(t):
-        if t < 0:
-            raise InvalidParamsError(f"t must be >= 0, got {t}")
-        if t == 0:
-            return 0.0
-        return std_normal_cdf((math.log(t) - expo * log_n) / (sq * sd))
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0):
-        raise InvalidParamsError("t must be >= 0")
-    out = np.zeros(t_arr.shape, dtype=np.float64)
-    pos = t_arr > 0
-    out[pos] = std_normal_cdf((np.log(t_arr[pos]) - expo * log_n) / (sq * sd))
-    return out
+    shift, scale = expo * math.log(n), math.sqrt(l) * sd
+    return _on_log_scale(t, lambda u: std_normal_cdf((u - shift) / scale), "t")
 
 
 # ---------------------------------------------------------------------

@@ -143,6 +143,8 @@ def test_experiment_subcommand_roundtrip(tmp_path, capsys):
 def test_exit_code_2_on_invalid_configuration(tmp_path, capsys):
     assert main(["pmf", "--n", "1", "--l", "3"]) == 2
     assert main(["generate", "--n", "30", "--l", "0"]) == 2
+    assert main(["approx", "--n", "1000", "--d-max", "-1"]) == 2
+    assert main(["approx", "--n", "1000", "--d-max", "1000"]) == 2
     assert main(["degrees", "--n", "30", "--l", "3", "--count", "0"]) == 2
     assert main(["bound", "--n", "100", "--rho", "1.0", "--eta", "0.1"]) == 2
     assert main(["generate", "--n", "30", "--l", "3", "--seed", "-1"]) == 2
@@ -185,8 +187,10 @@ def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
 
 def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # each child caps its own address space at 2 GB: the exact law at
-    # n = 1e12 must fit without --d-max, and an n past 2**53 or an --out
-    # that cannot be opened must be refused with exit 2, not a traceback
+    # n = 1e12 must fit without --d-max, an n past 2**53 or an --out that
+    # cannot be opened must be refused with exit 2, and an allocation past
+    # the cap (7.45 GiB of degrees, 22.4 GiB of attribute bits) with exit 4,
+    # never a traceback
     script = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -199,6 +203,8 @@ sys.exit(main(sys.argv[1:]))
         (["approx", "--n", str(10**12), "--out", str(tmp_path / "approx.csv")], 0),
         (["degrees", "--n", str(10**20)], 2),
         (["generate", "--n", "30", "--l", "3", "--out", str(tmp_path / "missing" / "x")], 2),
+        (["degrees", "--n", "1000", "--count", str(10**9)], 4),
+        (["generate", "--n", "30", "--l", str(10**8)], 4),
     ]
     for args, want in cases:
         proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
@@ -214,9 +220,12 @@ def test_approx_rejects_mismatched_l(capsys):
     capsys.readouterr()
 
 
-def test_start_up_path_loads_scipy_on_first_use():
-    # regime, bound and direct degree draws (BTRS included) need numpy only;
-    # pmf needs scipy.special, and only degree_fit's tests need scipy.stats
+def test_start_up_path_loads_scipy_on_first_use(tmp_path):
+    # regime, bound, direct degree draws (BTRS included) and the
+    # kl_reconcile experiment need numpy only; pmf needs scipy.special, and
+    # only degree_fit's tests need scipy.stats
+    ini = tmp_path / "kl.ini"
+    ini.write_text(INI)
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -229,12 +238,13 @@ with redirect_stdout(io.StringIO()):
     assert cli.main(["bound", "--n", "1000000"]) == 0
     assert cli.main(["degrees", "--method", "direct", "--n", "1000000",
                      "--rho", "0.5", "--count", "100"]) == 0
+    assert cli.main(["experiment", sys.argv[1]]) == 0
     before = loaded()
     assert cli.main(["pmf", "--n", "1000", "--d-max", "5"]) == 0
 print(before, loaded())
 """
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
+        [sys.executable, "-c", script, str(ini)], capture_output=True, text=True,
         timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr

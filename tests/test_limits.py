@@ -108,6 +108,36 @@ def test_cdf_approx_frozen_probe_and_shape():
     assert cdf_approx(1e9, 10**6, SC, P) > 0.999
 
 
+@pytest.mark.parametrize("name", ["lognormal_cdf", "lognormal_cdf_step",
+                                  "transform_degree", "cdf_approx"])
+def test_scalar_and_array_forms_agree(name):
+    # one dispatch serves both forms: a scalar call returns a float equal
+    # to the matching array element, and 0 and negative inputs are treated
+    # alike in both forms
+    f = {
+        "lognormal_cdf": lambda x: lognormal_cdf(x, LogNormalSpec(m=0.3, sigma2=SIGMA**2)),
+        "lognormal_cdf_step": lambda x: lognormal_cdf(x, LogNormalSpec(m=math.log(3.0),
+                                                                      sigma2=0.0)),
+        "transform_degree": lambda x: transform_degree(x, 10**6, SC, P),
+        "cdf_approx": lambda x: cdf_approx(x, 10**6, SC, P),
+    }[name]
+    xs = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 17.0, 1e3, 1e9]
+    arr = f(np.array(xs))
+    for x, want in zip(xs, arr):
+        got = f(x)
+        assert type(got) is float
+        assert got == pytest.approx(want, abs=1e-15, rel=1e-15)
+    assert f(0.0) == f(0) == arr[0] == 0.0
+    if name.startswith("lognormal_cdf"):
+        assert f(-2.0) == 0.0
+        assert np.array_equal(f(np.array([-2.0, 0.0])), [0.0, 0.0])
+    else:
+        with pytest.raises(InvalidParamsError):
+            f(-2.0)
+        with pytest.raises(InvalidParamsError):
+            f(np.array([1.0, -2.0]))
+
+
 def test_cdf_approx_near_exact_median_at_desk_scale():
     table_median = 5  # median of the exact law at n=1e6, L=14
     exact = DegreePmfTable.from_model(P, 10**6, 14).cdf(table_median)

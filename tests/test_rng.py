@@ -3,8 +3,10 @@ pure-integer reference, and keyed streams must be deterministic functions
 of (seed, tag, index).
 """
 
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,3 +174,12 @@ def test_blocked_kernel_is_safe_across_threads():
 
 def test_golden_constant_is_the_64_bit_golden_ratio():
     assert GOLDEN == 0x9E3779B97F4A7C15
+
+
+def test_package_draws_from_no_numpy_generator():
+    # every random quantity comes from the keyed streams above; a numpy
+    # Generator in the package would break random access and the tags
+    package = Path(_rng.__file__).parent
+    users = [f.name for f in sorted(package.glob("*.py"))
+             if re.search(r"\b(np|numpy)\.random\b", f.read_text())]
+    assert users == []
