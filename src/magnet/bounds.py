@@ -15,8 +15,7 @@ returned flagged as vacuous rather than rejected, since the terms decay
 only on astronomical scales for typical parameters.
 
 The same Psi drives a standalone concentration bound for the ratio of a
-degree to its conditional mean, and a log-normal density bound caps the
-probability any interval can carry under the limit law.
+degree to its conditional mean.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "berry_esseen_bound",
     "optimize_bound",
     "ratio_concentration_bound",
-    "lognormal_interval_bound",
     "write_bound_csv",
 ]
 
@@ -222,15 +220,6 @@ def ratio_concentration_bound(params: ModelParams, n: int, l: int,
     _check_eta(eta, params.mu1)
     hoeffding, chernoff = _tail_terms(params, n, l, delta, eta)
     return hoeffding + chernoff
-
-
-def lognormal_interval_bound(u: float, v: float, sigma: float) -> float:
-    """P(u < exp(sigma Z) <= v) <= ln(v/u) / sqrt(2 pi sigma**2), Z standard normal."""
-    if not (math.isfinite(u) and math.isfinite(v) and 0.0 < u < v):
-        raise InvalidParamsError(f"need 0 < u < v, got u={u}, v={v}")
-    if sigma == 0.0 or not math.isfinite(sigma):
-        raise InvalidParamsError("sigma must be nonzero and finite")
-    return math.log(v / u) / math.sqrt(2.0 * math.pi * sigma ** 2)
 
 
 def write_bound_csv(target, certificates: list[BoundCertificate]) -> None:

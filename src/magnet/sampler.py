@@ -71,6 +71,9 @@ _BLOCK_PAIRS = 1 << 16
 #: while the table has at most this many entries per node.
 _TABLE_ENTRIES_PER_NODE = 64
 
+#: Rows converted to Python objects at a time by the text writers.
+_WRITE_BLOCK = 1 << 14
+
 
 # =====================================================================
 # Bit-packed attribute rows
@@ -449,11 +452,19 @@ def _header_lines(params: ModelParams, n: int, l: int, seed: int, kind: str) -> 
     ]
 
 
+def _tolist_blocks(rows: np.ndarray):
+    """Python ints (or lists of them) from ``rows``, one ``tolist`` per
+    block: as fast as one ``tolist`` of all rows, without holding a
+    full-size list of Python objects beside the output lines."""
+    for k in range(0, len(rows), _WRITE_BLOCK):
+        yield from rows[k:k + _WRITE_BLOCK].tolist()
+
+
 def write_edge_list(graph: MagGraph, target: str | IO[str]) -> None:
     """Edge list: '#' header lines, then one ``u<TAB>v`` row per edge with
     u < v, sorted lexicographically."""
     lines = _header_lines(graph.params, graph.n, graph.l, graph.seed, "edge list")
-    lines.extend(f"{int(u)}\t{int(v)}" for u, v in graph.edges)
+    lines.extend(f"{u}\t{v}" for u, v in _tolist_blocks(graph.edges))
     _write_out(target, lines)
 
 
@@ -469,5 +480,5 @@ def write_degrees_csv(samples: DegreeSampleSet, target: str | IO[str]) -> None:
     lines = _header_lines(samples.params, samples.n, samples.l, samples.seed,
                           f"degrees method={samples.method.value} count={samples.count}")
     lines.append("degree")
-    lines.extend(str(int(d)) for d in samples.degrees)
+    lines.extend(map(str, _tolist_blocks(samples.degrees)))
     _write_out(target, lines)

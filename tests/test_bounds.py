@@ -1,5 +1,4 @@
-"""Four-term error certificates, the concentration bound, and the interval
-density bound.
+"""Four-term error certificates and the concentration bound.
 
 Frozen term values at (n=1e6, rho=1, delta=0.5, eta=0.1, reference params)
 come from a 40-digit recomputation of the closed forms; psi(1) = 2 ln 2 - 1.
@@ -20,7 +19,6 @@ from magnet import (
     Scaling,
     berry_esseen_bound,
     default_eta,
-    lognormal_interval_bound,
     optimize_bound,
     psi,
     ratio_concentration_bound,
@@ -187,23 +185,6 @@ def test_ratio_bound_monotone_in_n_and_partially_in_l():
     revived = ratio_concentration_bound(P, 10**6, 16, delta=0.5, eta=0.1)
     dominated = ratio_concentration_bound(P, 10**6, 8, delta=0.5, eta=0.1)
     assert revived > dominated  # non-monotone tail, by construction
-
-
-def test_interval_bound_probe_and_dominance():
-    sigma = 0.21863513604494742
-    # u=1, v=e^sigma: bound is 1/sqrt(2 pi); the true mass is Phi(1)-Phi(0)
-    bound = lognormal_interval_bound(1.0, math.exp(sigma), sigma)
-    assert bound == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-14)
-    true_mass = 0.84134474606854295 - 0.5
-    assert bound > true_mass
-    # short intervals: linear in ln(v/u)
-    eps = 1e-6
-    short = lognormal_interval_bound(1.0, 1.0 + eps, sigma)
-    assert short == pytest.approx(eps / (sigma * math.sqrt(2 * math.pi)), rel=1e-5)
-    with pytest.raises(InvalidParamsError):
-        lognormal_interval_bound(2.0, 1.0, sigma)
-    with pytest.raises(InvalidParamsError):
-        lognormal_interval_bound(1.0, 2.0, 0.0)
 
 
 def test_bound_csv_emission(tmp_path):

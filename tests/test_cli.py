@@ -223,9 +223,14 @@ def test_approx_rejects_mismatched_l(capsys):
 def test_start_up_path_loads_scipy_on_first_use(tmp_path):
     # regime, bound, direct degree draws (BTRS included) and the
     # kl_reconcile experiment need numpy only; pmf needs scipy.special, and
-    # only degree_fit's tests need scipy.stats
+    # no command, degree_fit's KS and chi-square tests included, needs
+    # scipy.stats
     ini = tmp_path / "kl.ini"
     ini.write_text(INI)
+    fit_ini = tmp_path / "fit.ini"
+    fit_ini.write_text(INI.replace("kl_reconcile", "degree_fit")
+                       .replace("n_grid = 1000 1000000", "n_grid = 30")
+                       .replace("draws = 100", "draws = 400\ngraph_draws = 100"))
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -241,14 +246,16 @@ with redirect_stdout(io.StringIO()):
     assert cli.main(["experiment", sys.argv[1]]) == 0
     before = loaded()
     assert cli.main(["pmf", "--n", "1000", "--d-max", "5"]) == 0
-print(before, loaded())
+    after_pmf = loaded()
+    assert cli.main(["experiment", sys.argv[2]]) == 0
+print(before, after_pmf, loaded())
 """
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(ini)], capture_output=True, text=True,
-        timeout=60, env=CHILD_ENV,
+        [sys.executable, "-c", script, str(ini), str(fit_ini)], capture_output=True,
+        text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False] [True, False]"
+    assert proc.stdout.strip() == "[False, False] [True, False] [True, False]"
 
 
 def test_installed_entry_point_runs():

@@ -441,8 +441,11 @@ def test_direct_sampler_validation():
 
 # ------------------------------------------------------------------- writers
 
-def test_edge_list_format():
+def test_edge_list_format(monkeypatch):
+    # rows are converted in blocks; 7 puts block boundaries inside the rows
+    monkeypatch.setattr(sampler, "_WRITE_BLOCK", 7)
     g = sample_graph(P, 20, 3, seed=5)
+    assert len(g.edges) > 7
     buf = io.StringIO()
     write_edge_list(g, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -456,7 +459,8 @@ def test_edge_list_format():
         assert (int(a), int(b)) == (int(u), int(v))
 
 
-def test_degrees_csv_format():
+def test_degrees_csv_format(monkeypatch):
+    monkeypatch.setattr(sampler, "_WRITE_BLOCK", 7)
     s = sample_degrees_direct(P, 100, 4, 50, seed=9)
     buf = io.StringIO()
     write_degrees_csv(s, buf)

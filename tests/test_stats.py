@@ -1,18 +1,22 @@
-"""Empirical statistics: tie-aware KS, TV distances, DKW proxy, chi-square."""
+"""Empirical statistics: tie-aware KS, TV distance, DKW proxy, chi-square,
+and the exact two-sample KS p-value."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import magnet.stats as mstats
 from magnet.errors import InvalidParamsError
 from magnet.stats import (
+    _ks_outside_prob,
     chi_square_gof,
     dkw_proxy,
     empirical_pmf,
     ks_statistic,
-    tv_distance,
     tv_to_exact,
     two_sample_ks,
 )
@@ -55,14 +59,6 @@ def test_empirical_pmf_counts():
     assert pm.sum() == pytest.approx(1.0)
 
 
-def test_tv_distance_basic():
-    p = np.array([0.5, 0.5, 0.0])
-    q = np.array([0.25, 0.25, 0.5])
-    assert tv_distance(p, q) == pytest.approx(0.5)
-    assert tv_distance(p, p) == 0.0
-    assert tv_distance(p, q) == tv_distance(q, p)
-
-
 def test_tv_to_exact_includes_tail_mass():
     # all draws at 0, exact pmf has mass 0.5 beyond the prefix
     draws = np.zeros(100, dtype=np.int64)
@@ -95,26 +91,98 @@ def test_two_sample_ks_same_law_high_p():
     assert p_diff < 1e-6
 
 
-def test_chi_square_gof_calibration():
+def _ks_samples():
+    rng = np.random.default_rng(19)
+    return {
+        "equal sizes": (rng.normal(0.0, 1.0, 300), rng.normal(0.2, 1.0, 300)),
+        "coprime sizes": (rng.normal(0.0, 1.0, 97), rng.normal(0.3, 1.0, 61)),
+        "n2 divides n1": (rng.normal(0.0, 1.0, 1200), rng.normal(0.1, 1.0, 300)),
+        "swapped order": (rng.normal(0.1, 1.0, 300), rng.normal(0.0, 1.0, 1200)),
+        "heavy ties": (rng.poisson(5.0, 5000), rng.poisson(5.2, 1250)),
+        "h = 0": (np.arange(40) % 4, np.arange(20) % 4),
+        "fully separated": (rng.normal(0.0, 1.0, 50), rng.normal(10.0, 1.0, 40)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_ks_samples()))
+def test_two_sample_ks_matches_scipy_exact(case):
+    x, y = _ks_samples()[case]
+    d, p = two_sample_ks(x, y)
+    want = stats.ks_2samp(x, y, method="exact")
+    assert d == want.statistic
+    assert abs(p - want.pvalue) <= 1e-12
+    if case == "h = 0":
+        assert (d, p) == (0.0, 1.0)
+    if case == "fully separated":
+        assert d == 1.0 and p < 1e-12
+
+
+def test_ks_outside_prob_matches_path_enumeration():
+    # every (m, n) with m + n <= 14 and every band half-width h: the share
+    # of the C(m+n, n) lattice paths that reach |(n/g) i - (m/g) j| >= h
+    for m in range(1, 14):
+        for n in range(1, 15 - m):
+            g = math.gcd(m, n)
+            reach = []
+            for ys in itertools.combinations(range(m + n), n):
+                i = j = top = 0
+                for step in range(m + n):
+                    if step in ys:
+                        j += 1
+                    else:
+                        i += 1
+                    top = max(top, abs(n // g * i - m // g * j))
+                reach.append(top)
+            for h in range(1, m * n // g + 1):
+                want = Fraction(sum(r >= h for r in reach), len(reach))
+                assert abs(_ks_outside_prob(m, n, h) - want) <= 1e-15, (m, n, h)
+
+
+def test_two_sample_ks_rejects_empty():
+    with pytest.raises(InvalidParamsError):
+        two_sample_ks(np.array([]), np.array([1.0]))
+
+
+def _chi_square_gof_and_scipy(monkeypatch, draws, pmf):
+    """chi_square_gof next to scipy.stats.chisquare on the same merged bins.
+
+    chi_square_gof rescales the merged expected counts in place, so the
+    arrays captured here are exactly the ones its statistic sums over."""
+    merge, seen = mstats._merge_bins, []
+
+    def spy(*args):
+        seen.append(merge(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(mstats, "_merge_bins", spy)
+    got = chi_square_gof(draws, pmf)
+    monkeypatch.undo()
+    return got, stats.chisquare(*seen[-1])
+
+
+def test_chi_square_gof_calibration(monkeypatch):
     rng = np.random.default_rng(11)
     pmf = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
     draws = rng.choice(5, size=50000, p=pmf)
-    stat, p, dof = chi_square_gof(draws, pmf)
+    (stat, p, dof), want = _chi_square_gof_and_scipy(monkeypatch, draws, pmf)
+    assert (stat, p) == (want.statistic, want.pvalue)
     assert p > 1e-3
     assert dof >= 3
     # a wrong reference law is rejected hard
     wrong = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
-    _, p_bad, _ = chi_square_gof(draws, wrong)
+    (stat, p_bad, _), want = _chi_square_gof_and_scipy(monkeypatch, draws, wrong)
+    assert (stat, p_bad) == (want.statistic, want.pvalue)
     assert p_bad < 1e-10
 
 
-def test_chi_square_gof_merges_sparse_tail():
+def test_chi_square_gof_merges_sparse_tail(monkeypatch):
     rng = np.random.default_rng(3)
     lam = 2.0
     draws = rng.poisson(lam, size=20000)
     k = 30  # far into the sparse tail; merging must keep expected >= 5
     pmf = stats.poisson.pmf(np.arange(k), lam)
-    stat, p, dof = chi_square_gof(draws, pmf)
+    (stat, p, dof), want = _chi_square_gof_and_scipy(monkeypatch, draws, pmf)
+    assert (stat, p) == (want.statistic, want.pvalue)
     assert p > 1e-3
     assert dof < k  # tail bins were merged
 
