@@ -43,11 +43,13 @@ _BLOCK = 1 << 16
 # streams never overlap even under identical seeds.
 TAG_ATTR_BITS = 0xA1  # graph sampler: node attribute bits
 TAG_PAIR_UNIF = 0xA2  # graph sampler: per-pair edge uniforms
-TAG_DIRECT_S = 0xB1  # direct degree sampler: attribute-count bits
+TAG_DIRECT_S = 0xB1  # direct degree sampler: one attribute-count uniform per draw
 TAG_DIRECT_U = 0xB2  # direct degree sampler: inversion uniforms
 TAG_DIRECT_BTRS = 0xB4  # direct degree sampler: per-attempt keys of BTRS draws
 TAG_REPLICATE = 0xC1  # per-replicate graph seeds in batch experiments
 TAG_PARAM_SETS = 0xC2  # kl_reconcile experiment: random parameter sets
+TAG_GRID_DIRECT = 0xC3  # experiments: direct-sampler seed at grid point n (word n)
+TAG_GRID_GRAPH = 0xC4  # experiments: full-graph sampler seed at grid point n (word n)
 
 
 def mix64(x: int) -> int:

@@ -13,9 +13,11 @@ so the unconditional law is the finite mixture, with w_s = P(S = s),
 Each component pmf takes Loader's (2000) saddle-point form
 (``_binomial_log_pmf``, shared with the BTRS sampler) and the mixture is
 summed in log space by ``logsumexp``; no binomial coefficient is formed,
-so nothing cancels.  The cdf is the regularized incomplete beta of each
-component, O(l) per degree with no scan from 0, and the quantile is an
-integer bisection on it.  Degrees are doubles, exact for n up to 2**53.
+so nothing cancels.  The sums run over the window of s that drops less than
+the smallest double of S's mass (``DegreePmfTable``).  The cdf is the
+regularized incomplete beta of each component, with no scan from 0, and the
+quantile is an integer bisection on it.  Degrees are doubles, exact for n
+up to 2**53.
 """
 
 from __future__ import annotations
@@ -37,8 +39,17 @@ __all__ = [
 
 
 def _check_l(l: int) -> None:
-    if not (isinstance(l, int) and l >= 1):
-        raise InvalidParamsError(f"l must be an integer >= 1, got {l!r}")
+    if not (isinstance(l, int) and 1 <= l <= 2 ** 53):  # s is a double, exact to 2**53
+        raise InvalidParamsError(f"l must be an integer in [1, 2**53], got {l!r}")
+
+
+def _bisect(lo: int, hi: int, above) -> int:
+    """Least integer x in (lo, hi] with ``above(x)``, for a predicate that is
+    false, then true on (lo, hi]; neither end is evaluated."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return hi
 
 
 # =====================================================================
@@ -124,14 +135,16 @@ def _binomial_log_pmf(m: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
 class DegreePmfTable:
     """Precomputed mixture data of the compound-binomial degree law.
 
-    ``log_weights[s] = ln P(S = s)`` and ``log_p[s] = ln p_s`` for
-    s = 0..l.  The table is the shared backbone of the pmf/cdf/atom
-    evaluators below.
+    ``log_weights[i] = ln P(S = s)`` and ``log_p[i] = ln p_s`` for s = s_lo + i
+    on the window of S ~ Bin(l, mu1) outside which every weight times l + 1
+    is below 2**-1074.  The table backs the evaluators below and the direct
+    sampler.
     """
 
     params: ModelParams
     n: int
     l: int
+    s_lo: int
     log_weights: np.ndarray = field(repr=False)
     log_p: np.ndarray = field(repr=False)
 
@@ -140,10 +153,16 @@ class DegreePmfTable:
         _check_exact_n(n)
         _check_l(l)
         c = derive_constants(params)
-        s = np.arange(l + 1, dtype=np.float64)
-        log_weights = _binomial_log_pmf(l, params.mu1, s)  # S ~ Bin(l, mu1)
+        # ln P(S = s) is unimodal and at least -ln(l + 1) at the mode, so each
+        # end of the window is a bisection between the mode and 0 or l.
+        floor = -1074 * math.log(2.0) - math.log(l + 1)
+        mode = min(l, math.floor((l + 1) * params.mu1))
+        s_lo = _bisect(-1, mode, lambda s: _binomial_log_pmf(l, params.mu1, s) >= floor)
+        s_end = _bisect(mode, l + 1, lambda s: _binomial_log_pmf(l, params.mu1, s) < floor)
+        s = np.arange(s_lo, s_end, dtype=np.float64)
+        log_weights = _binomial_log_pmf(l, params.mu1, s)
         log_p = s * c.log_gamma1 + (l - s) * c.log_gamma0
-        return cls(params=params, n=n, l=l, log_weights=log_weights, log_p=log_p)
+        return cls(params=params, n=n, l=l, s_lo=s_lo, log_weights=log_weights, log_p=log_p)
 
     def _p(self) -> np.ndarray:
         """p_s, floored at the smallest normal double: a component below it
@@ -178,17 +197,11 @@ class DegreePmfTable:
         return self.pmf(0)
 
     def quantile(self, q: float) -> int:
-        """Smallest d with P(D <= d) >= q, by bisection on :meth:`cdf`."""
+        """Smallest d with P(D <= d) >= q, by bisection on :meth:`cdf`
+        between cdf(-1) = 0 and cdf(n - 1) = 1."""
         if not 0.0 < q < 1.0:
             raise InvalidParamsError(f"quantile level must lie in (0, 1), got {q}")
-        lo, hi = -1, self.n - 1  # cdf(lo) < q <= cdf(hi), as cdf(-1) = 0 and cdf(n - 1) = 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.cdf(mid) >= q:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return _bisect(-1, self.n - 1, lambda d: self.cdf(d) >= q)
 
 
 def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:

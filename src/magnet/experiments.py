@@ -356,24 +356,11 @@ class ExperimentReport:
 # Runners
 # =====================================================================
 
-def _sub_seed(seed: int, *components: int) -> int:
-    """Fold (seed, components...) through the avalanche mixer."""
-    k = _rng.mix64(seed)
-    for c in components:
-        k = _rng.mix64((k ^ ((c * _rng.GOLDEN) & ((1 << 64) - 1))) & ((1 << 64) - 1))
-    return k
-
-
-_ROLE_DIRECT = 1
-_ROLE_GRAPH = 2
-
-
 def _direct_draws(config: ExperimentConfig, n: int, threads: int) -> DegreeSampleSet:
     """The config's direct degree draws at node count ``n``."""
-    return sample_degrees_direct(
-        config.params, n, config.scaling.attr_count(n), config.draws,
-        _sub_seed(config.seed, _ROLE_DIRECT, n), threads=threads,
-    )
+    seed = _rng.word_at(_rng.stream_key(config.seed, _rng.TAG_GRID_DIRECT), n)
+    return sample_degrees_direct(config.params, n, config.scaling.attr_count(n), config.draws,
+                                 seed, threads=threads)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -415,10 +402,9 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     for n in config.n_grid:
         l = config.scaling.attr_count(n)
         direct = _direct_draws(config, n, threads)
-        graph = sample_degrees_fullgraph(
-            config.params, n, l, config.effective_graph_draws,
-            _sub_seed(config.seed, _ROLE_GRAPH, n), threads=threads,
-        )
+        graph_seed = _rng.word_at(_rng.stream_key(config.seed, _rng.TAG_GRID_GRAPH), n)
+        graph = sample_degrees_fullgraph(config.params, n, l, config.effective_graph_draws,
+                                         graph_seed, threads=threads)
         table = DegreePmfTable.from_model(config.params, n, l)
         d_hi = int(max(direct.degrees.max(), graph.degrees.max()))
         exact = np.asarray(table.pmf(np.arange(d_hi + 1)))

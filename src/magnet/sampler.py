@@ -14,7 +14,8 @@ Two routes produce degrees with identical laws:
   consecutive pair indices.
 
 * ``sample_degrees_direct`` skips the graph and draws from the compound
-  binomial directly: S ~ Bin(l, mu1), then D ~ Bin(n - 1, p_S).  Binomial
+  binomial directly: S ~ Bin(l, mu1), by inversion of the exact law's
+  weights at one uniform per draw, then D ~ Bin(n - 1, p_S).  Binomial
   draws are exact-distribution and vectorized over draws: sequential
   inversion when the mean of Bin(n - 1, min(p, 1 - p)) is at most
   ``INVERSION_MEAN_MAX``, otherwise Hörmann's (1993) transformed rejection
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import _rng
 from .errors import BudgetError, InvalidParamsError
-from .model import ModelParams, derive_constants, _check_exact_n
-from .degree_dist import _binomial_log_pmf, _check_l, _write_out
+from .model import ModelParams, _check_exact_n
+from .degree_dist import DegreePmfTable, _binomial_log_pmf, _check_l, _write_out
 
 __all__ = [
     "SampleMethod",
@@ -282,12 +283,13 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
 def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed: int,
                           threads: int = 1) -> DegreeSampleSet:
-    """``count`` exact draws of D: S ~ Bin(l, mu1), then D ~ Bin(n-1, p_S)."""
-    _check_exact_n(n)
-    _check_l(l)
+    """``count`` exact draws of D: S ~ Bin(l, mu1), then D ~ Bin(n-1, p_S), with
+    S and p_S from the exact law's :class:`DegreePmfTable`."""
+    table = DegreePmfTable.from_model(params, n, l)
     _check_seed(seed)
     _check_count(count)
-    c = derive_constants(params)
+    # P(S <= s) for s_lo <= s < s_hi; S - s_lo is how many a draw's uniform reaches
+    cdf_s = np.cumsum(np.exp(table.log_weights[:-1]))
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)
     key_u = _rng.stream_key(seed, _rng.TAG_DIRECT_U)
     key_btrs = _rng.stream_key(seed, _rng.TAG_DIRECT_BTRS)
@@ -296,12 +298,8 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
 
     def work(i0: int, i1: int) -> None:
         idx = np.arange(i0, i1, dtype=np.uint64)
-        first_bit = idx * np.uint64(l)
-        s = np.zeros(len(idx), dtype=np.int64)
-        for j in range(l):
-            s += _rng.uniforms_at(key_s, first_bit + np.uint64(j)) < params.mu1
-        log_p = s * c.log_gamma1 + (l - s) * c.log_gamma0
-        p = np.exp(log_p)
+        s = np.searchsorted(cdf_s, _rng.uniforms_at(key_s, idx), side="right")
+        p = np.exp(table.log_p[s])
         d = np.empty(len(idx), dtype=np.int64)
 
         inv = m * np.minimum(p, 1.0 - p) <= INVERSION_MEAN_MAX
@@ -313,7 +311,7 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
             d[rej] = _binomial_btrs(m, p[rej], key_btrs, idx[rej])
         out[i0:i1] = d
 
-    _run_chunks(work, count, l, threads)
+    _run_chunks(work, count, 16, threads)  # a draw costs ~16 array elements, whatever l
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.DIRECT, degrees=out)
 

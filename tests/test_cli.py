@@ -187,10 +187,11 @@ def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
 
 def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # each child caps its own address space at 2 GB: the exact law at
-    # n = 1e12 must fit without --d-max, an n past 2**53 or an --out that
-    # cannot be opened must be refused with exit 2, and an allocation past
-    # the cap (7.45 GiB of degrees, 22.4 GiB of attribute bits) with exit 4,
-    # never a traceback
+    # n = 1e12 must fit without --d-max, and so must the attribute-count law
+    # at l = 1e7 and 1e8 (its window, not all of 0..l); an n or l past 2**53
+    # or an --out that cannot be opened must be refused with exit 2, and an
+    # allocation past the cap (7.45 GiB of degrees, 22.4 GiB of attribute
+    # bits) with exit 4, never a traceback
     script = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -202,6 +203,9 @@ sys.exit(main(sys.argv[1:]))
         (["pmf", "--n", str(10**12), "--out", str(pmf_out)], 0),
         (["approx", "--n", str(10**12), "--out", str(tmp_path / "approx.csv")], 0),
         (["degrees", "--n", str(10**20)], 2),
+        (["degrees", "--n", "1000", "--l", str(10**8), "--count", "10"], 0),
+        (["pmf", "--n", "1000", "--l", str(10**7)], 0),
+        (["degrees", "--n", "1000", "--l", str(10**18), "--count", "10"], 2),
         (["generate", "--n", "30", "--l", "3", "--out", str(tmp_path / "missing" / "x")], 2),
         (["degrees", "--n", "1000", "--count", str(10**9)], 4),
         (["generate", "--n", "30", "--l", str(10**8)], 4),

@@ -74,7 +74,7 @@ def _mp_pmf(table, ds):
     with mp.workdps(40):
         mu1, mu0 = mp.mpf(table.params.mu1), mp.mpf(table.params.mu0)
         comps = [(mp.binomial(l, s) * mu1 ** s * mu0 ** (l - s), mp.mpf(float(p)))
-                 for s, p in enumerate(np.exp(table.log_p))]
+                 for s, p in enumerate(np.exp(table.log_p), start=table.s_lo)]
         return [mp.fsum(w * mp.binomial(m, d) * p ** d * (1 - p) ** (m - d) for w, p in comps)
                 for d in ds]
 
@@ -208,6 +208,37 @@ def test_log_weights_normalize():
     assert np.all(table.log_p < 0)
 
 
+@pytest.mark.parametrize("l, mu1, window", [
+    (7, 0.6, (0, 7)),
+    (800, 0.6, (0, 800)),
+    (10**3, 0.6, (36, 1000)),
+    (10**7, 0.6, (5939860, 6060040)),
+    (10**8, 1e-6, (0, 698)),
+    (10**8, 1 - 1e-6, (99999302, 10**8)),
+])
+def test_attribute_count_window_drops_less_than_the_smallest_double(l, mu1, window):
+    # outside [s_lo, s_hi] every weight times (l + 1) is below 2**-1074, by
+    # a 40-digit ln P(S = s); the ends themselves are kept
+    table = DegreePmfTable.from_model(ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=mu1), 1000, l)
+    s_lo, s_hi = table.s_lo, table.s_lo + len(table.log_weights) - 1
+    assert (s_lo, s_hi) == window
+    assert len(table.log_p) == len(table.log_weights)
+    with mp.workdps(40):
+        floor = -1074 * mp.log(2)
+
+        def log_weight_times_l1(s):
+            return (mp.loggamma(l + 1) - mp.loggamma(s + 1) - mp.loggamma(l - s + 1)
+                    + s * mp.log(mu1) + (l - s) * mp.log1p(-mp.mpf(mu1)) + mp.log(l + 1))
+
+        for s in (s_lo - 1, s_hi + 1):
+            if 0 <= s <= l:
+                assert log_weight_times_l1(s) < floor, s
+        assert log_weight_times_l1(s_lo) >= floor and log_weight_times_l1(s_hi) >= floor
+    from scipy.special import logsumexp
+
+    assert logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_degree_argument_validation():
     table = DegreePmfTable.from_model(P, 30, 3)
     with pytest.raises(InvalidParamsError):
@@ -220,6 +251,8 @@ def test_degree_argument_validation():
         DegreePmfTable.from_model(P, 1, 3)
     with pytest.raises(InvalidParamsError):
         DegreePmfTable.from_model(P, 30, 0)
+    with pytest.raises(InvalidParamsError):
+        DegreePmfTable.from_model(P, 30, 2**53 + 1)
 
 
 def test_pmf_csv_emission():

@@ -183,11 +183,12 @@ def test_realizations_are_frozen():
     assert degrees_digest(sample_degrees_fullgraph(P, 2000, 8, 300, seed=19)) == (
         "55d19c75239e7d06fc657c28adcfd0ed9c8d6e16bfbbf7bf20eeb9b82464cd0b")
     # direct route: n = 30, l = 3 takes only the inversion branch, n = 1e6,
-    # l = 7 only BTRS
+    # l = 7 only BTRS.  Re-pinned when S moved from l attribute-count bits
+    # per draw to one uniform inverted on the exact law's weights.
     assert degrees_digest(sample_degrees_direct(P, 30, 3, 5000, seed=13)) == (
-        "2c5380f46d42c0bd7e85d8e983ea5396b71f2e5762989c874aff11a3ec68995b")
+        "a55cc8ea370d2b34367763f7692c44a6a0b9c3201a96505613f4bedf34670234")
     assert degrees_digest(sample_degrees_direct(P, 10**6, 7, 5000, seed=13)) == (
-        "d78aaa3367bb65e5d972a5928f6c0c56ae60bbe63ffe33cdb5978bd1b0983ff3")
+        "a75d88cdecd7c00bf25d962ca2e52d3c662c67935e5324ea7f30303cc752b261")
 
 
 def _brute_force_edges(params, n, l, seed):
@@ -360,14 +361,14 @@ def test_direct_sampler_complement_flip_distribution():
 
 def test_direct_sampler_rejection_draws_at_mixed_scale_match_exact_binomials():
     # The bench's `mixed` scale: n = 1e12, l = 28, where ~40% of draws take
-    # BTRS.  Each draw's attribute count S is recomputed from its stream, so
-    # every BTRS draw is compared with its own Bin(n - 1, p_S) from scipy
-    # (DegreePmfTable's pmf is too coarse at this n).
+    # BTRS.  Each draw's attribute count S is recomputed from its uniform by
+    # scipy's Bin(l, mu1) quantile, so every BTRS draw is compared with its
+    # own Bin(n - 1, p_S) from scipy (DegreePmfTable's pmf is too coarse at
+    # this n).
     n, l, count, seed = 10**12, 28, 100000, 23
     draws = sample_degrees_direct(P, n, l, count, seed=seed).degrees
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)
-    bits = _rng.uniforms_at(key_s, np.arange(count * l, dtype=np.uint64)) < P.mu1
-    s = bits.reshape(count, l).sum(axis=1)
+    s = stats.binom.ppf(_rng.uniforms_at(key_s, np.arange(count, dtype=np.uint64)), l, P.mu1)
     c = derive_constants(P)
     chi2, dof, tested = 0.0, 0, 0
     for sv in np.unique(s):
