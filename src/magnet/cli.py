@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model(p)
     _add_scaling(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=None)
     p.add_argument("--d-max", type=int, default=None)
 
     p = sub.add_parser("bound", help="Berry-Esseen certificates as CSV or JSON")
@@ -201,13 +200,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     params = _params(args)
     scaling = _scaling(args)
     n = args.n
-    l = _attr_count(args)
-    if args.l is not None and args.l != scaling.attr_count(n):
-        raise InvalidParamsError(
-            "approx compares against the scaled limit; --l must match the "
-            f"scaling (L_n = {scaling.attr_count(n)} at n = {n})"
-        )
-    table = DegreePmfTable.from_model(params, n, l)
+    table = DegreePmfTable.from_model(params, n, scaling.attr_count(n))
     t = np.arange(_last_degree(table, args.d_max, 0.999) + 1, dtype=np.int64)
     exact = np.asarray(table.cdf(t))
     approx = np.asarray(cdf_approx(t.astype(np.float64), n, scaling, params))

@@ -153,14 +153,16 @@ class DegreePmfTable:
         _check_exact_n(n)
         _check_l(l)
         c = derive_constants(params)
-        # ln P(S = s) is unimodal and at least -ln(l + 1) at the mode, so each
-        # end of the window is a bisection between the mode and 0 or l.
+        # ln P(S = s) is unimodal and at least -ln(l + 1) at the mode, so an
+        # end of 0..l below the floor is a bisection between it and the mode.
         floor = -1074 * math.log(2.0) - math.log(l + 1)
         mode = min(l, math.floor((l + 1) * params.mu1))
-        s_lo = _bisect(-1, mode, lambda s: _binomial_log_pmf(l, params.mu1, s) >= floor)
-        s_end = _bisect(mode, l + 1, lambda s: _binomial_log_pmf(l, params.mu1, s) < floor)
+        log_w = lambda s: _binomial_log_pmf(l, params.mu1, s)
+        lo_in, hi_in = log_w(np.array([0.0, l])) >= floor
+        s_lo = 0 if lo_in else _bisect(0, mode, lambda s: log_w(s) >= floor)
+        s_end = l + 1 if hi_in else _bisect(mode, l, lambda s: log_w(s) < floor)
         s = np.arange(s_lo, s_end, dtype=np.float64)
-        log_weights = _binomial_log_pmf(l, params.mu1, s)
+        log_weights = log_w(s)
         log_p = s * c.log_gamma1 + (l - s) * c.log_gamma0
         return cls(params=params, n=n, l=l, s_lo=s_lo, log_weights=log_weights, log_p=log_p)
 

@@ -51,7 +51,7 @@ from .model import (
     _require_lognormal_limit,
 )
 from .sampler import DegreeSampleSet, sample_degrees_direct, sample_degrees_fullgraph
-from .stats import chi_square_gof, dkw_proxy, ks_statistic, tv_to_exact, two_sample_ks
+from .stats import chi_square_gof, dkw_proxy, ks_statistic, tv_limit, tv_to_exact, two_sample_ks
 
 __all__ = [
     "SupDelta",
@@ -65,6 +65,9 @@ __all__ = [
     "ExperimentReport",
     "run_experiment",
 ]
+
+#: False-alarm level of each of degree_fit's tests of a sampler.
+FIT_ALPHA = 1e-3
 
 #: Residual tolerances of the reconciliation identities.
 KL_VAR_TOL = 1e-12
@@ -149,15 +152,8 @@ class ExperimentConfig:
     out: str | None = None
     graph_draws: int | None = None          # degree_fit
     t_values: tuple[float, ...] = (0.1, 1.0, 10.0)  # lambda_probe
-    tolerance: float = 0.07                 # lambda_probe |frac - 1/2| limit
     param_sets: int = 20                    # kl_reconcile random parameter sets
     c_star: float = DEFAULT_C_STAR          # bound_check / lognormal_ks
-    tv_direct_max: float = 0.01             # degree_fit pass thresholds
-    tv_graph_max: float = 0.02
-    p_min: float = 1e-3
-    final_sup_delta_max: float = 0.1        # lognormal_ks
-    final_p0_min: float = 0.9               # zero_one_law, subcritical
-    final_p0_max: float = 0.1               # zero_one_law, supercritical
 
     def __post_init__(self) -> None:
         if not self.n_grid:
@@ -176,8 +172,6 @@ class ExperimentConfig:
             raise ConfigError("graph_draws must be an integer >= 100")
         if any(t <= 0 for t in self.t_values):
             raise ConfigError("t_values must be positive")
-        if not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
         if not (isinstance(self.param_sets, int) and self.param_sets >= 1):
             raise ConfigError("param_sets must be an integer >= 1")
 
@@ -415,11 +409,11 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
         _, ks_p = two_sample_ks(direct.degrees, graph.degrees)
         rows.extend([
             ReportRow(n, "tv_direct", tv_d, stderr=dkw_proxy(direct.count),
-                      passed=tv_d < config.tv_direct_max),
+                      passed=tv_d <= tv_limit(exact, direct.count, FIT_ALPHA)),
             ReportRow(n, "tv_fullgraph", tv_g, stderr=dkw_proxy(graph.count),
-                      passed=tv_g < config.tv_graph_max),
-            ReportRow(n, "chisq_p_direct", chi_p, passed=chi_p > config.p_min),
-            ReportRow(n, "ks2_p", ks_p, passed=ks_p > config.p_min),
+                      passed=tv_g <= tv_limit(exact, graph.count, FIT_ALPHA)),
+            ReportRow(n, "chisq_p_direct", chi_p, passed=chi_p > FIT_ALPHA),
+            ReportRow(n, "ks2_p", ks_p, passed=ks_p > FIT_ALPHA),
         ])
     return rows
 
@@ -454,7 +448,7 @@ def _run_lognormal_ks(config: ExperimentConfig, threads: int) -> list[ReportRow]
     ))
     rows.append(ReportRow(
         n_last, "sup_delta_final", deltas[-1].sup_delta, stderr=deltas[-1].proxy,
-        passed=deltas[-1].sup_delta < config.final_sup_delta_max,
+        passed=deltas[-1].sup_delta < 0.1,
     ))
     return rows
 
@@ -474,11 +468,11 @@ def _run_zero_one_law(config: ExperimentConfig, threads: int) -> list[ReportRow]
     steps = [b - a for a, b in zip(p0s, p0s[1:])]
     if regime.regime is Regime.SUBCRITICAL:
         monotone = all(s > 0 for s in steps)
-        final_ok = p0s[-1] > config.final_p0_min
+        final_ok = p0s[-1] > 0.9
         worst = min(steps) if steps else 0.0
     else:
         monotone = all(s < 0 for s in steps)
-        final_ok = p0s[-1] < config.final_p0_max
+        final_ok = p0s[-1] < 0.1
         worst = max(steps) if steps else 0.0
     rows.append(ReportRow(n_last, "p0_trend_monotone", worst, exact=True, passed=monotone))
     rows.append(ReportRow(n_last, "p0_final", p0s[-1], exact=True, passed=final_ok))
@@ -494,7 +488,7 @@ def _run_lambda_probe(config: ExperimentConfig, threads: int) -> list[ReportRow]
             rows.append(ReportRow(
                 n, f"lambda_frac[t={t:g}]", frac,
                 stderr=_fraction_stderr(frac, samples.count),
-                passed=abs(frac - 0.5) <= config.tolerance,
+                passed=abs(frac - 0.5) <= 0.07,
             ))
     return rows
 

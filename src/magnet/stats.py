@@ -13,6 +13,7 @@ from .errors import InvalidParamsError
 __all__ = [
     "empirical_pmf",
     "tv_to_exact",
+    "tv_limit",
     "ks_statistic",
     "dkw_proxy",
     "two_sample_ks",
@@ -39,6 +40,16 @@ def tv_to_exact(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> float:
     exact[:k] = exact_pmf_prefix
     tail = max(0.0, 1.0 - float(np.sum(exact_pmf_prefix)))
     return 0.5 * (float(np.abs(emp - exact).sum()) + tail)
+
+
+def tv_limit(exact_pmf_prefix: np.ndarray, n: int, alpha: float) -> float:
+    """Level-``alpha`` upper limit on :func:`tv_to_exact` for ``n`` draws of
+    the law with pmf ``exact_pmf_prefix`` on 0..K-1.  E[TV] is at most the
+    tail beyond K - 1 plus sum_d sqrt(p_d (1 - p_d) / n) / 2 (Jensen), and
+    one draw moves TV by at most 1/n (McDiarmid)."""
+    p = np.asarray(exact_pmf_prefix, dtype=np.float64)
+    mean_max = 0.5 * float(np.sqrt(p * (1.0 - p) / n).sum()) + max(0.0, 1.0 - float(p.sum()))
+    return mean_max + math.sqrt(math.log(1.0 / alpha) / (2.0 * n))
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:

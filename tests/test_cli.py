@@ -219,8 +219,12 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_approx_rejects_mismatched_l(capsys):
-    # --l must match the scaled attribute count for limit comparisons
-    assert main(["approx", "--n", "1000000", "--rho", "1.0", "--l", "9"]) == 2
+    # approx compares against the scaled limit, so it always uses L_n and has
+    # no --l flag: any --l, even L_n = 14 itself, is a usage error
+    for l in ("9", "14"):
+        with pytest.raises(SystemExit) as exc:
+            main(["approx", "--n", "1000000", "--rho", "1.0", "--l", l])
+        assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -239,6 +239,23 @@ def test_attribute_count_window_drops_less_than_the_smallest_double(l, mu1, wind
     assert logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_whole_range_window_costs_no_bisection(monkeypatch):
+    # at l = 14, mu1 = 0.6 both ends of 0..l clear the floor: one call tests
+    # them and one evaluates the weights
+    import magnet.degree_dist as dd
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _binomial_log_pmf(*args)
+
+    monkeypatch.setattr(dd, "_binomial_log_pmf", counted)
+    table = DegreePmfTable.from_model(P, 10**6, 14)
+    assert (table.s_lo, len(table.log_weights)) == (0, 15)
+    assert len(calls) <= 2
+
+
 def test_degree_argument_validation():
     table = DegreePmfTable.from_model(P, 30, 3)
     with pytest.raises(InvalidParamsError):
