@@ -9,10 +9,10 @@ by the sum of four closed-form terms:
     term_hoeffding = 4 exp(-2 L_n eta**2)
     term_chernoff  = 2 exp( -Psi(delta) (n-1) (gamma1**(mu1+eta) gamma0**(mu0+eta))**L_n )
 
-with Psi(x) = (x+1) ln(x+1) - x and C* the Berry-Esseen constant
-(default 0.4748).  Totals at or above 1 certify nothing; they are
-returned flagged as vacuous rather than rejected, since the terms decay
-only on astronomical scales for typical parameters.
+with Psi(x) = (x+1) ln(x+1) - x and C* = 0.4748 the best proven
+Berry-Esseen constant (Shevtsova 2011).  Totals at or above 1 certify
+nothing; they are returned flagged as vacuous rather than rejected, since
+the terms decay only on astronomical scales for typical parameters.
 
 The same Psi drives a standalone concentration bound for the ratio of a
 degree to its conditional mean.
@@ -30,7 +30,7 @@ from .model import ModelParams, Scaling, derive_constants, _check_n, _require_lo
 from .degree_dist import _check_l, _write_out
 
 __all__ = [
-    "DEFAULT_C_STAR",
+    "C_STAR",
     "psi",
     "BoundCertificate",
     "GridSpec",
@@ -41,7 +41,8 @@ __all__ = [
     "write_bound_csv",
 ]
 
-DEFAULT_C_STAR = 0.4748
+#: Berry-Esseen constant; a smaller one voids the certificate, a larger one loosens it.
+C_STAR = 0.4748
 
 #: exp() arguments beyond this are treated as overflow -> term collapses to 0.
 _EXP_MAX = 700.0
@@ -73,7 +74,6 @@ class BoundCertificate:
     l: int
     delta: float
     eta: float
-    c_star: float
     term_clt: float
     term_be: float
     term_hoeffding: float
@@ -123,20 +123,19 @@ def _tail_terms(params: ModelParams, n: int, l: int, delta, eta):
     return hoeffding, chernoff
 
 
-def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta, c_star: float):
+def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta):
     """(term_clt, term_be, term_hoeffding, term_chernoff); arrays broadcast."""
     c = derive_constants(params)
     mu1, mu0 = params.mu1, params.mu0
     clt = (
         _xp(delta).log((1.0 + delta) / (1.0 - delta)) + _log_n_over_n_minus_1(n)
     ) / math.sqrt(2.0 * math.pi * c.sigma ** 2 * l)
-    be = (3.0 * c_star / math.sqrt(l)) * (mu1 ** 2 + mu0 ** 2) / math.sqrt(mu1 * mu0)
+    be = (3.0 * C_STAR / math.sqrt(l)) * (mu1 ** 2 + mu0 ** 2) / math.sqrt(mu1 * mu0)
     return (clt, be, *_tail_terms(params, n, l, delta, eta))
 
 
 def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
-                       delta: float, eta: float | None = None,
-                       c_star: float = DEFAULT_C_STAR) -> BoundCertificate:
+                       delta: float, eta: float | None = None) -> BoundCertificate:
     """Evaluate the four-term certificate at (n, delta, eta)."""
     _check_n(n)
     _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
@@ -145,12 +144,10 @@ def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
     if not (math.isfinite(delta) and 0.0 < delta < 1.0):
         raise InvalidParamsError(f"delta must lie in (0, 1), got {delta}")
     _check_eta(eta, params.mu1)
-    if not (math.isfinite(c_star) and c_star > 0.0):
-        raise InvalidParamsError(f"c_star must be positive, got {c_star}")
     l = scaling.attr_count(n)
-    clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta, c_star)
+    clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta)
     return BoundCertificate(
-        n=n, l=l, delta=delta, eta=eta, c_star=c_star,
+        n=n, l=l, delta=delta, eta=eta,
         term_clt=clt, term_be=be, term_hoeffding=hoeffding, term_chernoff=chernoff,
     )
 
@@ -166,14 +163,6 @@ class GridSpec:
     eta_lo_frac: float = 1e-4
     eta_hi_frac: float = 1.0 - 1e-4
 
-    def __post_init__(self) -> None:
-        if self.n_delta < 1 or self.n_eta < 1:
-            raise InvalidParamsError("grid sizes must be >= 1")
-        if not 0.0 < self.delta_lo <= self.delta_hi < 1.0:
-            raise InvalidParamsError("delta grid must satisfy 0 < lo <= hi < 1")
-        if not 0.0 < self.eta_lo_frac <= self.eta_hi_frac < 1.0:
-            raise InvalidParamsError("eta grid fractions must satisfy 0 < lo <= hi < 1")
-
     def deltas(self) -> np.ndarray:
         return np.geomspace(self.delta_lo, self.delta_hi, self.n_delta)
 
@@ -181,28 +170,23 @@ class GridSpec:
         return mu1 * np.geomspace(self.eta_lo_frac, self.eta_hi_frac, self.n_eta)
 
 
-def optimize_bound(params: ModelParams, n: int, scaling: Scaling,
-                   c_star: float = DEFAULT_C_STAR,
-                   grid: GridSpec | None = None) -> BoundCertificate:
-    """Minimize the certificate total over the (delta, eta) grid.
+def optimize_bound(params: ModelParams, n: int, scaling: Scaling) -> BoundCertificate:
+    """Minimize the certificate total over the ``GridSpec()`` (delta, eta) grid.
 
     Ties break toward the smaller delta, then the smaller eta, which the
     ascending row-major scan realizes as "first minimum wins".
     """
     _check_n(n)
     _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
-    if grid is None:
-        grid = GridSpec()
+    grid = GridSpec()
     l = scaling.attr_count(n)
     deltas = grid.deltas()
     etas = grid.etas(params.mu1)
-    t_clt, t_be, t_hoef, t_chern = _certificate_terms(
-        params, n, l, deltas[:, None], etas, c_star
-    )
+    t_clt, t_be, t_hoef, t_chern = _certificate_terms(params, n, l, deltas[:, None], etas)
     total = t_clt + t_be + t_hoef + t_chern
     flat = int(np.argmin(total))  # first minimum: smallest delta, then eta
     i, j = divmod(flat, len(etas))
-    return berry_esseen_bound(params, n, scaling, float(deltas[i]), float(etas[j]), c_star)
+    return berry_esseen_bound(params, n, scaling, float(deltas[i]), float(etas[j]))
 
 
 def ratio_concentration_bound(params: ModelParams, n: int, l: int,

@@ -19,12 +19,14 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .bounds import DEFAULT_C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
+from .bounds import C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
 from .degree_dist import DegreePmfTable, _last_degree, _write_out, write_pmf_csv
 from .errors import BudgetError, InvalidParamsError, MagnetError, RegimeError
 from .experiments import config_hash, parse_config, run_experiment
 from .limits import cdf_approx
-from .model import ModelParams, Rounding, Scaling, classify_regime, derive_constants
+from .model import (
+    REFERENCE_PARAMS, ModelParams, Rounding, Scaling, classify_regime, derive_constants,
+)
 from .sampler import (
     DEFAULT_PAIR_BUDGET,
     SampleMethod,
@@ -48,10 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q11", type=float, default=0.7)
-    parser.add_argument("--q10", type=float, default=0.2)
-    parser.add_argument("--q00", type=float, default=0.5)
-    parser.add_argument("--mu1", type=float, default=0.6)
+    for f in dataclasses.fields(ModelParams):
+        parser.add_argument(f"--{f.name}", type=float, default=getattr(REFERENCE_PARAMS, f.name))
 
 
 def _add_scaling(parser: argparse.ArgumentParser) -> None:
@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fix delta (otherwise optimize over the grid)")
     p.add_argument("--eta", type=float, default=None,
                    help="fix eta (with --delta; default min(mu1,mu0)/4)")
-    p.add_argument("--c-star", type=float, default=DEFAULT_C_STAR)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("experiment", help="run an experiment config and write its report")
@@ -217,17 +216,17 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     certs = []
     for n in args.n:
         if args.delta is not None:
-            certs.append(berry_esseen_bound(params, n, scaling, args.delta,
-                                            eta=args.eta, c_star=args.c_star))
+            certs.append(berry_esseen_bound(params, n, scaling, args.delta, eta=args.eta))
         else:
             if args.eta is not None:
                 raise InvalidParamsError("--eta needs --delta (or drop both to optimize)")
-            certs.append(optimize_bound(params, n, scaling, c_star=args.c_star))
+            certs.append(optimize_bound(params, n, scaling))
     if args.format == "csv":
         write_bound_csv(_target(args), certs)
     else:
         payload = [
-            {**dataclasses.asdict(c), "total": c.total, "vacuous": c.vacuous} for c in certs
+            {**dataclasses.asdict(c), "c_star": C_STAR, "total": c.total, "vacuous": c.vacuous}
+            for c in certs
         ]
         _write_out(_target(args), [json.dumps(payload, indent=2, sort_keys=True)])
     return 0

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _rng
 from ._version import __version__
-from .bounds import DEFAULT_C_STAR, optimize_bound
+from .bounds import optimize_bound
 from .degree_dist import DegreePmfTable, _write_out
 from .errors import ConfigError, InvalidParamsError, RegimeError
 from .limits import (
@@ -96,13 +96,12 @@ class SupDelta:
     n_nonzero: int
 
 
-def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling,
-                        alpha: float = 0.05) -> SupDelta:
+def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling) -> SupDelta:
     """KS distance of ``transform_degree`` draws to LogNormal(0, sigma**2).
 
     Zero degrees are excluded from the KS part and reported (and folded in)
-    through the zero atom; the stderr proxy is the DKW half-width at level
-    ``alpha`` for the nonzero sample size.
+    through the zero atom; the stderr proxy is :func:`dkw_proxy` of the
+    nonzero sample size.
     """
     params = samples.params
     n = samples.n
@@ -120,7 +119,7 @@ def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling,
         sup_delta=max(zero_fraction, ks),
         ks_nonzero=ks,
         zero_fraction=zero_fraction,
-        proxy=dkw_proxy(len(nonzero), alpha),
+        proxy=dkw_proxy(len(nonzero)),
         n_total=len(d),
         n_nonzero=len(nonzero),
     )
@@ -153,7 +152,6 @@ class ExperimentConfig:
     graph_draws: int | None = None          # degree_fit
     t_values: tuple[float, ...] = (0.1, 1.0, 10.0)  # lambda_probe
     param_sets: int = 20                    # kl_reconcile random parameter sets
-    c_star: float = DEFAULT_C_STAR          # bound_check / lognormal_ks
 
     def __post_init__(self) -> None:
         if not self.n_grid:
@@ -186,11 +184,13 @@ _EXPERIMENT_FIELDS = tuple(
     f for f in dataclasses.fields(ExperimentConfig) if f.name not in ("params", "scaling")
 )
 
-#: How an [experiment] value is read, by the annotation of its field.
+#: How an INI value is read, by the annotation of its field.
 _CASTS = {
     "int": int,
     "int | None": int,
     "float": float,
+    "Rounding": lambda raw: Rounding(raw.lower()),
+    "ExperimentKind": ExperimentKind,
     "str | None": str,
     "tuple[int, ...]": lambda raw: tuple(int(tok) for tok in raw.split()),
     "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.split()),
@@ -213,57 +213,30 @@ def parse_config(path: str) -> ExperimentConfig:
         "scaling": dataclasses.fields(Scaling),
         "experiment": _EXPERIMENT_FIELDS,
     }
+    extra = set(cp.sections()) - set(sections)
+    if extra:
+        raise ConfigError(f"unknown sections: {sorted(extra)}")
+    values: dict[str, dict] = {}
     for section, section_fields in sections.items():
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
         unknown = set(cp.options(section)) - {f.name for f in section_fields}
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    extra = set(cp.sections()) - set(sections)
-    if extra:
-        raise ConfigError(f"unknown sections: {sorted(extra)}")
-
-    def fget(section: str, key: str, default=None, *, cast=float):
-        if not cp.has_option(section, key):
-            if default is None:
-                raise ConfigError(f"missing required key {section}.{key}")
-            return default
-        raw = cp.get(section, key).strip()
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-
+        values[section] = {}
+        for f in section_fields:
+            if not cp.has_option(section, f.name):
+                if f.default is dataclasses.MISSING:
+                    raise ConfigError(f"missing required key {section}.{f.name}")
+                continue
+            raw = cp.get(section, f.name).strip()
+            try:
+                values[section][f.name] = _CASTS[f.type](raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {section}.{f.name}: {raw!r}") from exc
     try:
-        params = ModelParams(**{f.name: fget("model", f.name) for f in sections["model"]})
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc)) from exc
-    rounding_raw = fget("scaling", "rounding", default="round", cast=str).lower()
-    try:
-        rounding = Rounding(rounding_raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad scaling.rounding: {rounding_raw!r}") from exc
-    try:
-        scaling = Scaling(rho=fget("scaling", "rho"), rounding=rounding)
-    except InvalidParamsError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    kind_raw = fget("experiment", "kind", cast=str)
-    try:
-        kind = ExperimentKind(kind_raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"unknown experiment kind {kind_raw!r}; valid: "
-            f"{[k.value for k in ExperimentKind]}"
-        ) from exc
-
-    kwargs = dict(params=params, scaling=scaling, kind=kind)
-    for f in _EXPERIMENT_FIELDS:
-        required = f.default is dataclasses.MISSING
-        if f.name != "kind" and (required or cp.has_option("experiment", f.name)):
-            kwargs[f.name] = fget("experiment", f.name, cast=_CASTS[f.type])
-    try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(params=ModelParams(**values["model"]),
+                                scaling=Scaling(**values["scaling"]), **values["experiment"])
     except InvalidParamsError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -407,10 +380,12 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
         tv_g = tv_to_exact(graph.degrees, exact)
         _, chi_p, _ = chi_square_gof(direct.degrees, exact)
         _, ks_p = two_sample_ks(direct.degrees, graph.degrees)
+        # One draw moves TV by at most 1/N, so by Efron-Stein its sd is at
+        # most 1/sqrt(2N).
         rows.extend([
-            ReportRow(n, "tv_direct", tv_d, stderr=dkw_proxy(direct.count),
+            ReportRow(n, "tv_direct", tv_d, stderr=1.0 / math.sqrt(2.0 * direct.count),
                       passed=tv_d <= tv_limit(exact, direct.count, FIT_ALPHA)),
-            ReportRow(n, "tv_fullgraph", tv_g, stderr=dkw_proxy(graph.count),
+            ReportRow(n, "tv_fullgraph", tv_g, stderr=1.0 / math.sqrt(2.0 * graph.count),
                       passed=tv_g <= tv_limit(exact, graph.count, FIT_ALPHA)),
             ReportRow(n, "chisq_p_direct", chi_p, passed=chi_p > FIT_ALPHA),
             ReportRow(n, "ks2_p", ks_p, passed=ks_p > FIT_ALPHA),
@@ -424,7 +399,7 @@ def _run_lognormal_ks(config: ExperimentConfig, threads: int) -> list[ReportRow]
     for n in config.n_grid:
         sd = empirical_sup_delta(_direct_draws(config, n, threads), config.scaling)
         deltas.append(sd)
-        cert = optimize_bound(config.params, n, config.scaling, c_star=config.c_star)
+        cert = optimize_bound(config.params, n, config.scaling)
         dominates = cert.vacuous or (sd.sup_delta + 3.0 * sd.proxy <= cert.total)
         rows.extend([
             ReportRow(n, "zero_fraction", sd.zero_fraction,
@@ -497,7 +472,7 @@ def _run_bound_check(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     rows: list[ReportRow] = []
     totals: list[float] = []
     for n in config.n_grid:
-        cert = optimize_bound(config.params, n, config.scaling, c_star=config.c_star)
+        cert = optimize_bound(config.params, n, config.scaling)
         totals.append(cert.total)
         rows.extend([
             ReportRow(n, "delta_opt", cert.delta, exact=True),

@@ -205,17 +205,17 @@ def criticality(params: ModelParams, rho: float) -> float:
     return 1.0 + rho * derive_constants(params).log_gamma_bar
 
 
-def classify_regime(params: ModelParams, rho: float, tol: float = BOUNDARY_TOL) -> RegimeResult:
+def classify_regime(params: ModelParams, rho: float) -> RegimeResult:
     """Classify (params, rho) by the sign of kappa.
 
-    Supercritical iff kappa > tol, subcritical iff kappa < -tol, boundary
-    otherwise.  Boundary classifications are rejected by the limit-theory
-    and bound operations downstream.
+    Supercritical iff kappa > BOUNDARY_TOL, subcritical iff kappa <
+    -BOUNDARY_TOL, boundary otherwise.  Boundary classifications are
+    rejected by the limit-theory and bound operations downstream.
     """
     kappa = criticality(params, rho)
-    if kappa > tol:
+    if kappa > BOUNDARY_TOL:
         regime = Regime.SUPERCRITICAL
-    elif kappa < -tol:
+    elif kappa < -BOUNDARY_TOL:
         regime = Regime.SUBCRITICAL
     else:
         regime = Regime.BOUNDARY

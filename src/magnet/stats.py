@@ -70,13 +70,12 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
     return float(np.maximum(np.abs(f - hi), np.abs(f - lo)).max())
 
 
-def dkw_proxy(n: int, alpha: float = 0.05) -> float:
-    """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n))."""
+def dkw_proxy(n: int) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n))
+    at level alpha = 0.05."""
     if n < 1:
         raise InvalidParamsError("sample size must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParamsError("alpha must lie in (0, 1)")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 
 def two_sample_ks(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -128,13 +127,12 @@ def _ks_outside_prob(m: int, n: int, h: int) -> float:
     return min(1.0, max(0.0, 1.0 - b[m + 1]))
 
 
-def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray,
-                   min_expected: float = 5.0) -> tuple[float, float, int]:
+def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> tuple[float, float, int]:
     """Chi-square goodness of fit of integer draws against an exact pmf.
 
-    Bins with expected counts below ``min_expected`` are merged from the
-    tail inward; the final bin absorbs the exact tail mass beyond the
-    given prefix.  Returns (statistic, p-value, dof).
+    A bin past the given prefix holds the exact tail mass; bins are then
+    merged by :func:`_merge_bins` to at least 5 expected counts each.
+    Returns (statistic, p-value, dof).
     """
     values = np.asarray(values, dtype=np.int64)
     n = len(values)
@@ -144,8 +142,7 @@ def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray,
     exp[:k] = np.asarray(exact_pmf_prefix, dtype=np.float64) * n
     exp[k] = max(0.0, 1.0 - float(np.sum(exact_pmf_prefix))) * n
 
-    # Merge sparse bins from the right, then from the left.
-    obs_b, exp_b = _merge_bins(obs, exp, min_expected)
+    obs_b, exp_b = _merge_bins(obs, exp)
     if len(obs_b) < 2:
         raise InvalidParamsError("chi-square needs at least two bins with mass")
     # Rescale residual normalization mismatch (regularity, not correction).
@@ -155,14 +152,16 @@ def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray,
     return stat, float(scipy.special.chdtrc(dof, stat)), dof
 
 
-def _merge_bins(obs: np.ndarray, exp: np.ndarray, min_expected: float):
+def _merge_bins(obs: np.ndarray, exp: np.ndarray):
+    """Sweep up from d = 0, closing a bin once its expected count reaches
+    5; a short remainder is folded into the last bin."""
     obs_list: list[float] = []
     exp_list: list[float] = []
     acc_o = acc_e = 0.0
     for o, e in zip(obs, exp):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             obs_list.append(acc_o)
             exp_list.append(acc_e)
             acc_o = acc_e = 0.0

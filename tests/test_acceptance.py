@@ -38,6 +38,7 @@ from scipy import stats as sps
 import mpmath as mp
 
 from magnet import (
+    C_STAR,
     DegreePmfTable,
     ModelParams,
     REFERENCE_PARAMS,
@@ -301,7 +302,7 @@ def test_criterion_10_bound_term_cross_check():
         clt = mp.log(((1 + dd) / (1 - dd)) * (mp.mpf(n) / (n - 1))) / mp.sqrt(
             2 * mp.pi * sigma**2 * L
         )
-        be = 3 * mp.mpf(repr(cert.c_star)) / mp.sqrt(L) * (
+        be = 3 * mp.mpf(repr(C_STAR)) / mp.sqrt(L) * (
             (mu1**2 + mu0**2) / mp.sqrt(mu1 * mu0)
         )
         hoef = 4 * mp.e ** (-2 * L * ee**2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from magnet import (
-    DEFAULT_C_STAR,
+    C_STAR,
     GridSpec,
     InvalidParamsError,
     ModelParams,
@@ -80,7 +80,7 @@ def test_certificate_structural_limits():
     # balanced attribute pmf: the be factor (mu1^2+mu0^2)/sqrt(mu1 mu0) is 1
     bal = ModelParams(q11=0.9, q10=0.3, q00=0.3, mu1=0.5)
     cert = berry_esseen_bound(bal, 10**6, SC, delta=0.5, eta=0.2)
-    assert cert.term_be == pytest.approx(3.0 * DEFAULT_C_STAR / math.sqrt(cert.l), rel=1e-14)
+    assert cert.term_be == pytest.approx(3.0 * C_STAR / math.sqrt(cert.l), rel=1e-14)
 
 
 def test_default_eta_is_quarter_of_minority_mass():
@@ -99,8 +99,6 @@ def test_certificate_validation():
         berry_esseen_bound(P, 10**6, SC, delta=1.0)
     with pytest.raises(InvalidParamsError):
         berry_esseen_bound(P, 10**6, SC, delta=0.5, eta=0.6)  # >= mu1
-    with pytest.raises(InvalidParamsError):
-        berry_esseen_bound(P, 10**6, SC, delta=0.5, eta=0.1, c_star=0.0)
     with pytest.raises(RegimeError):
         berry_esseen_bound(P, 10**6, Scaling(rho=2.0), delta=0.5)
     flat = ModelParams(q11=0.4, q10=0.4, q00=0.4, mu1=0.6)

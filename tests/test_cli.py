@@ -119,6 +119,7 @@ def test_bound_csv_and_json(tmp_path, capsys):
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [c["n"] for c in payload] == [1000, 1000000]
+    assert all(c["c_star"] == 0.4748 for c in payload)
     assert payload[0]["total"] > payload[1]["total"]  # optimizer shrinks with n
 
 
@@ -225,6 +226,14 @@ def test_approx_rejects_mismatched_l(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["approx", "--n", "1000000", "--rho", "1.0", "--l", l])
         assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_bound_has_no_c_star_flag(capsys):
+    # C* is fixed at its best proven value, so --c-star is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--n", "1000", "--c-star", "0.5"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

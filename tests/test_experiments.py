@@ -89,7 +89,6 @@ out = report.csv
 graph_draws = 250
 t_values = 0.5 2.0
 param_sets = 4
-c_star = 0.56
 """
 
 
@@ -118,6 +117,8 @@ def test_parse_config_roundtrip(tmp_path):
         (lambda s: s + "unknown_key = 3\n", "unknown"),
         # a pass threshold is fixed or derived from the draws, not a key
         (lambda s: s + "tolerance = 0.07\n", "tolerance"),
+        # the Berry-Esseen constant is fixed at its best proven value
+        (lambda s: s + "c_star = 0.5\n", "c_star"),
         (lambda s: s.replace("draws = 100", "draws = 99"), "draws"),
         (lambda s: s.replace("n_grid = 1000 1000000", "n_grid = 1000 10"), "increasing"),
         (lambda s: s.replace("q11 = 0.7", "q11 = 1.7"), "q11"),
@@ -149,15 +150,15 @@ def test_config_hash_ignores_output_path_but_tracks_substance(tmp_path):
     assert "out" not in canonical_text(base)
     assert len(config_hash(base)) == 64  # sha256 hex
     # frozen: the README example config and one that sets every optional key.
-    # Re-pinned when the seven pass-threshold keys left the canonical text:
-    # readme 27b99609…42cc -> 522327fe…942c, full 40299902…35cf -> d44170f1…c406
+    # Re-pinned when experiment.c_star left the canonical text:
+    # readme 522327fe…942c -> c04c388b…8911, full d44170f1…c406 -> cce19d41…ae16
     readme = parse_config(_write(tmp_path, README_INI, "readme.ini"))
     assert config_hash(readme) == (
-        "522327fe021cb56a653be4378156a30604b7072ec588d797db4008dd2a55942c"
+        "c04c388b9c61c47e0ed4a27912b4d5aecef3b5d78f651daa4fd8cb9d4cf88911"
     )
     full = parse_config(_write(tmp_path, FULL_INI, "full.ini"))
     assert config_hash(full) == (
-        "d44170f1297e3b0b22621167b079eb02ce6d699bc3ec246e6d63ed29c671c406"
+        "cce19d4161bdd73039640e6c3f15b58bd07fe6386142e4c4f2257c457eafae16"
     )
 
 
@@ -324,8 +325,11 @@ def test_degree_fit_experiment_passes_at_desk_scale():
         n_grid=(30,), draws=100000, seed=3, graph_draws=20000,
     )
     rep = run_experiment(cfg)
-    stats_seen = {r.statistic for r in rep.rows}
-    assert {"tv_direct", "tv_fullgraph", "chisq_p_direct", "ks2_p"} <= stats_seen
+    stderr = {r.statistic: r.stderr for r in rep.rows}
+    assert {"tv_direct", "tv_fullgraph", "chisq_p_direct", "ks2_p"} <= set(stderr)
+    # a TV row's stderr is the Efron-Stein bound 1/sqrt(2N) on TV's sd
+    assert stderr["tv_direct"] == 1.0 / math.sqrt(2.0 * 100000)
+    assert stderr["tv_fullgraph"] == 1.0 / math.sqrt(2.0 * 20000)
     assert rep.all_passed()
 
 

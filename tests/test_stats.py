@@ -187,6 +187,14 @@ def test_chi_square_gof_merges_sparse_tail(monkeypatch):
     assert dof < k  # tail bins were merged
 
 
+def test_merge_bins_sweeps_up_and_folds_the_remainder():
+    # 1+2+3 closes the first bin, 10 the second; the short tail 1+1 joins it
+    exp = np.array([1.0, 2.0, 3.0, 10.0, 1.0, 1.0])
+    obs, merged = mstats._merge_bins(exp.copy(), exp)
+    assert merged.tolist() == [6.0, 12.0]
+    assert obs.tolist() == [6.0, 12.0]
+
+
 def test_chi_square_gof_needs_two_bins():
     with pytest.raises(InvalidParamsError):
         chi_square_gof(np.zeros(10, dtype=np.int64), np.array([1.0]))
