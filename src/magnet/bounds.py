@@ -26,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ModelParams, Scaling, derive_constants, _check_n, _require_lognormal_limit
-from .degree_dist import _check_l, _write_out
+from .model import (
+    EXACT_MAX, ModelParams, Scaling, derive_constants, _check_int, _require_lognormal_limit,
+)
+from .degree_dist import _write_out
 
 __all__ = [
     "C_STAR",
@@ -137,14 +139,13 @@ def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta):
 def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
                        delta: float, eta: float | None = None) -> BoundCertificate:
     """Evaluate the four-term certificate at (n, delta, eta)."""
-    _check_n(n)
+    l = scaling.attr_count(n)
     _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
     if eta is None:
         eta = default_eta(params)
     if not (math.isfinite(delta) and 0.0 < delta < 1.0):
         raise InvalidParamsError(f"delta must lie in (0, 1), got {delta}")
     _check_eta(eta, params.mu1)
-    l = scaling.attr_count(n)
     clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta)
     return BoundCertificate(
         n=n, l=l, delta=delta, eta=eta,
@@ -176,10 +177,9 @@ def optimize_bound(params: ModelParams, n: int, scaling: Scaling) -> BoundCertif
     Ties break toward the smaller delta, then the smaller eta, which the
     ascending row-major scan realizes as "first minimum wins".
     """
-    _check_n(n)
+    l = scaling.attr_count(n)
     _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
     grid = GridSpec()
-    l = scaling.attr_count(n)
     deltas = grid.deltas()
     etas = grid.etas(params.mu1)
     t_clt, t_be, t_hoef, t_chern = _certificate_terms(params, n, l, deltas[:, None], etas)
@@ -197,8 +197,8 @@ def ratio_concentration_bound(params: ModelParams, n: int, l: int,
 
     Valid in every regime; delta may be any positive real.
     """
-    _check_n(n)
-    _check_l(l)
+    _check_int("n", n, 2)
+    _check_int("l", l, 1, EXACT_MAX)
     if not (math.isfinite(delta) and delta > 0.0):
         raise InvalidParamsError(f"delta must be positive, got {delta}")
     _check_eta(eta, params.mu1)

@@ -21,11 +21,12 @@ import numpy as np
 from ._version import __version__
 from .bounds import C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
 from .degree_dist import DegreePmfTable, _last_degree, _write_out, write_pmf_csv
-from .errors import BudgetError, InvalidParamsError, MagnetError, RegimeError
+from .errors import BudgetError, InvalidParamsError, RegimeError
 from .experiments import config_hash, parse_config, run_experiment
 from .limits import cdf_approx
 from .model import (
     REFERENCE_PARAMS, ModelParams, Rounding, Scaling, classify_regime, derive_constants,
+    _check_int,
 )
 from .sampler import (
     DEFAULT_PAIR_BUDGET,
@@ -264,10 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-            raise InvalidParamsError("seed must be a u64")
-        if args.threads < 1:
-            raise InvalidParamsError("threads must be >= 1")
+        _check_int("seed", _seed(args), 0, 2 ** 64 - 1)
+        _check_int("threads", args.threads, 1)
         return _COMMANDS[args.command](args)
     except RegimeError as exc:
         print(f"magnet: regime violation: {exc}", file=sys.stderr)
@@ -275,13 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetError, MemoryError) as exc:  # a refused or a failed allocation
         print(f"magnet: budget exceeded: {exc}", file=sys.stderr)
         return 4
-    except (InvalidParamsError, ValueError) as exc:
-        print(f"magnet: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except MagnetError as exc:
-        print(f"magnet: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an --out path that cannot be opened
+    except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be opened
         print(f"magnet: invalid configuration: {exc}", file=sys.stderr)
         return 2
 

@@ -30,17 +30,12 @@ import numpy as np
 import scipy
 
 from .errors import InvalidParamsError
-from .model import ModelParams, derive_constants, _check_exact_n
+from .model import EXACT_MAX, ModelParams, derive_constants, _check_int
 
 __all__ = [
     "DegreePmfTable",
     "write_pmf_csv",
 ]
-
-
-def _check_l(l: int) -> None:
-    if not (isinstance(l, int) and 1 <= l <= 2 ** 53):  # s is a double, exact to 2**53
-        raise InvalidParamsError(f"l must be an integer in [1, 2**53], got {l!r}")
 
 
 def _bisect(lo: int, hi: int, above) -> int:
@@ -150,8 +145,8 @@ class DegreePmfTable:
 
     @classmethod
     def from_model(cls, params: ModelParams, n: int, l: int) -> "DegreePmfTable":
-        _check_exact_n(n)
-        _check_l(l)
+        _check_int("n", n, 2, EXACT_MAX)
+        _check_int("l", l, 1, EXACT_MAX)
         c = derive_constants(params)
         # ln P(S = s) is unimodal and at least -ln(l + 1) at the mode, so an
         # end of 0..l below the floor is a bisection between it and the mode.
@@ -221,8 +216,7 @@ def _last_degree(table: DegreePmfTable, d_max: int | None, q: float) -> int:
     must lie in [0, n - 1], or the law's ``q`` quantile when it is None."""
     if d_max is None:
         return table.quantile(q)
-    if not (isinstance(d_max, int) and 0 <= d_max <= table.n - 1):
-        raise InvalidParamsError(f"d_max must be an integer in [0, {table.n - 1}], got {d_max!r}")
+    _check_int("d_max", d_max, 0, table.n - 1)
     return d_max
 
 

@@ -48,10 +48,13 @@ from .model import (
     Scaling,
     classify_regime,
     derive_constants,
+    _check_int,
     _require_lognormal_limit,
 )
 from .sampler import DegreeSampleSet, sample_degrees_direct, sample_degrees_fullgraph
-from .stats import chi_square_gof, dkw_proxy, ks_statistic, tv_limit, tv_to_exact, two_sample_ks
+from .stats import (
+    FIT_ALPHA, chi_square_gof, dkw_proxy, ks_statistic, tv_limit, tv_to_exact, two_sample_ks,
+)
 
 __all__ = [
     "SupDelta",
@@ -65,9 +68,6 @@ __all__ = [
     "ExperimentReport",
     "run_experiment",
 ]
-
-#: False-alarm level of each of degree_fit's tests of a sampler.
-FIT_ALPHA = 1e-3
 
 #: Residual tolerances of the reconciliation identities.
 KL_VAR_TOL = 1e-12
@@ -149,33 +149,28 @@ class ExperimentConfig:
     draws: int
     seed: int
     out: str | None = None
-    graph_draws: int | None = None          # degree_fit
+    graph_draws: int | None = None          # degree_fit; None: max(100, draws // 4)
     t_values: tuple[float, ...] = (0.1, 1.0, 10.0)  # lambda_probe
     param_sets: int = 20                    # kl_reconcile random parameter sets
 
     def __post_init__(self) -> None:
-        if not self.n_grid:
-            raise ConfigError("n_grid must be nonempty")
-        if any(not isinstance(n, int) or n < 2 for n in self.n_grid):
-            raise ConfigError("n_grid entries must be integers >= 2")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ConfigError("n_grid must be strictly increasing")
-        if not (isinstance(self.draws, int) and self.draws >= 100):
-            raise ConfigError(f"draws must be an integer >= 100, got {self.draws!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise ConfigError("seed must be an integer in [0, 2**64)")
-        if self.graph_draws is not None and (
-            not isinstance(self.graph_draws, int) or self.graph_draws < 100
-        ):
-            raise ConfigError("graph_draws must be an integer >= 100")
-        if any(t <= 0 for t in self.t_values):
-            raise ConfigError("t_values must be positive")
-        if not (isinstance(self.param_sets, int) and self.param_sets >= 1):
-            raise ConfigError("param_sets must be an integer >= 1")
-
-    @property
-    def effective_graph_draws(self) -> int:
-        return self.graph_draws if self.graph_draws is not None else max(100, self.draws // 4)
+        try:
+            if not self.n_grid:
+                raise InvalidParamsError("n_grid must be nonempty")
+            for n in self.n_grid:
+                _check_int("each n_grid entry", n, 2)
+            if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+                raise InvalidParamsError("n_grid must be strictly increasing")
+            _check_int("draws", self.draws, 100)
+            _check_int("seed", self.seed, 0, 2 ** 64 - 1)
+            if self.graph_draws is None:
+                object.__setattr__(self, "graph_draws", max(100, self.draws // 4))
+            _check_int("graph_draws", self.graph_draws, 100)
+            if any(t <= 0 for t in self.t_values):
+                raise InvalidParamsError("t_values must be positive")
+            _check_int("param_sets", self.param_sets, 1)
+        except InvalidParamsError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 #: The [experiment] keys: every config field but the [model] and [scaling]
@@ -199,12 +194,12 @@ _CASTS = {
 
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment INI file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
 
@@ -246,7 +241,7 @@ def canonical_text(config: ExperimentConfig) -> str:
 
     One ``section.key = value`` line per config field, sorted; floats in
     ``repr`` form.  The output path is excluded: it does not influence any
-    number.  ``graph_draws`` enters with its default resolved.
+    number.
     """
     items = {}
     for section, obj in (("model", config.params), ("scaling", config.scaling),
@@ -254,8 +249,7 @@ def canonical_text(config: ExperimentConfig) -> str:
         for f in dataclasses.fields(obj):
             if f.name in ("params", "scaling", "out"):
                 continue
-            name = "effective_graph_draws" if f.name == "graph_draws" else f.name
-            value = getattr(obj, name)
+            value = getattr(obj, f.name)
             if isinstance(value, enum.Enum):
                 text = value.value
             elif isinstance(value, tuple):
@@ -370,7 +364,7 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
         l = config.scaling.attr_count(n)
         direct = _direct_draws(config, n, threads)
         graph_seed = _rng.word_at(_rng.stream_key(config.seed, _rng.TAG_GRID_GRAPH), n)
-        graph = sample_degrees_fullgraph(config.params, n, l, config.effective_graph_draws,
+        graph = sample_degrees_fullgraph(config.params, n, l, config.graph_draws,
                                          graph_seed, threads=threads)
         table = DegreePmfTable.from_model(config.params, n, l)
         d_hi = int(max(direct.degrees.max(), graph.degrees.max()))
@@ -384,9 +378,9 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
         # most 1/sqrt(2N).
         rows.extend([
             ReportRow(n, "tv_direct", tv_d, stderr=1.0 / math.sqrt(2.0 * direct.count),
-                      passed=tv_d <= tv_limit(exact, direct.count, FIT_ALPHA)),
+                      passed=tv_d <= tv_limit(exact, direct.count)),
             ReportRow(n, "tv_fullgraph", tv_g, stderr=1.0 / math.sqrt(2.0 * graph.count),
-                      passed=tv_g <= tv_limit(exact, graph.count, FIT_ALPHA)),
+                      passed=tv_g <= tv_limit(exact, graph.count)),
             ReportRow(n, "chisq_p_direct", chi_p, passed=chi_p > FIT_ALPHA),
             ReportRow(n, "ks2_p", ks_p, passed=ks_p > FIT_ALPHA),
         ])

@@ -41,7 +41,6 @@ from .model import (
     Scaling,
     derive_constants,
     require_supercritical,
-    _check_n,
     _require_lognormal_limit,
 )
 from .sampler import DegreeSampleSet
@@ -111,9 +110,8 @@ def lognormal_cdf(x, spec: LogNormalSpec):
 
 def _scale_exponent(params: ModelParams, n: int, scaling: Scaling) -> tuple[int, float]:
     """(L_n, 1 + rho_n * lgbar) with the supercritical gate applied."""
-    _check_n(n)
-    require_supercritical(params, scaling.rho, "the log-normal degree limit")
     l = scaling.attr_count(n)
+    require_supercritical(params, scaling.rho, "the log-normal degree limit")
     rho_n = l / math.log(n)
     c = derive_constants(params)
     return l, 1.0 + rho_n * c.log_gamma_bar
@@ -144,7 +142,6 @@ def cdf_approx(t, n: int, scaling: Scaling, params: ModelParams):
 
 def kl_params(params: ModelParams, n: int, scaling: Scaling) -> LogNormalSpec:
     """Mean/variance of ln D in the historical parameterization."""
-    _check_n(n)
     l = scaling.attr_count(n)
     c = derive_constants(params)
     mu1, mu0 = params.mu1, params.mu0

@@ -45,7 +45,6 @@ __all__ = [
     "Regime",
     "RegimeResult",
     "derive_constants",
-    "criticality",
     "classify_regime",
     "require_supercritical",
     "REFERENCE_PARAMS",
@@ -54,6 +53,18 @@ __all__ = [
 
 #: Half-open tolerance used to declare kappa "on the boundary".
 BOUNDARY_TOL = 1e-12
+
+#: Largest node count, attribute count and degree of the exact law and the
+#: samplers: they hold these counts as doubles, exact up to 2**53.  The
+#: asymptotic layers (limits, bounds) take any n.
+EXACT_MAX = 2 ** 53
+
+
+def _check_int(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """Raise :class:`InvalidParamsError` unless ``value`` is an integer in
+    [lo, hi]; the package's one range check for integer inputs."""
+    if not (isinstance(value, int) and lo <= value <= hi):
+        raise InvalidParamsError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 # =====================================================================
@@ -152,7 +163,7 @@ class Scaling:
 
     def attr_count(self, n: int) -> int:
         """L_n: the integerized attribute count at node count ``n`` (>= 2)."""
-        _check_n(n)
+        _check_int("n", n, 2)
         x = self.rho * math.log(n)
         if self.rounding is Rounding.ROUND:
             l = math.floor(x + 0.5)  # half-up, deterministic
@@ -165,20 +176,6 @@ class Scaling:
     def rho_n(self, n: int) -> float:
         """The effective ratio rho_n = L_n / ln n (exactly, no re-rounding)."""
         return self.attr_count(n) / math.log(n)
-
-
-def _check_n(n: int) -> None:
-    if not (isinstance(n, (int,)) and n >= 2):
-        raise InvalidParamsError(f"n must be an integer >= 2, got {n!r}")
-
-
-def _check_exact_n(n: int) -> None:
-    """:func:`_check_n` plus n <= 2**53, for the exact law and the samplers:
-    they hold node and degree counts as doubles, exact up to 2**53.  The
-    asymptotic layers (limits, bounds) take any n."""
-    _check_n(n)
-    if n > 2 ** 53:
-        raise InvalidParamsError(f"exact degree laws and sampling need n <= 2**53, got {n}")
 
 
 # =====================================================================
@@ -198,21 +195,17 @@ class RegimeResult:
     rho: float
 
 
-def criticality(params: ModelParams, rho: float) -> float:
-    """kappa = 1 + rho * ln(gamma1**mu1 * gamma0**mu0)."""
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise InvalidParamsError(f"rho must be a finite positive real, got {rho!r}")
-    return 1.0 + rho * derive_constants(params).log_gamma_bar
-
-
 def classify_regime(params: ModelParams, rho: float) -> RegimeResult:
-    """Classify (params, rho) by the sign of kappa.
+    """Classify (params, rho) by the sign of the criticality
+    kappa = 1 + rho * ln(gamma1**mu1 * gamma0**mu0).
 
     Supercritical iff kappa > BOUNDARY_TOL, subcritical iff kappa <
     -BOUNDARY_TOL, boundary otherwise.  Boundary classifications are
     rejected by the limit-theory and bound operations downstream.
     """
-    kappa = criticality(params, rho)
+    if not (math.isfinite(rho) and rho > 0.0):
+        raise InvalidParamsError(f"rho must be a finite positive real, got {rho!r}")
+    kappa = 1.0 + rho * derive_constants(params).log_gamma_bar
     if kappa > BOUNDARY_TOL:
         regime = Regime.SUPERCRITICAL
     elif kappa < -BOUNDARY_TOL:

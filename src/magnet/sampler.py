@@ -33,15 +33,16 @@ from __future__ import annotations
 import concurrent.futures
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
 
 from . import _rng
-from .errors import BudgetError, InvalidParamsError
-from .model import ModelParams, _check_exact_n
-from .degree_dist import DegreePmfTable, _binomial_log_pmf, _check_l, _write_out
+from .errors import BudgetError
+from .model import EXACT_MAX, ModelParams, _check_int
+from .degree_dist import DegreePmfTable, _binomial_log_pmf, _write_out
 
 __all__ = [
     "SampleMethod",
@@ -214,9 +215,9 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
 
     Raises :class:`BudgetError` when n(n-1)/2 exceeds ``pair_budget``.
     """
-    _check_exact_n(n)
-    _check_l(l)
-    _check_seed(seed)
+    _check_int("n", n, 2, EXACT_MAX)
+    _check_int("l", l, 1, EXACT_MAX)
+    _check_int("seed", seed, 0, 2 ** 64 - 1)
     _check_pair_budget(n, pair_budget)
 
     bits = _attr_bits_for_seed(np.array([seed], dtype=np.uint64), n, l, params.mu1)[0]
@@ -255,10 +256,10 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
     attribute rows are evaluated, which is what makes batches affordable.
     Raises :class:`BudgetError` when n(n-1)/2 exceeds ``pair_budget``.
     """
-    _check_exact_n(n)
-    _check_l(l)
-    _check_seed(seed)
-    _check_count(count)
+    _check_int("n", n, 2, EXACT_MAX)
+    _check_int("l", l, 1, EXACT_MAX)
+    _check_int("seed", seed, 0, 2 ** 64 - 1)
+    _check_int("count", count, 1)
     _check_pair_budget(n, pair_budget)
 
     out = np.empty(count, dtype=np.int64)
@@ -286,8 +287,8 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
     """``count`` exact draws of D: S ~ Bin(l, mu1), then D ~ Bin(n-1, p_S), with
     S and p_S from the exact law's :class:`DegreePmfTable`."""
     table = DegreePmfTable.from_model(params, n, l)
-    _check_seed(seed)
-    _check_count(count)
+    _check_int("seed", seed, 0, 2 ** 64 - 1)
+    _check_int("count", count, 1)
     # P(S <= s) for s_lo <= s < s_hi; S - s_lo is how many a draw's uniform reaches
     cdf_s = np.cumsum(np.exp(table.log_weights[:-1]))
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)
@@ -404,6 +405,7 @@ def _run_chunks(work, count: int, item_elems: int, threads: int) -> None:
     handing work between threads costs more than it saves).  The number of
     spans is the least multiple of the threads used that keeps each span
     within ``_CHUNK_ELEMS`` elements, so every thread gets the same share.
+    The pool runs at most one worker per CPU; the spans do not depend on that.
     """
     total = count * max(1, item_elems)
     threads = max(1, min(threads, total // (_CHUNK_ELEMS // 16)))
@@ -414,23 +416,15 @@ def _run_chunks(work, count: int, item_elems: int, threads: int) -> None:
         for i0, i1 in zip(bounds, bounds[1:]):
             work(i0, i1)
         return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(work, i0, i1) for i0, i1 in zip(bounds, bounds[1:])]
         for f in futures:
             f.result()
 
 
-def _check_seed(seed: int) -> None:
-    if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
-        raise InvalidParamsError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
-def _check_count(count: int) -> None:
-    if not (isinstance(count, int) and count >= 1):
-        raise InvalidParamsError(f"count must be a positive integer, got {count!r}")
-
-
 def _check_pair_budget(n: int, pair_budget: int) -> None:
+    _check_int("pair_budget", pair_budget, 1)
     pairs = n * (n - 1) // 2
     if pairs > pair_budget:
         raise BudgetError(

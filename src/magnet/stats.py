@@ -9,6 +9,7 @@ import numpy as np
 import scipy
 
 from .errors import InvalidParamsError
+from .model import _check_int
 
 __all__ = [
     "empirical_pmf",
@@ -19,6 +20,9 @@ __all__ = [
     "two_sample_ks",
     "chi_square_gof",
 ]
+
+#: False-alarm level of each of degree_fit's tests of a sampler.
+FIT_ALPHA = 1e-3
 
 
 def empirical_pmf(values: np.ndarray, support: int) -> np.ndarray:
@@ -42,14 +46,14 @@ def tv_to_exact(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> float:
     return 0.5 * (float(np.abs(emp - exact).sum()) + tail)
 
 
-def tv_limit(exact_pmf_prefix: np.ndarray, n: int, alpha: float) -> float:
-    """Level-``alpha`` upper limit on :func:`tv_to_exact` for ``n`` draws of
+def tv_limit(exact_pmf_prefix: np.ndarray, n: int) -> float:
+    """Level-``FIT_ALPHA`` upper limit on :func:`tv_to_exact` for ``n`` draws of
     the law with pmf ``exact_pmf_prefix`` on 0..K-1.  E[TV] is at most the
     tail beyond K - 1 plus sum_d sqrt(p_d (1 - p_d) / n) / 2 (Jensen), and
     one draw moves TV by at most 1/n (McDiarmid)."""
     p = np.asarray(exact_pmf_prefix, dtype=np.float64)
     mean_max = 0.5 * float(np.sqrt(p * (1.0 - p) / n).sum()) + max(0.0, 1.0 - float(p.sum()))
-    return mean_max + math.sqrt(math.log(1.0 / alpha) / (2.0 * n))
+    return mean_max + math.sqrt(math.log(1.0 / FIT_ALPHA) / (2.0 * n))
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -73,8 +77,7 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
 def dkw_proxy(n: int) -> float:
     """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n))
     at level alpha = 0.05."""
-    if n < 1:
-        raise InvalidParamsError("sample size must be >= 1")
+    _check_int("sample size", n, 1)
     return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 

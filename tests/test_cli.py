@@ -5,6 +5,7 @@ entry point itself is exercised once via a real subprocess.
 """
 
 import json
+import random
 import subprocess
 import sys
 
@@ -150,6 +151,8 @@ def test_exit_code_2_on_invalid_configuration(tmp_path, capsys):
     assert main(["bound", "--n", "100", "--rho", "1.0", "--eta", "0.1"]) == 2
     assert main(["generate", "--n", "30", "--l", "3", "--seed", "-1"]) == 2
     assert main(["generate", "--n", "30", "--l", "3", "--threads", "0"]) == 2
+    assert main(["generate", "--n", "100", "--pair-budget", "0"]) == 2
+    assert main(["generate", "--n", "100", "--pair-budget", "-5"]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text(INI.replace("kind = kl_reconcile", "kind = nope"))
     assert main(["experiment", str(bad)]) == 2
@@ -217,6 +220,106 @@ sys.exit(main(sys.argv[1:]))
         assert proc.returncode == want, (args, proc.stderr)
         assert "Traceback" not in proc.stderr, (args, proc.stderr)
     assert pmf_out.read_text().splitlines()[-1].startswith("3906,")
+
+
+# Flag values for the argument sweep, as (valid, edge) pools: valid values
+# keep sizes small; edge values are boundary, negative, huge (past 2**53 and
+# 2**64) or not numbers at all.
+_HUGE = [str(2 ** 53 + 1), str(2 ** 64), str(10 ** 30)]
+_JUNK = ["x", "1e3", "", "0x10"]
+_REAL = (["0.3", "0.6", "0.9"], ["0", "1", "-0.2", "1e300", "nan", "inf", "x"])
+_SWEEP_VALUES = {
+    "--n": (["2", "3", "30", "300"], ["1", "0", "-5", str(2 ** 53), *_HUGE, *_JUNK]),
+    "--l": (["1", "3", "8"], ["0", "-1", str(2 ** 53), *_HUGE, *_JUNK]),
+    "--count": (["1", "10", "500"], ["0", "-2", str(2 ** 53), *_HUGE, *_JUNK]),
+    "--d-max": (["0", "5", "40"], ["-1", "299", str(2 ** 53), *_HUGE, *_JUNK]),
+    "--pair-budget": (["5000", str(10 ** 9)], ["1", "0", "-5", *_HUGE, *_JUNK]),
+    "--seed": (["0", "7"], [str(2 ** 64 - 1), "-1", *_HUGE, *_JUNK]),
+    "--threads": (["1", "2"], ["4", "0", "-3", *_JUNK]),  # never more than 4
+    "--rho": (["1.0", "2.0", "0.7"], ["0", "-1", "1e300", "1e-300", "nan", "inf", "x"]),
+    "--rounding": (["round", "ceil", "floor"], ["up"]),
+    "--method": (["direct", "fullgraph"], ["exact"]),
+    "--delta": (["0.5", "1e-4"], ["0", "1", "-1", "nan", "1e300", "x"]),
+    "--eta": (["0.1"], ["1e-9", "0", "0.6", "-1", "nan", "x"]),
+    "--format": (["csv", "json"], ["xml"]),
+    **{f"--{name}": _REAL for name in ("q11", "q10", "q00", "mu1")},
+}
+_SHARED_FLAGS = ["--q11", "--q10", "--q00", "--mu1", "--rho", "--rounding", "--seed", "--threads"]
+_SWEEP_FLAGS = {
+    "generate": ["--n", "--l", "--pair-budget", *_SHARED_FLAGS],
+    "degrees": ["--n", "--l", "--count", "--method", *_SHARED_FLAGS],
+    "pmf": ["--n", "--l", "--d-max", *_SHARED_FLAGS],
+    "regime": _SHARED_FLAGS,
+    "approx": ["--n", "--d-max", *_SHARED_FLAGS],
+    "bound": ["--n", "--delta", "--eta", "--format", *_SHARED_FLAGS],
+    "experiment": ["--seed", "--threads"],
+}
+
+
+def _sweep_argv(rng, configs):
+    """One argument vector: valid values on a random subset of the command's
+    flags (always --n), then mostly one or two flags set to an edge value."""
+    command = rng.choice(sorted(_SWEEP_FLAGS))
+    flags = _SWEEP_FLAGS[command]
+    values = {f: rng.choice(_SWEEP_VALUES[f][0]) for f in flags
+              if f == "--n" or rng.random() < 0.4}
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        flag = rng.choice(flags)
+        values[flag] = rng.choice(_SWEEP_VALUES[flag][1])
+    argv = [command, rng.choice(configs)] if command == "experiment" else [command]
+    for flag, value in values.items():
+        argv += [flag, value]
+    if command == "bound" and rng.random() < 0.5:  # a sweep over two n
+        argv += ["--n", rng.choice(_SWEEP_VALUES["--n"][0])]
+    return argv
+
+
+# Runs main() in-process on each argument vector read from stdin, under a
+# 2 GB address-space cap and a per-call alarm; prints [argv, exit, stderr].
+_SWEEP_CHILD = """
+import contextlib, io, json, resource, signal, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from magnet.cli import main
+
+class Overtime(BaseException):  # no handler in main() may take it for an OSError
+    pass
+
+def on_alarm(signum, frame):
+    raise Overtime("call still running after its alarm")
+
+signal.signal(signal.SIGALRM, on_alarm)
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except BaseException:
+        code = traceback.format_exc()
+    finally:
+        signal.alarm(0)
+    print(json.dumps([argv, code, err.getvalue()]), flush=True)
+"""
+
+
+def test_argument_sweep_exits_0_2_3_or_4_without_traceback(tmp_path):
+    # a seeded sweep over every flag: each call succeeds or exits 2, 3 or 4,
+    # and never prints a traceback
+    ini = tmp_path / "exp.ini"
+    ini.write_text(INI.replace("n_grid = 1000 1000000", "n_grid = 1000"))
+    configs = [str(ini), str(tmp_path), str(tmp_path / "missing.ini")]
+    rng = random.Random(20260)
+    vectors = [_sweep_argv(rng, configs) for _ in range(240)]
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_CHILD], input=json.dumps(vectors),
+                          capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(vectors), proc.stderr
+    for argv, code, err in results:
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err, (argv, err)
 
 
 def test_approx_rejects_mismatched_l(capsys):

@@ -26,7 +26,7 @@ from magnet import (
     sample_degrees_fullgraph,
 )
 from magnet.degree_dist import DegreePmfTable
-from magnet.experiments import FIT_ALPHA, _EXPERIMENT_FIELDS
+from magnet.experiments import _EXPERIMENT_FIELDS
 from magnet.stats import tv_limit, tv_to_exact, two_sample_ks
 
 P = REFERENCE_PARAMS
@@ -352,7 +352,7 @@ def test_tv_limit_rejects_draws_at_the_wrong_attribute_count(n):
     for draw_l, want in ((l, True), (l + 1, False)):
         d = sample_degrees_direct(P, n, draw_l, 5000, seed=8).degrees
         exact = np.asarray(table.pmf(np.arange(int(d.max()) + 1)))
-        assert (tv_to_exact(d, exact) <= tv_limit(exact, len(d), FIT_ALPHA)) is want
+        assert (tv_to_exact(d, exact) <= tv_limit(exact, len(d))) is want
 
 
 def test_readme_lists_every_optional_experiment_key():

@@ -2,6 +2,7 @@
 agreement between full-graph realizations and direct compound draws.
 """
 
+import concurrent.futures
 import hashlib
 import io
 import math
@@ -283,6 +284,40 @@ def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, t
     sizes = [i1 - i0 for i0, i1 in spans]
     assert max(sizes) - min(sizes) <= 1  # near-equal
     assert max(sizes) == 1 or (max(sizes) - 1) * item_elems < sampler._CHUNK_ELEMS
+
+
+@pytest.mark.parametrize("count, threads, cpus, n_spans, workers", [
+    (10 ** 8, 10_000, 2, 6103, 2), (10 ** 6, 2, 4, 4, 2), (10 ** 6, 3, None, 6, 1),
+])
+def test_run_chunks_pool_holds_at_most_one_worker_per_cpu(monkeypatch, count, threads, cpus,
+                                                          n_spans, workers):
+    # `degrees --n 1000000 --count 100000000 --threads 10000` splits into
+    # 6103 spans; the pool must not start a thread per span.  The fake pool
+    # runs each span inline, so this test starts no thread.
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sampler.concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    spans = []
+    sampler._run_chunks(lambda i0, i1: spans.append((i0, i1)), count, 16, threads)
+    assert seen == [workers]
+    assert len(spans) == n_spans  # the split follows --threads, not the pool
+    assert sum(i1 - i0 for i0, i1 in spans) == count
 
 
 def test_replicate_seeds_are_distinct():
