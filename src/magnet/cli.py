@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
-from .degree_dist import DegreePmfTable, _last_degree, _write_out, write_pmf_csv
+from .degree_dist import DegreePmfTable, _last_degree, _pmf_rows, _write_out, write_pmf_csv
 from .errors import BudgetError, InvalidParamsError, RegimeError
 from .experiments import config_hash, parse_config, run_experiment
 from .limits import cdf_approx
@@ -201,12 +201,12 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     scaling = _scaling(args)
     n = args.n
     table = DegreePmfTable.from_model(params, n, scaling.attr_count(n))
-    t = np.arange(_last_degree(table, args.d_max, 0.999) + 1, dtype=np.int64)
-    exact = np.asarray(table.cdf(t))
-    approx = np.asarray(cdf_approx(t.astype(np.float64), n, scaling, params))
     lines = ["n,t,cdf_exact,cdf_approx,abs_err"]
-    for ti, ei, ai in zip(t, exact, approx):
-        lines.append(f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}")
+    # cdf_exact is the pmf command's cdf column: the running sum of the pmf
+    for t, _, exact in _pmf_rows(table, _last_degree(table, args.d_max, 0.999)):
+        approx = np.asarray(cdf_approx(t.astype(np.float64), n, scaling, params))
+        lines.extend(f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}"
+                     for ti, ei, ai in zip(t, exact, approx))
     _write_out(_target(args), lines)
     return 0
 

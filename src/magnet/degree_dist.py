@@ -8,16 +8,20 @@ S ~ Bin(l, mu1), is Bin(n - 1, p_S) with per-count edge probability
 so the unconditional law is the finite mixture, with w_s = P(S = s),
 
     P(D = d)  = sum_s w_s P(Bin(n - 1, p_s) = d),
-    P(D <= d) = sum_s w_s betaincc(d + 1, n - 1 - d, p_s).
+    P(D <= d) = sum_s w_s P(Bin(n - 1, p_s) <= d).
 
 Each component pmf takes Loader's (2000) saddle-point form
 (``_binomial_log_pmf``, shared with the BTRS sampler) and the mixture is
-summed in log space by ``logsumexp``; no binomial coefficient is formed,
-so nothing cancels.  The sums run over the window of s that drops less than
-the smallest double of S's mass (``DegreePmfTable``).  The cdf is the
-regularized incomplete beta of each component, with no scan from 0, and the
-quantile is an integer bisection on it.  Degrees are doubles, exact for n
-up to 2**53.
+summed in log space by ``_logsumexp_rows``; no binomial coefficient is
+formed, so nothing cancels.  The sums run over the window of s that drops
+less than the smallest double of S's mass (``DegreePmfTable``).  A
+component's cdf sums its pmf terms over a band of K_s = ceil(12 sqrt(mu_s))
++ 60 degrees next to d (widened to a power of two), mu_s = (n - 1) p_s, on
+the side of d away from the mean (1 minus the upper band when d >= mu_s);
+beyond the band each tail is below 1e-20.  Only a component whose band
+exceeds ``_BAND_CAP`` takes scipy's regularized incomplete beta instead,
+imported on first use.  The quantile is an integer bisection on the cdf.
+Degrees are doubles, exact for n up to 2**53.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
-import scipy
 
 from .errors import InvalidParamsError
 from .model import EXACT_MAX, ModelParams, derive_constants, _check_int
@@ -172,7 +175,7 @@ class DegreePmfTable:
         """ln P(D = d) for scalar or array ``d`` in [0, n - 1]."""
         d_arr, scalar = _as_degree_array(d, self.n)
         terms = self.log_weights + _binomial_log_pmf(self.n - 1, self._p(), d_arr[:, None])
-        out = scipy.special.logsumexp(terms, axis=1)
+        out = _logsumexp_rows(terms)
         return float(out[0]) if scalar else out
 
     def pmf(self, d) -> np.ndarray | float:
@@ -180,13 +183,27 @@ class DegreePmfTable:
         return math.exp(out) if isinstance(out, float) else np.exp(out)
 
     def cdf(self, d) -> np.ndarray | float:
-        """P(D <= d) as the mixture of the components' upper incomplete
-        betas, I_{1-p}(n-1-d, d+1) = betaincc(d+1, n-1-d, p); O(l) per
-        point.  p is passed as is: forming 1 - p would drop its low bits."""
+        """P(D <= d) as the w_s-weighted sum of each component's band sum
+        (module docstring); a component whose band exceeds ``_BAND_CAP``
+        takes its upper incomplete beta betaincc(d+1, n-1-d, p) instead."""
         d_arr, scalar = _as_degree_array(d, self.n)
-        d_col = d_arr[:, None]
-        comp = scipy.special.betaincc(d_col + 1.0, (self.n - 1) - d_col, self._p())
-        out = np.minimum(comp @ np.exp(self.log_weights), 1.0)
+        # components that share p_s share a cdf: at large l, all those whose
+        # p_s is floored at the smallest normal double
+        p, which = np.unique(self._p(), return_inverse=True)
+        mean = (self.n - 1) * p
+        # each band widened to a power of two: at most seven widths to loop over
+        band = 2.0 ** np.ceil(np.log2(_band(mean)))
+        comp = np.empty((d_arr.size, p.size))
+        for k in np.unique(band):
+            at = np.flatnonzero(band == k)
+            if k <= _BAND_CAP:
+                comp[:, at] = _band_cdf(self.n - 1, p[at], mean[at], int(k), d_arr)
+            else:
+                import scipy.special  # a 0.2 s import, paid only here
+
+                d_col = d_arr[:, None]
+                comp[:, at] = scipy.special.betaincc(d_col + 1.0, (self.n - 1) - d_col, p[at])
+        out = np.minimum(comp @ np.bincount(which, weights=np.exp(self.log_weights)), 1.0)
         return float(out[0]) if scalar else out
 
     def prob_zero(self) -> float:
@@ -195,10 +212,59 @@ class DegreePmfTable:
 
     def quantile(self, q: float) -> int:
         """Smallest d with P(D <= d) >= q, by bisection on :meth:`cdf`
-        between cdf(-1) = 0 and cdf(n - 1) = 1."""
+        inside [-1, hi], hi = min(n - 1, max_s(mu_s + K_s)), above which
+        every component holds less than 1e-20; it widens to n - 1 only when
+        cdf(hi) < q."""
         if not 0.0 < q < 1.0:
             raise InvalidParamsError(f"quantile level must lie in (0, 1), got {q}")
-        return _bisect(-1, self.n - 1, lambda d: self.cdf(d) >= q)
+        mean = (self.n - 1) * self._p()
+        hi = min(self.n - 1, math.ceil(np.max(mean + _band(mean))))
+        above = lambda d: self.cdf(d) >= q
+        return _bisect(-1, hi, above) if above(hi) else _bisect(hi, self.n - 1, above)
+
+
+def _band(mean: np.ndarray) -> np.ndarray:
+    """K = ceil(12 sqrt(mean)) + 60: past mean + K, and below d - K for any
+    d < mean, a binomial with that mean holds less than 1e-20
+    (Chernoff/Bernstein)."""
+    return np.ceil(12.0 * np.sqrt(mean)) + 60.0
+
+
+#: The widest band a component's cdf is summed over; past it (a mean above
+#: about 1.1e5) the component takes the incomplete beta.
+_BAND_CAP = 4096
+#: Pmf terms evaluated at once by a band sum.
+_CHUNK = 2 ** 15
+
+
+def _band_cdf(m: int, p: np.ndarray, mean: np.ndarray, band: int, d: np.ndarray) -> np.ndarray:
+    """P(Bin(m, p_j) <= d_i) as a (len(d), len(p)) array: the pmf terms on
+    [d - band, d] where d < mean_j, else 1 minus those on [d + 1, d + band],
+    in chunks of at most ``_CHUNK`` terms."""
+    offsets = np.arange(band + 1.0)
+    out = np.empty(d.size * p.size)
+    step = max(1, _CHUNK // (band + 1))
+    for lo in range(0, out.size, step):
+        pair = np.arange(lo, min(lo + step, out.size))
+        di, j = d[pair // p.size], pair % p.size
+        below = di < mean[j]
+        k = np.where(below, di - band, di + 1.0)[:, None] + offsets
+        keep = (k >= 0) & (k <= np.minimum(np.where(below, di, di + band), m)[:, None])
+        terms = np.exp(_binomial_log_pmf(m, p[j, None], np.clip(k, 0, m)))
+        sums = np.where(keep, terms, 0.0).sum(axis=1)
+        out[pair] = np.where(below, sums, 1.0 - sums)
+    return out.reshape(d.size, p.size)
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """ln sum_j exp(a[i, j]) for each row of a finite 2-d array, formed as
+    scipy.special.logsumexp forms it, to the bit: the largest term and its
+    ties are split out, and the rest is added by log1p."""
+    top = a.max(axis=1, keepdims=True)
+    at_top = a == top
+    count = at_top.sum(axis=1, keepdims=True, dtype=np.float64)
+    rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
+    return (np.log1p(rest / count) + np.log(count) + top)[:, 0]
 
 
 def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
@@ -220,6 +286,22 @@ def _last_degree(table: DegreePmfTable, d_max: int | None, q: float) -> int:
     return d_max
 
 
+#: Rows converted to Python objects at a time by the text writers.
+_WRITE_BLOCK = 1 << 14
+
+
+def _pmf_rows(table: DegreePmfTable, d_end: int) -> Iterable[tuple[np.ndarray, ...]]:
+    """(d, pmf, cdf) for d = 0..d_end in blocks of ``_WRITE_BLOCK`` rows,
+    where cdf is the running sum of pmf, capped at 1."""
+    total = 0.0
+    for lo in range(0, d_end + 1, _WRITE_BLOCK):
+        d = np.arange(lo, min(lo + _WRITE_BLOCK, d_end + 1))
+        pmf = table.pmf(d)
+        running = np.cumsum(np.concatenate(([total], pmf)))[1:]
+        total = running[-1]
+        yield d, pmf, np.minimum(running, 1.0)
+
+
 def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
                   d_max: int | None = None) -> None:
     """Emit ``d,pmf,cdf`` rows (17 significant digits) for d = 0..d_max;
@@ -228,11 +310,9 @@ def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
     ``d_max`` defaults to the 1 - 1e-9 quantile of the degree law.
     """
     table = DegreePmfTable.from_model(params, n, l)
-    d = np.arange(_last_degree(table, d_max, 1.0 - 1e-9) + 1)
-    pmf = table.pmf(d)
-    cdf = np.minimum(np.cumsum(pmf), 1.0)
     lines = ["d,pmf,cdf"]
-    lines.extend(f"{int(di)},{pi:.17g},{ci:.17g}" for di, pi, ci in zip(d, pmf, cdf))
+    for d, pmf, cdf in _pmf_rows(table, _last_degree(table, d_max, 1.0 - 1e-9)):
+        lines.extend(f"{int(di)},{pi:.17g},{ci:.17g}" for di, pi, ci in zip(d, pmf, cdf))
     _write_out(target, lines)
 
 

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import InvalidParamsError
 from .model import (
@@ -57,11 +56,16 @@ __all__ = [
 ]
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def std_normal_cdf(z):
-    """Phi(z) = erfc(-z / sqrt(2)) / 2 for scalars or arrays."""
+    """Phi(z) = erfc(-z / sqrt(2)) / 2 for scalars or arrays, with the
+    standard library's erfc either way."""
     if np.isscalar(z):
         return 0.5 * math.erfc(-z / math.sqrt(2.0))
-    return 0.5 * scipy.special.erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
+    erfc = _erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
+    return 0.5 * np.asarray(erfc, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ import numpy as np
 from . import _rng
 from .errors import BudgetError
 from .model import EXACT_MAX, ModelParams, _check_int
-from .degree_dist import DegreePmfTable, _binomial_log_pmf, _write_out
+from .degree_dist import _WRITE_BLOCK, DegreePmfTable, _binomial_log_pmf, _write_out
 
 __all__ = [
     "SampleMethod",
@@ -72,10 +72,6 @@ _BLOCK_PAIRS = 1 << 16
 #: ``sample_graph`` tabulates link probabilities over attribute classes
 #: while the table has at most this many entries per node.
 _TABLE_ENTRIES_PER_NODE = 64
-
-#: Rows converted to Python objects at a time by the text writers.
-_WRITE_BLOCK = 1 << 14
-
 
 # =====================================================================
 # Bit-packed attribute rows
@@ -259,7 +255,7 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
     _check_int("n", n, 2, EXACT_MAX)
     _check_int("l", l, 1, EXACT_MAX)
     _check_int("seed", seed, 0, 2 ** 64 - 1)
-    _check_int("count", count, 1)
+    _check_int("count", count, 1, EXACT_MAX)
     _check_pair_budget(n, pair_budget)
 
     out = np.empty(count, dtype=np.int64)
@@ -288,7 +284,7 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
     S and p_S from the exact law's :class:`DegreePmfTable`."""
     table = DegreePmfTable.from_model(params, n, l)
     _check_int("seed", seed, 0, 2 ** 64 - 1)
-    _check_int("count", count, 1)
+    _check_int("count", count, 1, EXACT_MAX)
     # P(S <= s) for s_lo <= s < s_hi; S - s_lo is how many a draw's uniform reaches
     cdf_s = np.cumsum(np.exp(table.log_weights[:-1]))
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)

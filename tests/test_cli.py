@@ -192,10 +192,10 @@ def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
 def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # each child caps its own address space at 2 GB: the exact law at
     # n = 1e12 must fit without --d-max, and so must the attribute-count law
-    # at l = 1e7 and 1e8 (its window, not all of 0..l); an n or l past 2**53
-    # or an --out that cannot be opened must be refused with exit 2, and an
-    # allocation past the cap (7.45 GiB of degrees, 22.4 GiB of attribute
-    # bits) with exit 4, never a traceback
+    # at l = 1e7 and 1e8 (its window, not all of 0..l); an n, l or --count
+    # past 2**53 or an --out that cannot be opened must be refused with exit
+    # 2, and an allocation past the cap (7.45 GiB and 64 PiB of degrees,
+    # 22.4 GiB of attribute bits) with exit 4, never a traceback
     script = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -212,6 +212,8 @@ sys.exit(main(sys.argv[1:]))
         (["degrees", "--n", "1000", "--l", str(10**18), "--count", "10"], 2),
         (["generate", "--n", "30", "--l", "3", "--out", str(tmp_path / "missing" / "x")], 2),
         (["degrees", "--n", "1000", "--count", str(10**9)], 4),
+        (["degrees", "--n", "30", "--count", str(2**64)], 2),
+        (["degrees", "--n", "30", "--count", str(2**53)], 4),
         (["generate", "--n", "30", "--l", str(10**8)], 4),
     ]
     for args, want in cases:
@@ -219,6 +221,8 @@ sys.exit(main(sys.argv[1:]))
                               text=True, timeout=120, env=CHILD_ENV)
         assert proc.returncode == want, (args, proc.stderr)
         assert "Traceback" not in proc.stderr, (args, proc.stderr)
+        if args[-1] == str(2**64):
+            assert "count must be an integer in [1, 9007199254740992]" in proc.stderr
     assert pmf_out.read_text().splitlines()[-1].startswith("3906,")
 
 
@@ -341,16 +345,18 @@ def test_bound_has_no_c_star_flag(capsys):
 
 
 def test_start_up_path_loads_scipy_on_first_use(tmp_path):
-    # regime, bound, direct degree draws (BTRS included) and the
-    # kl_reconcile experiment need numpy only; pmf needs scipy.special, and
-    # no command, degree_fit's KS and chi-square tests included, needs
+    # regime, bound, direct degree draws (BTRS included), the exact law
+    # (pmf to its default --d-max, approx) and the zero_one_law,
+    # lognormal_ks and kl_reconcile experiments need numpy only; degree_fit
+    # loads scipy.special for its chi-square p-value, and no command needs
     # scipy.stats
-    ini = tmp_path / "kl.ini"
-    ini.write_text(INI)
-    fit_ini = tmp_path / "fit.ini"
-    fit_ini.write_text(INI.replace("kl_reconcile", "degree_fit")
-                       .replace("n_grid = 1000 1000000", "n_grid = 30")
-                       .replace("draws = 100", "draws = 400\ngraph_draws = 100"))
+    configs = {}
+    for kind, grid in (("zero_one_law", "1000 1000000"), ("lognormal_ks", "1000 1000000"),
+                       ("kl_reconcile", "1000 1000000"), ("degree_fit", "30")):
+        configs[kind] = tmp_path / f"{kind}.ini"
+        configs[kind].write_text(INI.replace("kl_reconcile", kind)
+                                 .replace("n_grid = 1000 1000000", f"n_grid = {grid}")
+                                 .replace("draws = 100", "draws = 400\ngraph_draws = 100"))
     script = """
 import io, sys
 from contextlib import redirect_stdout
@@ -359,23 +365,23 @@ import magnet.cli as cli
 def loaded():
     return ["scipy.special" in sys.modules, "scipy.stats" in sys.modules]
 with redirect_stdout(io.StringIO()):
-    assert cli.main(["regime"]) == 0
-    assert cli.main(["bound", "--n", "1000000"]) == 0
-    assert cli.main(["degrees", "--method", "direct", "--n", "1000000",
-                     "--rho", "0.5", "--count", "100"]) == 0
-    assert cli.main(["experiment", sys.argv[1]]) == 0
+    for argv in (["regime"], ["bound", "--n", "1000000"],
+                 ["degrees", "--method", "direct", "--n", "1000000", "--rho", "0.5",
+                  "--count", "100"],
+                 ["pmf", "--n", "1000000000"], ["approx", "--n", "1000000"],
+                 *(["experiment", path] for path in sys.argv[1:4])):
+        assert cli.main(argv) == 0, argv
     before = loaded()
-    assert cli.main(["pmf", "--n", "1000", "--d-max", "5"]) == 0
-    after_pmf = loaded()
-    assert cli.main(["experiment", sys.argv[2]]) == 0
-print(before, after_pmf, loaded())
+    assert cli.main(["experiment", sys.argv[4]]) == 0
+print(before, loaded())
 """
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(ini), str(fit_ini)], capture_output=True,
-        text=True, timeout=60, env=CHILD_ENV,
+        [sys.executable, "-c", script, *(str(configs[k]) for k in (
+            "zero_one_law", "lognormal_ks", "kl_reconcile", "degree_fit"))],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False] [True, False] [True, False]"
+    assert proc.stdout.strip() == "[False, False] [True, False]"
 
 
 def test_installed_entry_point_runs():

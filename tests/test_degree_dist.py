@@ -11,11 +11,13 @@ the table's own p_s.
 """
 
 import io
+import itertools
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special
 from scipy import stats
 
 from magnet import (
@@ -26,7 +28,9 @@ from magnet import (
     Scaling,
     write_pmf_csv,
 )
-from magnet.degree_dist import _binomial_log_pmf
+from magnet.degree_dist import (
+    _BAND_CAP, _band, _band_cdf, _binomial_log_pmf, _logsumexp_rows,
+)
 
 P = REFERENCE_PARAMS
 
@@ -88,12 +92,21 @@ def test_large_n_matches_40_digit_probes(n, pmf_at, cdf_at):
     got = table.pmf(np.array(pmf_at))
     for d, g, w in zip(pmf_at, got, _mp_pmf(table, pmf_at)):
         assert abs(g / float(w) - 1.0) <= 1e-12, (d, g, w)
-    # 1e-11, not 1e-12: scipy's betaincc is off by ~2.6e-11 (relative) on
-    # components with mean 3-9, which puts the mixture 1.6e-12 off at
-    # n = 1e9, d = 7.  1 - betainc, bdtr and binom.cdf are all worse.
     for d in cdf_at:
         want = float(mp.fsum(_mp_pmf(table, range(d + 1))))
-        assert abs(table.cdf(d) - want) <= 1e-11, (d, table.cdf(d), want)
+        assert abs(table.cdf(d) - want) <= 1e-12, (d, table.cdf(d), want)
+
+
+def test_cdf_matches_40_digit_sums_at_1e9():
+    # components with mean 3-9 once put the incomplete-beta cdf 1.6e-12 off
+    # here at d = 7; the band sums must stay within 1e-12 at every d <= 50
+    n = 10**9
+    table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+    ds = np.arange(51)
+    with mp.workdps(40):
+        want = np.array([float(c) for c in itertools.accumulate(_mp_pmf(table, ds))])
+    got = table.cdf(ds)
+    assert np.max(np.abs(got - want)) <= 1e-12, np.abs(got - want).argmax()
 
 
 @pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
@@ -178,11 +191,55 @@ def test_cdf_is_a_proper_distribution_function():
 
 
 def test_cdf_scan_is_consistent_at_large_n():
-    # the incomplete-beta cdf must agree with a direct pmf cumsum over a prefix
-    table = DegreePmfTable.from_model(P, 10**6, 14)
-    d = np.arange(200)
-    direct = np.cumsum(np.asarray(table.pmf(d)))
-    np.testing.assert_allclose(np.asarray(table.cdf(d)), direct, rtol=1e-12)
+    # the band-sum cdf must be nondecreasing and agree with a direct pmf
+    # cumsum out to the 1 - 1e-12 quantile
+    for n in (10**6, 10**9):
+        table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+        d = np.arange(max(200, table.quantile(1.0 - 1e-12) + 1))
+        cdf = np.asarray(table.cdf(d))
+        direct = np.cumsum(np.asarray(table.pmf(d)))
+        assert np.all(np.diff(cdf) >= 0)
+        np.testing.assert_allclose(cdf, direct, rtol=1e-12)
+        assert np.max(np.abs(cdf - direct)) <= 1e-13
+
+
+def test_cdf_past_the_band_cap_is_the_incomplete_beta_mixture():
+    # at n = 2**53 with q11 = 0.9, q00 = 0.3 the components with mean past
+    # ~1.1e5 take betaincc and the rest band sums; the mixture must equal
+    # sum_s w_s betaincc(d + 1, n - 1 - d, p_s) throughout
+    n = 2**53
+    table = DegreePmfTable.from_model(ModelParams(q11=0.9, q10=0.2, q00=0.3, mu1=0.6), n,
+                                      Scaling(rho=1.0).attr_count(n))
+    mean = (n - 1) * np.exp(table.log_p)
+    assert 0 < np.sum(_band(mean) > _BAND_CAP) < len(mean)
+    d = np.unique(np.concatenate([np.arange(0.0, 7e5, 3500.0), np.floor(mean[mean < 1e12])]))
+    p = np.exp(table.log_p)
+    want = scipy.special.betaincc(d[:, None] + 1.0, (n - 1) - d[:, None], p) \
+        @ np.exp(table.log_weights)
+    assert np.max(np.abs(table.cdf(d) - want)) <= 1e-13
+
+
+def test_band_sum_just_under_the_cap_matches_the_incomplete_beta():
+    # mean 113120 gives ceil(12 sqrt(mean)) + 60 = 4096, the widest band
+    m = 10**12 - 1
+    mean = 113120.0
+    band = int(_band(mean))
+    assert band == _BAND_CAP
+    sd = math.sqrt(mean)
+    d = np.floor([mean - sd, mean, mean + sd])
+    got = _band_cdf(m, np.array([mean / m]), np.array([mean]), band, d)[:, 0]
+    want = scipy.special.betaincc(d + 1.0, m - d, mean / m)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
+def test_log_pmf_sum_is_scipy_logsumexp_to_the_bit(n):
+    # the pmf bytes rest on this: the mixture's log-sum-exp is formed as
+    # scipy.special.logsumexp forms it
+    table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+    d = np.arange(table.quantile(1.0 - 1e-12) + 1.0)
+    terms = table.log_weights + _binomial_log_pmf(n - 1, np.exp(table.log_p), d[:, None])
+    assert np.array_equal(_logsumexp_rows(terms), scipy.special.logsumexp(terms, axis=1))
 
 
 def test_quantile_inverts_cdf():
@@ -201,9 +258,7 @@ def test_quantile_inverts_cdf():
 
 def test_log_weights_normalize():
     table = DegreePmfTable.from_model(P, 100, 7)
-    from scipy.special import logsumexp
-
-    assert logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
+    assert scipy.special.logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
     assert len(table.log_weights) == 8
     assert np.all(table.log_p < 0)
 
@@ -234,9 +289,7 @@ def test_attribute_count_window_drops_less_than_the_smallest_double(l, mu1, wind
             if 0 <= s <= l:
                 assert log_weight_times_l1(s) < floor, s
         assert log_weight_times_l1(s_lo) >= floor and log_weight_times_l1(s_hi) >= floor
-    from scipy.special import logsumexp
-
-    assert logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
+    assert scipy.special.logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_whole_range_window_costs_no_bisection(monkeypatch):
