@@ -28,8 +28,8 @@ import numpy as np
 from .errors import InvalidParamsError
 from .model import (
     EXACT_MAX, ModelParams, Scaling, derive_constants, _check_int, _require_lognormal_limit,
+    _write_out,
 )
-from .degree_dist import _write_out
 
 __all__ = [
     "C_STAR",

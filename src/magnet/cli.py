@@ -6,37 +6,25 @@ speed only, never output).  Exit codes: 0 success, 2 invalid
 configuration (an output path that cannot be opened included), 3 regime
 violation, 4 budget exceeded (a failed allocation included).  Reruns with
 the same arguments and seed produce byte-identical outputs; wall-clock
-metadata only ever lands in report sidecars.
+metadata only ever lands in report sidecars.  Each command loads only the
+modules it runs, and OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS
+is set before start-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import os
 import sys
 
-import numpy as np
-
 from ._version import __version__
-from .bounds import C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
-from .degree_dist import DegreePmfTable, _last_degree, _pmf_rows, _write_out, write_pmf_csv
 from .errors import BudgetError, InvalidParamsError, RegimeError
-from .experiments import config_hash, parse_config, run_experiment
-from .limits import cdf_approx
 from .model import (
-    REFERENCE_PARAMS, ModelParams, Rounding, Scaling, classify_regime, derive_constants,
-    _check_int,
-)
-from .sampler import (
-    DEFAULT_PAIR_BUDGET,
-    SampleMethod,
-    sample_degrees_direct,
-    sample_degrees_fullgraph,
-    sample_graph,
-    write_attributes,
-    write_degrees_csv,
-    write_edge_list,
+    DEFAULT_PAIR_BUDGET, REFERENCE_PARAMS, ModelParams, Rounding, SampleMethod, Scaling,
+    classify_regime, derive_constants, _check_int, _write_out,
 )
 
 __all__ = ["main", "build_parser"]
@@ -151,6 +139,7 @@ def _target(args: argparse.Namespace):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .sampler import sample_graph, write_attributes, write_edge_list
     graph = sample_graph(_params(args), args.n, _attr_count(args), _seed(args),
                          pair_budget=args.pair_budget)
     write_edge_list(graph, _target(args))
@@ -160,6 +149,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
+    from .sampler import sample_degrees_direct, sample_degrees_fullgraph, write_degrees_csv
     sampler = (
         sample_degrees_direct
         if args.method == SampleMethod.DIRECT.value
@@ -172,6 +162,7 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
 
 
 def _cmd_pmf(args: argparse.Namespace) -> int:
+    from .degree_dist import write_pmf_csv
     write_pmf_csv(_target(args), _params(args), args.n, _attr_count(args), d_max=args.d_max)
     return 0
 
@@ -197,21 +188,23 @@ def _cmd_regime(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
+    from .degree_dist import DegreePmfTable, _last_degree, _pmf_rows
+    from .limits import cdf_approx
     params = _params(args)
     scaling = _scaling(args)
     n = args.n
     table = DegreePmfTable.from_model(params, n, scaling.attr_count(n))
-    lines = ["n,t,cdf_exact,cdf_approx,abs_err"]
     # cdf_exact is the pmf command's cdf column: the running sum of the pmf
-    for t, _, exact in _pmf_rows(table, _last_degree(table, args.d_max, 0.999)):
-        approx = np.asarray(cdf_approx(t.astype(np.float64), n, scaling, params))
-        lines.extend(f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}"
-                     for ti, ei, ai in zip(t, exact, approx))
-    _write_out(_target(args), lines)
+    blocks = ((t, exact, cdf_approx(t, n, scaling, params))
+              for t, _, exact in _pmf_rows(table, _last_degree(table, args.d_max, 0.999)))
+    _write_out(_target(args), itertools.chain(["n,t,cdf_exact,cdf_approx,abs_err"], (
+        f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}"
+        for t, exact, approx in blocks for ti, ei, ai in zip(t, exact, approx))))
     return 0
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from .bounds import C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
     params = _params(args)
     scaling = _scaling(args)
     certs = []
@@ -234,6 +227,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from .experiments import config_hash, parse_config, run_experiment
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -262,6 +256,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # magnet does no parallel BLAS work: one thread starts faster and
+        # keeps output bytes independent of the host's core count
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

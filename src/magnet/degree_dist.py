@@ -26,6 +26,7 @@ Degrees are doubles, exact for n up to 2**53.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import IO, Iterable
@@ -33,7 +34,9 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import EXACT_MAX, ModelParams, derive_constants, _check_int
+from .model import (
+    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _check_int, _write_out,
+)
 
 __all__ = [
     "DegreePmfTable",
@@ -286,10 +289,6 @@ def _last_degree(table: DegreePmfTable, d_max: int | None, q: float) -> int:
     return d_max
 
 
-#: Rows converted to Python objects at a time by the text writers.
-_WRITE_BLOCK = 1 << 14
-
-
 def _pmf_rows(table: DegreePmfTable, d_end: int) -> Iterable[tuple[np.ndarray, ...]]:
     """(d, pmf, cdf) for d = 0..d_end in blocks of ``_WRITE_BLOCK`` rows,
     where cdf is the running sum of pmf, capped at 1."""
@@ -310,18 +309,7 @@ def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
     ``d_max`` defaults to the 1 - 1e-9 quantile of the degree law.
     """
     table = DegreePmfTable.from_model(params, n, l)
-    lines = ["d,pmf,cdf"]
-    for d, pmf, cdf in _pmf_rows(table, _last_degree(table, d_max, 1.0 - 1e-9)):
-        lines.extend(f"{int(di)},{pi:.17g},{ci:.17g}" for di, pi, ci in zip(d, pmf, cdf))
-    _write_out(target, lines)
-
-
-def _write_out(target: str | IO[str], lines: Iterable[str]) -> None:
-    """Write ``lines``, each ended by a newline, to a path or an open text
-    stream; the package's one text writer."""
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+    rows = _pmf_rows(table, _last_degree(table, d_max, 1.0 - 1e-9))
+    _write_out(target, itertools.chain(["d,pmf,cdf"], (
+        f"{int(di)},{pi:.17g},{ci:.17g}"
+        for d, pmf, cdf in rows for di, pi, ci in zip(d, pmf, cdf))))

@@ -29,7 +29,7 @@ import numpy as np
 from . import _rng
 from ._version import __version__
 from .bounds import optimize_bound
-from .degree_dist import DegreePmfTable, _write_out
+from .degree_dist import DegreePmfTable
 from .errors import ConfigError, InvalidParamsError, RegimeError
 from .limits import (
     LogNormalSpec,
@@ -50,6 +50,7 @@ from .model import (
     derive_constants,
     _check_int,
     _require_lognormal_limit,
+    _write_out,
 )
 from .sampler import DegreeSampleSet, sample_degrees_direct, sample_degrees_fullgraph
 from .stats import (

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from .model import (
     require_supercritical,
     _require_lognormal_limit,
 )
-from .sampler import DegreeSampleSet
+if TYPE_CHECKING:  # annotations only: approx needs no sampler
+    from .sampler import DegreeSampleSet
 
 __all__ = [
     "LogNormalSpec",

@@ -32,8 +32,12 @@ over) and a supercritical regime (kappa > 0, isolated nodes vanish).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass, field
+from typing import IO, Iterable
 
 from .errors import InvalidParamsError, RegimeError
 
@@ -59,12 +63,48 @@ BOUNDARY_TOL = 1e-12
 #: asymptotic layers (limits, bounds) take any n.
 EXACT_MAX = 2 ** 53
 
+#: Lines formed and written at a time by the text writer, and rows
+#: converted to Python objects at a time by the table writers.
+_WRITE_BLOCK = 1 << 14
+
+DEFAULT_PAIR_BUDGET = 10 ** 9
+
+
+class SampleMethod(enum.Enum):
+    """How ``degrees`` draws: from a whole sampled graph, or directly."""
+
+    FULL_GRAPH = "fullgraph"
+    DIRECT = "direct"
+
 
 def _check_int(name: str, value, lo: int, hi: float = math.inf) -> None:
     """Raise :class:`InvalidParamsError` unless ``value`` is an integer in
     [lo, hi]; the package's one range check for integer inputs."""
     if not (isinstance(value, int) and lo <= value <= hi):
         raise InvalidParamsError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _write_out(target: str | IO[str], lines: Iterable[str]) -> None:
+    """Write ``lines``, each ended by a newline, to a path or an open text
+    stream, ``_WRITE_BLOCK`` lines at a time; the package's one text writer.
+    A path is opened once the first block is formed and, if a later block
+    fails, removed when it names a regular file (never a device or a link),
+    so that a failed call leaves no truncated file."""
+    lines = iter(lines)
+    blocks = iter(lambda: list(itertools.islice(lines, _WRITE_BLOCK)), [])
+    texts = ("\n".join(block) + "\n" for block in blocks)
+    if not isinstance(target, str):
+        target.writelines(texts)
+        return
+    first = next(texts, "")
+    fh = open(target, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(itertools.chain([first], texts))
+    except BaseException:
+        if stat.S_ISREG(os.lstat(target).st_mode):
+            os.remove(target)
+        raise
 
 
 # =====================================================================

@@ -31,7 +31,7 @@ sampled standalone with replicate r's derived seed.
 from __future__ import annotations
 
 import concurrent.futures
-import enum
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -41,8 +41,11 @@ import numpy as np
 
 from . import _rng
 from .errors import BudgetError
-from .model import EXACT_MAX, ModelParams, _check_int
-from .degree_dist import _WRITE_BLOCK, DegreePmfTable, _binomial_log_pmf, _write_out
+from .model import (
+    DEFAULT_PAIR_BUDGET, EXACT_MAX, _WRITE_BLOCK, ModelParams, SampleMethod, _check_int,
+    _write_out,
+)
+from .degree_dist import DegreePmfTable, _binomial_log_pmf
 
 __all__ = [
     "SampleMethod",
@@ -55,8 +58,6 @@ __all__ = [
     "write_attributes",
     "write_degrees_csv",
 ]
-
-DEFAULT_PAIR_BUDGET = 10 ** 9
 
 #: Binomial draws whose mean, taken for the smaller of p and 1 - p, is at
 #: or below this use sequential inversion, the others BTRS (which needs a
@@ -112,11 +113,6 @@ def _log_link(row: np.ndarray, others: np.ndarray, l: int, params: ModelParams) 
 # =====================================================================
 # Result containers
 # =====================================================================
-
-class SampleMethod(enum.Enum):
-    FULL_GRAPH = "fullgraph"
-    DIRECT = "direct"
-
 
 @dataclass(frozen=True)
 class MagGraph:
@@ -443,7 +439,7 @@ def _header_lines(params: ModelParams, n: int, l: int, seed: int, kind: str) -> 
 def _tolist_blocks(rows: np.ndarray):
     """Python ints (or lists of them) from ``rows``, one ``tolist`` per
     block: as fast as one ``tolist`` of all rows, without holding a
-    full-size list of Python objects beside the output lines."""
+    full-size list of Python objects."""
     for k in range(0, len(rows), _WRITE_BLOCK):
         yield from rows[k:k + _WRITE_BLOCK].tolist()
 
@@ -451,22 +447,20 @@ def _tolist_blocks(rows: np.ndarray):
 def write_edge_list(graph: MagGraph, target: str | IO[str]) -> None:
     """Edge list: '#' header lines, then one ``u<TAB>v`` row per edge with
     u < v, sorted lexicographically."""
-    lines = _header_lines(graph.params, graph.n, graph.l, graph.seed, "edge list")
-    lines.extend(f"{u}\t{v}" for u, v in _tolist_blocks(graph.edges))
-    _write_out(target, lines)
+    header = _header_lines(graph.params, graph.n, graph.l, graph.seed, "edge list")
+    rows = (f"{u}\t{v}" for u, v in _tolist_blocks(graph.edges))
+    _write_out(target, itertools.chain(header, rows))
 
 
 def write_attributes(graph: MagGraph, target: str | IO[str]) -> None:
     """Attribute dump: one line per node of l characters '0'/'1'."""
     bits = graph.attribute_matrix()
-    lines = ["".join("1" if b else "0" for b in row) for row in bits]
-    _write_out(target, lines)
+    _write_out(target, ("".join("1" if b else "0" for b in row) for row in bits))
 
 
 def write_degrees_csv(samples: DegreeSampleSet, target: str | IO[str]) -> None:
     """Degree draws as CSV with provenance headers: one ``degree`` per row."""
-    lines = _header_lines(samples.params, samples.n, samples.l, samples.seed,
-                          f"degrees method={samples.method.value} count={samples.count}")
-    lines.append("degree")
-    lines.extend(map(str, _tolist_blocks(samples.degrees)))
-    _write_out(target, lines)
+    header = _header_lines(samples.params, samples.n, samples.l, samples.seed,
+                           f"degrees method={samples.method.value} count={samples.count}")
+    header.append("degree")
+    _write_out(target, itertools.chain(header, map(str, _tolist_blocks(samples.degrees))))

@@ -4,6 +4,7 @@ Most invocations go through main() in-process for speed; the installed
 entry point itself is exercised once via a real subprocess.
 """
 
+import importlib
 import json
 import random
 import subprocess
@@ -344,44 +345,140 @@ def test_bound_has_no_c_star_flag(capsys):
     capsys.readouterr()
 
 
+#: Run in a fresh interpreter: ``import magnet``, or ``cli.main(argv)``
+#: when there are arguments; prints which of ``_WATCHED`` got loaded.
+_LOADED = """
+import io, json, sys
+from contextlib import redirect_stdout
+if len(sys.argv) == 1:
+    import magnet
+else:
+    import magnet.cli as cli
+    with redirect_stdout(io.StringIO()):
+        try:
+            rc = cli.main(sys.argv[1:])
+        except SystemExit as exc:  # --version
+            rc = exc.code
+    assert rc == 0, sys.argv
+print(json.dumps([m for m in %r if m in sys.modules]))
+"""
+_WATCHED = ("numpy", "scipy", "scipy.special", "scipy.stats", "magnet.sampler",
+            "magnet.experiments")
+
+
 def test_start_up_path_loads_scipy_on_first_use(tmp_path):
-    # regime, bound, direct degree draws (BTRS included), the exact law
-    # (pmf to its default --d-max, approx) and the zero_one_law,
-    # lognormal_ks and kl_reconcile experiments need numpy only; degree_fit
-    # loads scipy.special for its chi-square p-value, and no command needs
-    # scipy.stats
-    configs = {}
+    # each case in a fresh interpreter: import magnet, --version and regime
+    # load no numpy; bound, pmf (to its default --d-max) and approx load
+    # numpy and nothing else watched, direct degree draws (BTRS included)
+    # add the sampler; the zero_one_law, lognormal_ks and kl_reconcile
+    # experiments need no scipy, degree_fit loads scipy.special for its
+    # chi-square p-value, and no command needs scipy.stats
+    ini = {}
     for kind, grid in (("zero_one_law", "1000 1000000"), ("lognormal_ks", "1000 1000000"),
                        ("kl_reconcile", "1000 1000000"), ("degree_fit", "30")):
-        configs[kind] = tmp_path / f"{kind}.ini"
-        configs[kind].write_text(INI.replace("kl_reconcile", kind)
-                                 .replace("n_grid = 1000 1000000", f"n_grid = {grid}")
-                                 .replace("draws = 100", "draws = 400\ngraph_draws = 100"))
+        ini[kind] = tmp_path / f"{kind}.ini"
+        ini[kind].write_text(INI.replace("kl_reconcile", kind)
+                             .replace("n_grid = 1000 1000000", f"n_grid = {grid}")
+                             .replace("draws = 100", "draws = 400\ngraph_draws = 100"))
+    numpy, experiment = ["numpy"], ["numpy", "magnet.sampler", "magnet.experiments"]
+    cases = [
+        ([], []), (["--version"], []), (["regime"], []),
+        (["bound", "--n", "1000000"], numpy),
+        (["pmf", "--n", "1000000000"], numpy),
+        (["approx", "--n", "1000000"], numpy),
+        (["degrees", "--method", "direct", "--n", "1000000", "--rho", "0.5", "--count", "100"],
+         ["numpy", "magnet.sampler"]),
+        *((["experiment", str(ini[k])], experiment)
+          for k in ("zero_one_law", "lognormal_ks", "kl_reconcile")),
+        (["experiment", str(ini["degree_fit"])],
+         ["numpy", "scipy", "scipy.special", "magnet.sampler", "magnet.experiments"]),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-c", _LOADED % (_WATCHED,), *argv],
+                              capture_output=True, text=True, timeout=60, env=CHILD_ENV)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(proc.stdout) == expected, argv
+
+
+#: The package's public names by owning module, in ``magnet.__all__`` order.
+PUBLIC = {
+    "errors": ["MagnetError", "InvalidParamsError", "ConfigError", "RegimeError", "BudgetError"],
+    "model": ["ModelParams", "DerivedConstants", "Rounding", "Scaling", "Regime", "RegimeResult",
+              "derive_constants", "classify_regime", "require_supercritical",
+              "REFERENCE_PARAMS", "BOUNDARY_TOL"],
+    "degree_dist": ["DegreePmfTable", "write_pmf_csv"],
+    "sampler": ["SampleMethod", "MagGraph", "DegreeSampleSet", "sample_graph",
+                "sample_degrees_direct", "sample_degrees_fullgraph", "write_edge_list",
+                "write_attributes", "write_degrees_csv"],
+    "limits": ["LogNormalSpec", "std_normal_cdf", "lognormal_cdf", "transform_degree",
+               "cdf_approx", "kl_params", "kl_reconciled_law", "lambda_limit_probe"],
+    "bounds": ["C_STAR", "psi", "BoundCertificate", "GridSpec", "default_eta",
+               "berry_esseen_bound", "optimize_bound", "ratio_concentration_bound",
+               "write_bound_csv"],
+    "experiments": ["SupDelta", "empirical_sup_delta", "ExperimentKind", "ExperimentConfig",
+                    "parse_config", "canonical_text", "config_hash", "ReportRow",
+                    "ExperimentReport", "run_experiment"],
+}
+
+
+def test_package_names_resolve_lazily_to_their_modules():
+    import magnet
+
+    names = ["__version__"] + [n for names in PUBLIC.values() for n in names]
+    assert magnet.__all__ == names
+    for module, public in PUBLIC.items():
+        owner = importlib.import_module(f"magnet.{module}")
+        for name in public:
+            assert getattr(magnet, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError):
+        magnet.no_such_name
+    # from a fresh interpreter: an unknown private name loads nothing, and
+    # the star import binds exactly the public names
     script = """
-import io, sys
-from contextlib import redirect_stdout
+import json, sys
 import magnet
-import magnet.cli as cli
-def loaded():
-    return ["scipy.special" in sys.modules, "scipy.stats" in sys.modules]
-with redirect_stdout(io.StringIO()):
-    for argv in (["regime"], ["bound", "--n", "1000000"],
-                 ["degrees", "--method", "direct", "--n", "1000000", "--rho", "0.5",
-                  "--count", "100"],
-                 ["pmf", "--n", "1000000000"], ["approx", "--n", "1000000"],
-                 *(["experiment", path] for path in sys.argv[1:4])):
-        assert cli.main(argv) == 0, argv
-    before = loaded()
-    assert cli.main(["experiment", sys.argv[4]]) == 0
-print(before, loaded())
+try:
+    magnet._no_such_name
+except AttributeError:
+    pass
+numpy = "numpy" in sys.modules
+namespace = {}
+exec("from magnet import *", namespace)
+print(json.dumps([numpy, sorted(set(namespace) - {"__builtins__"})]))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *(str(configs[k]) for k in (
-            "zero_one_law", "lognormal_ks", "kl_reconcile", "degree_fit"))],
-        capture_output=True, text=True, timeout=60, env=CHILD_ENV,
-    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, False] [True, False]"
+    assert json.loads(proc.stdout) == [False, sorted(names)]
+
+
+def test_openblas_thread_count_leaves_betaincc_pmf_bytes_alone():
+    # at l = 1 and n = 240000 the larger component's mean is 1.2e5, past
+    # the band sums, so the default --d-max quantile takes the incomplete
+    # beta and the BLAS product in DegreePmfTable.cdf; main sets one
+    # OpenBLAS thread unless the variable is preset or numpy already loaded
+    script = """
+import hashlib, io, os, sys
+from contextlib import redirect_stdout
+if sys.argv[1] == "numpy-first":
+    import numpy
+import magnet.cli as cli
+out = io.StringIO()
+with redirect_stdout(out):
+    assert cli.main(["pmf", "--n", "240000", "--l", "1"]) == 0
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "scipy.special" in sys.modules,
+      hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+    unset = {k: v for k, v in CHILD_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    seen = []
+    for first, env in (("cli", unset), ("cli", {**unset, "OPENBLAS_NUM_THREADS": "2"}),
+                       ("numpy-first", unset)):
+        proc = subprocess.run([sys.executable, "-c", script, first], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        seen.append(proc.stdout.split())
+    assert [s[:2] for s in seen] == [["1", "True"], ["2", "True"], ["None", "True"]]
+    assert len({s[2] for s in seen}) == 1
 
 
 def test_installed_entry_point_runs():

@@ -5,10 +5,13 @@ arithmetic (mpmath) for the reference parameters q11=0.7, q10=0.2,
 q00=0.5, mu1=0.6.
 """
 
+import io
 import math
 
 import numpy as np
 import pytest
+
+import magnet.model as model
 
 from magnet import (
     BOUNDARY_TOL,
@@ -23,6 +26,7 @@ from magnet import (
     derive_constants,
     require_supercritical,
 )
+from magnet.model import _write_out
 
 # 40-digit recomputation, rounded to nearest float64:
 SIGMA = 0.21863513604494742
@@ -167,3 +171,34 @@ def test_classify_regime_rejects_bad_rho():
         classify_regime(REFERENCE_PARAMS, 0.0)
     with pytest.raises(InvalidParamsError):
         classify_regime(REFERENCE_PARAMS, float("nan"))
+
+
+def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(model, "_WRITE_BLOCK", 3)
+    writes = []
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    _write_out(Stream(), (str(i) for i in range(7)))
+    assert writes == ["0\n1\n2\n", "3\n4\n5\n", "6\n"]
+
+    def failing(after):
+        yield from map(str, range(after))
+        raise MemoryError
+
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    with pytest.raises(MemoryError):  # inside the first block: the file is never opened
+        _write_out(str(path), failing(2))
+    assert path.read_text() == "kept\n"
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+    with pytest.raises(MemoryError):  # a link (or a device) is written but never removed
+        _write_out(str(link), failing(5))
+    assert link.is_symlink() and path.read_text() == "0\n1\n2\n"
+    with pytest.raises(MemoryError):  # after a written block: the file is removed
+        _write_out(str(path), failing(5))
+    assert not path.exists()
