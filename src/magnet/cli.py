@@ -23,7 +23,7 @@ import sys
 from ._version import __version__
 from .errors import BudgetError, InvalidParamsError, RegimeError
 from .model import (
-    DEFAULT_PAIR_BUDGET, REFERENCE_PARAMS, ModelParams, Rounding, SampleMethod, Scaling,
+    DEFAULT_PAIR_BUDGET, REFERENCE_PARAMS, ModelParams, SampleMethod, Scaling,
     classify_regime, derive_constants, _check_int, _write_out,
 )
 
@@ -45,8 +45,6 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
 
 def _add_scaling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rho", type=float, default=1.0)
-    parser.add_argument("--rounding", choices=[r.value for r in Rounding],
-                        default=Rounding.ROUND.value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +124,7 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _scaling(args: argparse.Namespace) -> Scaling:
-    return Scaling(rho=args.rho, rounding=Rounding(args.rounding))
+    return Scaling(rho=args.rho)
 
 
 def _attr_count(args: argparse.Namespace) -> int:

@@ -44,7 +44,6 @@ from .limits import (
 from .model import (
     ModelParams,
     Regime,
-    Rounding,
     Scaling,
     classify_regime,
     derive_constants,
@@ -150,9 +149,6 @@ class ExperimentConfig:
     draws: int
     seed: int
     out: str | None = None
-    graph_draws: int | None = None          # degree_fit; None: max(100, draws // 4)
-    t_values: tuple[float, ...] = (0.1, 1.0, 10.0)  # lambda_probe
-    param_sets: int = 20                    # kl_reconcile random parameter sets
 
     def __post_init__(self) -> None:
         try:
@@ -164,12 +160,6 @@ class ExperimentConfig:
                 raise InvalidParamsError("n_grid must be strictly increasing")
             _check_int("draws", self.draws, 100)
             _check_int("seed", self.seed, 0, 2 ** 64 - 1)
-            if self.graph_draws is None:
-                object.__setattr__(self, "graph_draws", max(100, self.draws // 4))
-            _check_int("graph_draws", self.graph_draws, 100)
-            if any(t <= 0 for t in self.t_values):
-                raise InvalidParamsError("t_values must be positive")
-            _check_int("param_sets", self.param_sets, 1)
         except InvalidParamsError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -183,13 +173,10 @@ _EXPERIMENT_FIELDS = tuple(
 #: How an INI value is read, by the annotation of its field.
 _CASTS = {
     "int": int,
-    "int | None": int,
     "float": float,
-    "Rounding": lambda raw: Rounding(raw.lower()),
     "ExperimentKind": ExperimentKind,
     "str | None": str,
     "tuple[int, ...]": lambda raw: tuple(int(tok) for tok in raw.split()),
-    "tuple[float, ...]": lambda raw: tuple(float(tok) for tok in raw.split()),
 }
 
 
@@ -346,7 +333,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
             f"q00={config.params.q00!r} mu1={config.params.mu1!r}"
         ),
         "rho": repr(config.scaling.rho),
-        "rounding": config.scaling.rounding.value,
         "n_grid": " ".join(str(n) for n in config.n_grid),
         "draws": str(config.draws),
     }
@@ -365,7 +351,7 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
         l = config.scaling.attr_count(n)
         direct = _direct_draws(config, n, threads)
         graph_seed = _rng.word_at(_rng.stream_key(config.seed, _rng.TAG_GRID_GRAPH), n)
-        graph = sample_degrees_fullgraph(config.params, n, l, config.graph_draws,
+        graph = sample_degrees_fullgraph(config.params, n, l, max(100, config.draws // 4),
                                          graph_seed, threads=threads)
         table = DegreePmfTable.from_model(config.params, n, l)
         d_hi = int(max(direct.degrees.max(), graph.degrees.max()))
@@ -453,7 +439,7 @@ def _run_lambda_probe(config: ExperimentConfig, threads: int) -> list[ReportRow]
     rows: list[ReportRow] = []
     for n in config.n_grid:
         samples = _direct_draws(config, n, threads)
-        for t in config.t_values:
+        for t in (0.1, 1.0, 10.0):
             frac = lambda_limit_probe(t, samples, config.scaling)
             rows.append(ReportRow(
                 n, f"lambda_frac[t={t:g}]", frac,
@@ -487,9 +473,8 @@ def _run_bound_check(config: ExperimentConfig, threads: int) -> list[ReportRow]:
 
 
 def _run_kl_reconcile(config: ExperimentConfig, threads: int) -> list[ReportRow]:
-    # q11, q10, q00, mu1 of each random set: uniform on [0.05, 0.95)
-    u = _rng.uniforms_at(_rng.stream_key(config.seed, _rng.TAG_PARAM_SETS),
-                         np.arange(4 * config.param_sets))
+    # q11, q10, q00, mu1 of each of 20 random sets: uniform on [0.05, 0.95)
+    u = _rng.uniforms_at(_rng.stream_key(config.seed, _rng.TAG_PARAM_SETS), np.arange(4 * 20))
     draws = (0.05 + 0.9 * u).reshape(-1, 4).tolist()
     param_sets = [config.params] + [ModelParams(*q) for q in draws]
     rows: list[ReportRow] = []

@@ -118,9 +118,7 @@ def _scale_exponent(params: ModelParams, n: int, scaling: Scaling) -> tuple[int,
     """(L_n, 1 + rho_n * lgbar) with the supercritical gate applied."""
     l = scaling.attr_count(n)
     require_supercritical(params, scaling.rho, "the log-normal degree limit")
-    rho_n = l / math.log(n)
-    c = derive_constants(params)
-    return l, 1.0 + rho_n * c.log_gamma_bar
+    return l, 1.0 + scaling.rho_n(n) * derive_constants(params).log_gamma_bar
 
 
 def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):

@@ -36,7 +36,7 @@ import itertools
 import math
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import InvalidParamsError, RegimeError
@@ -44,7 +44,6 @@ from .errors import InvalidParamsError, RegimeError
 __all__ = [
     "ModelParams",
     "DerivedConstants",
-    "Rounding",
     "Scaling",
     "Regime",
     "RegimeResult",
@@ -180,38 +179,24 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
 # Attribute-count scaling
 # =====================================================================
 
-class Rounding(enum.Enum):
-    """Integerization rule for the attribute count L_n = rho * ln n."""
-
-    ROUND = "round"
-    CEIL = "ceil"
-    FLOOR = "floor"
-
-
 @dataclass(frozen=True)
 class Scaling:
-    """rho-admissible attribute scaling: L_n ~ rho * ln n, L_n >= 1."""
+    """rho-admissible attribute scaling: L_n = round(rho * ln n), rounding
+    half up, and at least 1."""
 
     rho: float
-    rounding: Rounding = field(default=Rounding.ROUND)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and self.rho > 0.0):
             raise InvalidParamsError(f"rho must be a finite positive real, got {self.rho!r}")
-        if not isinstance(self.rounding, Rounding):
-            raise InvalidParamsError(f"rounding must be a Rounding member, got {self.rounding!r}")
 
     def attr_count(self, n: int) -> int:
         """L_n: the integerized attribute count at node count ``n`` (>= 2)."""
         _check_int("n", n, 2)
         x = self.rho * math.log(n)
-        if self.rounding is Rounding.ROUND:
-            l = math.floor(x + 0.5)  # half-up, deterministic
-        elif self.rounding is Rounding.CEIL:
-            l = math.ceil(x)
-        else:
-            l = math.floor(x)
-        return max(1, l)
+        if not math.isfinite(x):
+            raise InvalidParamsError(f"rho * ln n overflows at rho = {self.rho!r}, n = {n}")
+        return max(1, math.floor(x + 0.5))
 
     def rho_n(self, n: int) -> float:
         """The effective ratio rho_n = L_n / ln n (exactly, no re-rounding)."""

@@ -32,7 +32,6 @@ kind = kl_reconcile
 n_grid = 1000 1000000
 draws = 100
 seed = 17
-param_sets = 3
 """
 
 
@@ -195,8 +194,9 @@ def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # n = 1e12 must fit without --d-max, and so must the attribute-count law
     # at l = 1e7 and 1e8 (its window, not all of 0..l); an n, l or --count
     # past 2**53 or an --out that cannot be opened must be refused with exit
-    # 2, and an allocation past the cap (7.45 GiB and 64 PiB of degrees,
-    # 22.4 GiB of attribute bits) with exit 4, never a traceback
+    # 2, and so must a rho whose rho * ln n overflows to inf; an allocation
+    # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB of attribute
+    # bits) must exit 4; never a traceback
     script = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -204,6 +204,8 @@ from magnet.cli import main
 sys.exit(main(sys.argv[1:]))
 """
     pmf_out = tmp_path / "pmf.csv"
+    huge_rho = tmp_path / "huge_rho.ini"
+    huge_rho.write_text(INI.replace("rho = 1.0", "rho = 1e308"))
     cases = [
         (["pmf", "--n", str(10**12), "--out", str(pmf_out)], 0),
         (["approx", "--n", str(10**12), "--out", str(tmp_path / "approx.csv")], 0),
@@ -216,6 +218,10 @@ sys.exit(main(sys.argv[1:]))
         (["degrees", "--n", "30", "--count", str(2**64)], 2),
         (["degrees", "--n", "30", "--count", str(2**53)], 4),
         (["generate", "--n", "30", "--l", str(10**8)], 4),
+        *(([command, "--n", "1000", "--rho", "1e308"], 2)
+          for command in ("bound", "pmf", "approx", "degrees")),
+        (["bound", "--n", str(10**50), "--rho", "1e307"], 2),
+        (["experiment", str(huge_rho)], 2),
     ]
     for args, want in cases:
         proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
@@ -224,6 +230,8 @@ sys.exit(main(sys.argv[1:]))
         assert "Traceback" not in proc.stderr, (args, proc.stderr)
         if args[-1] == str(2**64):
             assert "count must be an integer in [1, 9007199254740992]" in proc.stderr
+        if "1e307" in args or "1e308" in args or args[-1] == str(huge_rho):
+            assert "magnet: invalid configuration: rho * ln n overflows" in proc.stderr
     assert pmf_out.read_text().splitlines()[-1].startswith("3906,")
 
 
@@ -241,15 +249,14 @@ _SWEEP_VALUES = {
     "--pair-budget": (["5000", str(10 ** 9)], ["1", "0", "-5", *_HUGE, *_JUNK]),
     "--seed": (["0", "7"], [str(2 ** 64 - 1), "-1", *_HUGE, *_JUNK]),
     "--threads": (["1", "2"], ["4", "0", "-3", *_JUNK]),  # never more than 4
-    "--rho": (["1.0", "2.0", "0.7"], ["0", "-1", "1e300", "1e-300", "nan", "inf", "x"]),
-    "--rounding": (["round", "ceil", "floor"], ["up"]),
+    "--rho": (["1.0", "2.0", "0.7"], ["0", "-1", "1e300", "1e308", "1e-300", "nan", "inf", "x"]),
     "--method": (["direct", "fullgraph"], ["exact"]),
     "--delta": (["0.5", "1e-4"], ["0", "1", "-1", "nan", "1e300", "x"]),
     "--eta": (["0.1"], ["1e-9", "0", "0.6", "-1", "nan", "x"]),
     "--format": (["csv", "json"], ["xml"]),
     **{f"--{name}": _REAL for name in ("q11", "q10", "q00", "mu1")},
 }
-_SHARED_FLAGS = ["--q11", "--q10", "--q00", "--mu1", "--rho", "--rounding", "--seed", "--threads"]
+_SHARED_FLAGS = ["--q11", "--q10", "--q00", "--mu1", "--rho", "--seed", "--threads"]
 _SWEEP_FLAGS = {
     "generate": ["--n", "--l", "--pair-budget", *_SHARED_FLAGS],
     "degrees": ["--n", "--l", "--count", "--method", *_SHARED_FLAGS],
@@ -345,6 +352,17 @@ def test_bound_has_no_c_star_flag(capsys):
     capsys.readouterr()
 
 
+def test_no_command_has_a_rounding_flag(capsys):
+    # L_n = round(rho * ln n), rounding half up, is the one attribute-count
+    # rule, so --rounding is a usage error
+    for argv in (["regime"], *([c, "--n", "1000"] for c in
+                               ("generate", "degrees", "pmf", "approx", "bound"))):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--rounding", "ceil"])
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
 #: Run in a fresh interpreter: ``import magnet``, or ``cli.main(argv)``
 #: when there are arguments; prints which of ``_WATCHED`` got loaded.
 _LOADED = """
@@ -379,7 +397,7 @@ def test_start_up_path_loads_scipy_on_first_use(tmp_path):
         ini[kind] = tmp_path / f"{kind}.ini"
         ini[kind].write_text(INI.replace("kl_reconcile", kind)
                              .replace("n_grid = 1000 1000000", f"n_grid = {grid}")
-                             .replace("draws = 100", "draws = 400\ngraph_draws = 100"))
+                             .replace("draws = 100", "draws = 400"))
     numpy, experiment = ["numpy"], ["numpy", "magnet.sampler", "magnet.experiments"]
     cases = [
         ([], []), (["--version"], []), (["regime"], []),
@@ -403,7 +421,7 @@ def test_start_up_path_loads_scipy_on_first_use(tmp_path):
 #: The package's public names by owning module, in ``magnet.__all__`` order.
 PUBLIC = {
     "errors": ["MagnetError", "InvalidParamsError", "ConfigError", "RegimeError", "BudgetError"],
-    "model": ["ModelParams", "DerivedConstants", "Rounding", "Scaling", "Regime", "RegimeResult",
+    "model": ["ModelParams", "DerivedConstants", "Scaling", "Regime", "RegimeResult",
               "derive_constants", "classify_regime", "require_supercritical",
               "REFERENCE_PARAMS", "BOUNDARY_TOL"],
     "degree_dist": ["DegreePmfTable", "write_pmf_csv"],

@@ -47,7 +47,6 @@ kind = kl_reconcile
 n_grid = 1000 1000000
 draws = 100
 seed = 17
-param_sets = 3
 """
 
 # The example config of the README.
@@ -59,7 +58,7 @@ q00 = 0.5
 mu1 = 0.6
 
 [scaling]
-rho = 1.0          ; rounding = round | ceil | floor (default round)
+rho = 1.0          ; L_n = round(rho * ln n), half up, at least 1
 
 [experiment]
 kind = zero_one_law
@@ -78,7 +77,6 @@ mu1 = 0.6
 
 [scaling]
 rho = 1.5
-rounding = ceil
 
 [experiment]
 kind = degree_fit
@@ -86,9 +84,6 @@ n_grid = 30 300
 draws = 400
 seed = 11
 out = report.csv
-graph_draws = 250
-t_values = 0.5 2.0
-param_sets = 4
 """
 
 
@@ -106,7 +101,6 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.n_grid == (1000, 1000000)
     assert cfg.draws == 100
     assert cfg.seed == 17
-    assert cfg.param_sets == 3
 
 
 @pytest.mark.parametrize(
@@ -119,6 +113,12 @@ def test_parse_config_roundtrip(tmp_path):
         (lambda s: s + "tolerance = 0.07\n", "tolerance"),
         # the Berry-Esseen constant is fixed at its best proven value
         (lambda s: s + "c_star = 0.5\n", "c_star"),
+        # one attribute-count rule and fixed experiment sizes, not keys
+        pytest.param(lambda s: s.replace("rho = 1.0\n", "rho = 1.0\nrounding = ceil\n"),
+                     "unknown", id="rounding"),
+        pytest.param(lambda s: s + "graph_draws = 250\n", "unknown", id="graph_draws"),
+        pytest.param(lambda s: s + "t_values = 0.5 2.0\n", "unknown", id="t_values"),
+        pytest.param(lambda s: s + "param_sets = 4\n", "unknown", id="param_sets"),
         (lambda s: s.replace("draws = 100", "draws = 99"), "draws"),
         (lambda s: s.replace("n_grid = 1000 1000000", "n_grid = 1000 10"), "increasing"),
         (lambda s: s.replace("q11 = 0.7", "q11 = 1.7"), "q11"),
@@ -151,14 +151,17 @@ def test_config_hash_ignores_output_path_but_tracks_substance(tmp_path):
     assert len(config_hash(base)) == 64  # sha256 hex
     # frozen: the README example config and one that sets every optional key.
     # Re-pinned when experiment.c_star left the canonical text:
-    # readme 522327fe…942c -> c04c388b…8911, full d44170f1…c406 -> cce19d41…ae16
+    # readme 522327fe…942c -> c04c388b…8911, full d44170f1…c406 -> cce19d41…ae16;
+    # and when scaling.rounding, experiment.graph_draws, experiment.t_values
+    # and experiment.param_sets left it:
+    # readme c04c388b…8911 -> 5afb3f1d…2cd4, full cce19d41…ae16 -> fddf01ce…2d57
     readme = parse_config(_write(tmp_path, README_INI, "readme.ini"))
     assert config_hash(readme) == (
-        "c04c388b9c61c47e0ed4a27912b4d5aecef3b5d78f651daa4fd8cb9d4cf88911"
+        "5afb3f1d240f13f2eb86ae81749b8c9814fea8a41c7dff14727f12efba212cd4"
     )
     full = parse_config(_write(tmp_path, FULL_INI, "full.ini"))
     assert config_hash(full) == (
-        "cce19d4161bdd73039640e6c3f15b58bd07fe6386142e4c4f2257c457eafae16"
+        "fddf01ceed4f4ad5fa5d8f789cd22bc8bfa0599b4333b79ef526f25394de2d57"
     )
 
 
@@ -205,7 +208,7 @@ def test_grid_point_seeds_come_from_keyed_streams():
         assert rows[(n, "zero_fraction")] == sd.zero_fraction
         assert rows[(n, "ks_nonzero")] == sd.ks_nonzero
     fit = ExperimentConfig(params=P, scaling=SC, kind=ExperimentKind.DEGREE_FIT,
-                           n_grid=(30,), draws=400, seed=5, graph_draws=100)
+                           n_grid=(30,), draws=400, seed=5)
     ks2_p = next(r.value for r in run_experiment(fit).rows if r.statistic == "ks2_p")
     direct = sample_degrees_direct(P, 30, SC.attr_count(30), 400,
                                    seed=grid_seed(5, _rng.TAG_GRID_DIRECT, 30))
@@ -280,9 +283,6 @@ def test_invalid_config_objects_rejected():
     with pytest.raises(ConfigError):
         ExperimentConfig(params=P, scaling=SC, kind=ExperimentKind.DEGREE_FIT,
                          n_grid=(30, 30), draws=100, seed=1)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(params=P, scaling=SC, kind=ExperimentKind.LAMBDA_PROBE,
-                         n_grid=(100,), draws=100, seed=1, t_values=(0.0,))
 
 
 def test_sup_delta_estimator_separates_the_zero_atom():
@@ -319,17 +319,18 @@ def test_sup_delta_rejects_degenerate_samples():
 
 def test_degree_fit_experiment_passes_at_desk_scale():
     # The TV limits derived from these draw counts are 0.0099 (direct) and
-    # 0.022 (full graph); this seed's exact samplers read 0.0027 and 0.0047.
+    # 0.020 (full graph); this seed's exact samplers read 0.0027 and 0.0036.
     cfg = ExperimentConfig(
         params=P, scaling=SC, kind=ExperimentKind.DEGREE_FIT,
-        n_grid=(30,), draws=100000, seed=3, graph_draws=20000,
+        n_grid=(30,), draws=100000, seed=3,
     )
     rep = run_experiment(cfg)
     stderr = {r.statistic: r.stderr for r in rep.rows}
     assert {"tv_direct", "tv_fullgraph", "chisq_p_direct", "ks2_p"} <= set(stderr)
     # a TV row's stderr is the Efron-Stein bound 1/sqrt(2N) on TV's sd
     assert stderr["tv_direct"] == 1.0 / math.sqrt(2.0 * 100000)
-    assert stderr["tv_fullgraph"] == 1.0 / math.sqrt(2.0 * 20000)
+    # degree_fit samples max(100, draws // 4) = 25000 full graphs
+    assert stderr["tv_fullgraph"] == 1.0 / math.sqrt(2.0 * 25000)
     assert rep.all_passed()
 
 

@@ -20,7 +20,6 @@ from magnet import (
     ModelParams,
     Regime,
     RegimeError,
-    Rounding,
     Scaling,
     classify_regime,
     derive_constants,
@@ -122,28 +121,27 @@ def test_scaling_attr_count_examples():
     assert l == 2
     assert rho_n == pytest.approx(2.0 / math.log(8), rel=1e-15)
     assert rho_n == pytest.approx(0.96179669392597560, rel=1e-13)
-    # rho=0.5, n=2: x = 0.346..., ceil -> 1; rho_n = 1/ln 2
-    sc = Scaling(rho=0.5, rounding=Rounding.CEIL)
+    # rho=0.5, n=2: x = 0.346..., round -> 0, clamped to 1; rho_n = 1/ln 2
+    sc = Scaling(rho=0.5)
     l, rho_n = sc.attr_count(2), sc.rho_n(2)
     assert l == 1
     assert rho_n == pytest.approx(1.44269504088896341, rel=1e-13)
-    # floor clamps to >= 1 attribute
-    assert Scaling(rho=0.1, rounding=Rounding.FLOOR).attr_count(2) == 1
+    # the clamp keeps >= 1 attribute
+    assert Scaling(rho=0.1).attr_count(2) == 1
 
 
-def test_rounding_modes_differ_where_expected():
-    s_round = Scaling(rho=1.0, rounding=Rounding.ROUND)
-    s_ceil = Scaling(rho=1.0, rounding=Rounding.CEIL)
-    s_floor = Scaling(rho=1.0, rounding=Rounding.FLOOR)
-    # ln 100 = 4.605...: floor 4, round 5, ceil 5
-    assert s_floor.attr_count(100) == 4
+def test_attr_count_rounds_half_up():
+    s_round = Scaling(rho=1.0)
+    # ln 100 = 4.605...: round 5
     assert s_round.attr_count(100) == 5
-    assert s_ceil.attr_count(100) == 5
     # half-up tie handling: target exactly k + 0.5 rounds up
     n_half = math.ceil(math.exp(2.5))
     x = 1.0 * math.log(n_half)
     if abs(x - 2.5) < 1e-9:  # only assert when the tie is actually hit
         assert s_round.attr_count(n_half) == 3
+    s_tie = Scaling(rho=2.5 / math.log(3))
+    assert s_tie.rho * math.log(3) == 2.5  # an exact tie in doubles
+    assert s_tie.attr_count(3) == 3
 
 
 def test_attr_count_stays_within_one_of_target():
@@ -164,6 +162,9 @@ def test_scaling_validation():
         Scaling(rho=1.0).attr_count(1)
     with pytest.raises(InvalidParamsError):
         Scaling(rho=1.0).attr_count(2.5)
+    # rho * ln n overflows to inf: refused, not an OverflowError
+    with pytest.raises(InvalidParamsError, match="overflows"):
+        Scaling(rho=1e308).attr_count(1000)
 
 
 def test_classify_regime_rejects_bad_rho():
