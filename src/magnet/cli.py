@@ -30,23 +30,6 @@ from .model import (
 __all__ = ["main", "build_parser"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="base seed (u64, default 0)")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output path (default: stdout)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; affects speed only, never output")
-
-
-def _add_model(parser: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(ModelParams):
-        parser.add_argument(f"--{f.name}", type=float, default=getattr(REFERENCE_PARAMS, f.name))
-
-
-def _add_scaling(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho", type=float, default=1.0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="magnet",
@@ -55,10 +38,19 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"magnet {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="sample one graph and write its edge list")
-    _add_common(p)
-    _add_model(p)
-    _add_scaling(p)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None, help="base seed (u64, default 0)")
+    common.add_argument("--out", type=str, default=None,
+                        help="output path (default: stdout)")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker threads; affects speed only, never output")
+    model = argparse.ArgumentParser(add_help=False, parents=[common])
+    for f in dataclasses.fields(ModelParams):
+        model.add_argument(f"--{f.name}", type=float, default=getattr(REFERENCE_PARAMS, f.name))
+    model.add_argument("--rho", type=float, default=1.0)
+
+    p = sub.add_parser("generate", help="sample one graph and write its edge list",
+                       parents=[model])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None,
                    help="attribute count (default: L_n from the scaling)")
@@ -66,40 +58,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes-out", type=str, default=None,
                    help="also dump attribute rows ('0'/'1' lines) to this path")
 
-    p = sub.add_parser("degrees", help="draw node degrees and write them as CSV")
-    _add_common(p)
-    _add_model(p)
-    _add_scaling(p)
+    p = sub.add_parser("degrees", help="draw node degrees and write them as CSV", parents=[model])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--method", choices=[m.value for m in SampleMethod],
                    default=SampleMethod.DIRECT.value)
 
-    p = sub.add_parser("pmf", help="exact degree pmf/cdf table as CSV")
-    _add_common(p)
-    _add_model(p)
-    _add_scaling(p)
+    p = sub.add_parser("pmf", help="exact degree pmf/cdf table as CSV", parents=[model])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--d-max", type=int, default=None)
 
-    p = sub.add_parser("regime", help="criticality and derived constants as JSON")
-    _add_common(p)
-    _add_model(p)
-    _add_scaling(p)
+    sub.add_parser("regime", help="criticality and derived constants as JSON", parents=[model])
 
-    p = sub.add_parser("approx", help="exact vs log-normal cdf sweep as CSV")
-    _add_common(p)
-    _add_model(p)
-    _add_scaling(p)
+    p = sub.add_parser("approx", help="exact vs log-normal cdf sweep as CSV", parents=[model])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d-max", type=int, default=None)
 
-    p = sub.add_parser("bound", help="Berry-Esseen certificates as CSV or JSON")
-    _add_common(p)
-    _add_model(p)
-    _add_scaling(p)
+    p = sub.add_parser("bound", help="Berry-Esseen certificates as CSV or JSON", parents=[model])
     p.add_argument("--n", type=int, action="append", required=True,
                    help="node count; repeat for a sweep")
     p.add_argument("--delta", type=float, default=None,
@@ -108,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fix eta (with --delta; default min(mu1,mu0)/4)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("experiment", help="run an experiment config and write its report")
-    _add_common(p)
+    p = sub.add_parser("experiment", help="run an experiment config and write its report",
+                       parents=[common])
     p.add_argument("config", type=str, help="experiment INI file")
 
     return top

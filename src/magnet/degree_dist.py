@@ -13,15 +13,15 @@ so the unconditional law is the finite mixture, with w_s = P(S = s),
 Each component pmf takes Loader's (2000) saddle-point form
 (``_binomial_log_pmf``, shared with the BTRS sampler) and the mixture is
 summed in log space by ``_logsumexp_rows``; no binomial coefficient is
-formed, so nothing cancels.  The sums run over the window of s that drops
-less than the smallest double of S's mass (``DegreePmfTable``).  A
-component's cdf sums its pmf terms over a band of K_s = ceil(12 sqrt(mu_s))
-+ 60 degrees next to d (widened to a power of two), mu_s = (n - 1) p_s, on
-the side of d away from the mean (1 minus the upper band when d >= mu_s);
-beyond the band each tail is below 1e-20.  Only a component whose band
-exceeds ``_BAND_CAP`` takes scipy's regularized incomplete beta instead,
-imported on first use.  The quantile is an integer bisection on the cdf.
-Degrees are doubles, exact for n up to 2**53.
+formed, so nothing cancels.  The sums run over the distinct p_s of the
+window of s that drops less than the smallest double of S's mass
+(``DegreePmfTable``).  A component's cdf sums its pmf terms over a band of
+K_s = ceil(12 sqrt(mu_s)) + 60 degrees next to d (widened to a power of
+two), mu_s = (n - 1) p_s, on the side of d away from the mean (1 minus the
+upper band when d >= mu_s); beyond the band each tail is below 1e-20.  Only
+a component whose band exceeds ``_BAND_CAP`` takes scipy's regularized
+incomplete beta instead, imported on first use.  The quantile is an integer
+bisection on the cdf.  Degrees are doubles, exact for n up to 2**53.
 """
 
 from __future__ import annotations
@@ -167,18 +167,29 @@ class DegreePmfTable:
         log_p = s * c.log_gamma1 + (l - s) * c.log_gamma0
         return cls(params=params, n=n, l=l, s_lo=s_lo, log_weights=log_weights, log_p=log_p)
 
-    def _p(self) -> np.ndarray:
-        """p_s, floored at the smallest normal double: a component below it
-        puts less than n * 2.2e-308 on d >= 1 either way."""
-        return np.maximum(np.exp(self.log_p), np.finfo(np.float64).tiny)
+    def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
+        """(p, log_w): the distinct p_s in order of their first s, floored at
+        the smallest normal double (below it a component puts < n * 2.2e-308
+        on d >= 1), and the log-sum-exp of the weights of the s that share
+        each; a p_s of its own keeps its weight to the bit."""
+        p = np.maximum(np.exp(self.log_p), np.finfo(np.float64).tiny)
+        _, first, which = np.unique(p, return_index=True, return_inverse=True)
+        key = first[which]  # each s's first s with the same p_s
+        order = np.argsort(key, kind="stable")
+        start = np.flatnonzero(np.diff(key[order], prepend=-1))
+        return p[order[start]], np.logaddexp.reduceat(self.log_weights[order], start)
 
     # -- evaluation ----------------------------------------------------
 
     def log_pmf(self, d) -> np.ndarray | float:
-        """ln P(D = d) for scalar or array ``d`` in [0, n - 1]."""
+        """ln P(D = d) for scalar or array ``d`` in [0, n - 1], in blocks of
+        rows of at most ``_CHUNK`` terms (one row at least)."""
         d_arr, scalar = _as_degree_array(d, self.n)
-        terms = self.log_weights + _binomial_log_pmf(self.n - 1, self._p(), d_arr[:, None])
-        out = _logsumexp_rows(terms)
+        p, log_w = self._mixture()
+        step = max(1, _CHUNK // p.size)
+        out = np.concatenate([
+            _logsumexp_rows(log_w + _binomial_log_pmf(self.n - 1, p, d_arr[lo:lo + step, None]))
+            for lo in range(0, d_arr.size, step)])
         return float(out[0]) if scalar else out
 
     def pmf(self, d) -> np.ndarray | float:
@@ -190,9 +201,7 @@ class DegreePmfTable:
         (module docstring); a component whose band exceeds ``_BAND_CAP``
         takes its upper incomplete beta betaincc(d+1, n-1-d, p) instead."""
         d_arr, scalar = _as_degree_array(d, self.n)
-        # components that share p_s share a cdf: at large l, all those whose
-        # p_s is floored at the smallest normal double
-        p, which = np.unique(self._p(), return_inverse=True)
+        p, log_w = self._mixture()
         mean = (self.n - 1) * p
         # each band widened to a power of two: at most seven widths to loop over
         band = 2.0 ** np.ceil(np.log2(_band(mean)))
@@ -206,7 +215,7 @@ class DegreePmfTable:
 
                 d_col = d_arr[:, None]
                 comp[:, at] = scipy.special.betaincc(d_col + 1.0, (self.n - 1) - d_col, p[at])
-        out = np.minimum(comp @ np.bincount(which, weights=np.exp(self.log_weights)), 1.0)
+        out = np.minimum(comp @ np.exp(log_w), 1.0)
         return float(out[0]) if scalar else out
 
     def prob_zero(self) -> float:
@@ -216,14 +225,13 @@ class DegreePmfTable:
     def quantile(self, q: float) -> int:
         """Smallest d with P(D <= d) >= q, by bisection on :meth:`cdf`
         inside [-1, hi], hi = min(n - 1, max_s(mu_s + K_s)), above which
-        every component holds less than 1e-20; it widens to n - 1 only when
-        cdf(hi) < q."""
+        every component holds less than 1e-20; hi itself when the computed
+        cdf stays below q up to it."""
         if not 0.0 < q < 1.0:
             raise InvalidParamsError(f"quantile level must lie in (0, 1), got {q}")
-        mean = (self.n - 1) * self._p()
+        mean = (self.n - 1) * self._mixture()[0]
         hi = min(self.n - 1, math.ceil(np.max(mean + _band(mean))))
-        above = lambda d: self.cdf(d) >= q
-        return _bisect(-1, hi, above) if above(hi) else _bisect(hi, self.n - 1, above)
+        return _bisect(-1, hi, lambda d: self.cdf(d) >= q)
 
 
 def _band(mean: np.ndarray) -> np.ndarray:

@@ -192,7 +192,8 @@ def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
 def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # each child caps its own address space at 2 GB: the exact law at
     # n = 1e12 must fit without --d-max, and so must the attribute-count law
-    # at l = 1e7 and 1e8 (its window, not all of 0..l); an n, l or --count
+    # at l = 1e7 and 1e8 (its window, not all of 0..l), and the pmf at
+    # l = 1e7, whose 120181 components share one floored p_s; an n, l or --count
     # past 2**53 or an --out that cannot be opened must be refused with exit
     # 2, and so must a rho whose rho * ln n overflows to inf; an allocation
     # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB of attribute
@@ -212,6 +213,7 @@ sys.exit(main(sys.argv[1:]))
         (["degrees", "--n", str(10**20)], 2),
         (["degrees", "--n", "1000", "--l", str(10**8), "--count", "10"], 0),
         (["pmf", "--n", "1000", "--l", str(10**7)], 0),
+        (["pmf", "--n", "1000", "--l", str(10**7), "--d-max", "200"], 0),
         (["degrees", "--n", "1000", "--l", str(10**18), "--count", "10"], 2),
         (["generate", "--n", "30", "--l", "3", "--out", str(tmp_path / "missing" / "x")], 2),
         (["degrees", "--n", "1000", "--count", str(10**9)], 4),
@@ -360,6 +362,41 @@ def test_no_command_has_a_rounding_flag(capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--rounding", "ceil"])
         assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+#: Every dest and default after a minimal command line: the shared flags
+#: (--seed, --out, --threads), then the model flags and --rho on the six
+#: model commands, then each command's own.
+_SHARED_DEFAULTS = {"seed": None, "out": None, "threads": 1}
+_MODEL_DEFAULTS = {**_SHARED_DEFAULTS, "q11": 0.7, "q10": 0.2, "q00": 0.5, "mu1": 0.6,
+                   "rho": 1.0}
+_PARSED_DEFAULTS = {
+    ("generate", "--n", "30"): {**_MODEL_DEFAULTS, "n": 30, "l": None,
+                                "pair_budget": 10**9, "attributes_out": None},
+    ("degrees", "--n", "30"): {**_MODEL_DEFAULTS, "n": 30, "l": None, "count": 1000,
+                               "method": "direct"},
+    ("pmf", "--n", "30"): {**_MODEL_DEFAULTS, "n": 30, "l": None, "d_max": None},
+    ("regime",): _MODEL_DEFAULTS,
+    ("approx", "--n", "30"): {**_MODEL_DEFAULTS, "n": 30, "d_max": None},
+    ("bound", "--n", "30"): {**_MODEL_DEFAULTS, "n": [30], "delta": None, "eta": None,
+                             "format": "csv"},
+    ("experiment", "x.ini"): {**_SHARED_DEFAULTS, "config": "x.ini"},
+}
+
+
+def test_parsed_dests_and_defaults_are_frozen(capsys):
+    from magnet.cli import build_parser
+
+    parser = build_parser()
+    # a flag set on one command must not leak into the next parse
+    assert parser.parse_args(["pmf", "--n", "30", "--seed", "5", "--rho", "2"]).seed == 5
+    for argv, want in _PARSED_DEFAULTS.items():
+        assert vars(parser.parse_args(argv)) == {"command": argv[0], **want}, argv
+    for flag in ("--q11", "--rho"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["experiment", "x.ini", flag, "0.5"])
+        assert exc.value.code == 2, flag
     capsys.readouterr()
 
 

@@ -256,6 +256,72 @@ def test_quantile_inverts_cdf():
             table.quantile(bad)
 
 
+def test_quantile_stays_within_the_band_bound():
+    # past hi = max_s(mu_s + K_s) = 1174 every component holds less than
+    # 1e-20, so the answer is at most hi even where the computed cdf stays
+    # below q = 1 - 2**-53 up to hi, never a degree out towards n - 1
+    table = DegreePmfTable.from_model(
+        ModelParams(q11=0.26416816438270224, q10=0.5398063027663567,
+                    q00=0.3829596498932713, mu1=0.5935280347365751), 31833, 5)
+    mean = (table.n - 1) * np.exp(table.log_p)
+    assert math.ceil(np.max(mean + _band(mean))) == 1174
+    q = 1.0 - 2.0**-53
+    d = table.quantile(q)
+    assert d <= 1174
+    assert d == 1174 or table.cdf(d) >= q
+
+
+@pytest.mark.parametrize("l", [10**6, 10**7])
+def test_components_sharing_a_floored_p_are_summed_once(l):
+    # at n = 1000 every p_s of the window is below the smallest normal
+    # double: one component carries all the weight, and the pmf still sums to 1
+    table = DegreePmfTable.from_model(P, 1000, l)
+    p, log_w = table._mixture()
+    assert len(table.log_weights) > 30000
+    assert p.tolist() == [np.finfo(np.float64).tiny]
+    assert abs(log_w[0]) <= 1e-15
+    assert abs(math.fsum(table.pmf(np.arange(1000))) - 1.0) <= 1e-12
+
+
+def test_equal_p_s_are_one_component_even_where_not_adjacent():
+    # with gamma1 = gamma0 = 0.99 the computed p_s of s = 0..1000 take two
+    # interleaved doubles; each double is one component, whatever its s
+    table = DegreePmfTable.from_model(ModelParams(q11=0.99, q10=0.99, q00=0.99, mu1=0.5),
+                                      10**6, 1000)
+    p_s = np.exp(table.log_p)
+    assert np.count_nonzero(np.diff(p_s)) > 2
+    p, log_w = table._mixture()
+    assert sorted(p) == sorted(set(p_s))
+    assert len(p) == 2
+    for value, lw in zip(p, log_w):
+        assert math.exp(lw) == pytest.approx(np.exp(table.log_weights)[p_s == value].sum(),
+                                             rel=1e-14)
+
+
+def test_distinct_components_keep_their_weights_to_the_bit():
+    table = DegreePmfTable.from_model(P, 10**12, 28)
+    p, log_w = table._mixture()
+    assert log_w.tobytes() == table.log_weights.tobytes()
+    assert p.tobytes() == np.exp(table.log_p).tobytes()
+
+
+def test_pmf_of_many_rows_and_components_stays_in_bounded_memory():
+    # 16384 rows against 301 distinct p_s: evaluated whole, the terms and
+    # their temporaries peak near 500 MiB; in blocks of _CHUNK terms, 4 MiB
+    import tracemalloc
+
+    table = DegreePmfTable.from_model(ModelParams(q11=0.93, q10=0.93, q00=0.929, mu1=0.5),
+                                      10**5, 300)
+    assert len(np.unique(np.exp(table.log_p))) == 301
+    tracemalloc.start()
+    try:
+        table.pmf(np.arange(16384))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_log_weights_normalize():
     table = DegreePmfTable.from_model(P, 100, 7)
     assert scipy.special.logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
