@@ -13,12 +13,14 @@ so the unconditional law is the finite mixture, with w_s = P(S = s),
 Each component pmf takes Loader's (2000) saddle-point form
 (``_binomial_log_pmf``, shared with the BTRS sampler) and the mixture is
 summed in log space by ``_logsumexp_rows``; no binomial coefficient is
-formed, so nothing cancels.  The sums run over the distinct p_s of the
-window of s that drops less than the smallest double of S's mass
-(``DegreePmfTable``).  A component's cdf sums its pmf terms over a band of
-K_s = ceil(12 sqrt(mu_s)) + 60 degrees next to d (widened to a power of
-two), mu_s = (n - 1) p_s, on the side of d away from the mean (1 minus the
-upper band when d >= mu_s); beyond the band each tail is below 1e-20.  Only
+formed, so nothing cancels.  The sums, and the direct sampler, run over
+the components ``DegreePmfTable.from_model`` builds once: the distinct p_s
+of the window of s that drops less than the smallest double of S's mass,
+each with the summed weight of its s.  A component's cdf sums its pmf
+terms over a band of K_s = ceil(12 sqrt(mu_s)) + 60 degrees next to d
+(widened to a power of two), mu_s = (n - 1) p_s, on the side of d away
+from the mean (1 minus the upper band when d >= mu_s); beyond the band
+each tail is below 1e-20.  Only
 a component whose band exceeds ``_BAND_CAP`` takes scipy's regularized
 incomplete beta instead, imported on first use.  The quantile is an integer
 bisection on the cdf.  Degrees are doubles, exact for n up to 2**53.
@@ -132,52 +134,48 @@ def _binomial_log_pmf(m: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
 # The compound-binomial law
 # =====================================================================
 
+def _attribute_window(l: int, mu1: float) -> np.ndarray:
+    """The s of S ~ Bin(l, mu1) whose weight times l + 1 is at least 2**-1074,
+    as doubles: ln P(S = s) is unimodal and at least -ln(l + 1) at the mode,
+    so an end of 0..l below that floor is a bisection between it and the mode."""
+    floor = -1074 * math.log(2.0) - math.log(l + 1)
+    mode = min(l, math.floor((l + 1) * mu1))
+    log_w = lambda s: _binomial_log_pmf(l, mu1, s)
+    lo_in, hi_in = log_w(np.array([0.0, l])) >= floor
+    lo = 0 if lo_in else _bisect(0, mode, lambda s: log_w(s) >= floor)
+    end = l + 1 if hi_in else _bisect(mode, l, lambda s: log_w(s) < floor)
+    return np.arange(lo, end, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class DegreePmfTable:
-    """Precomputed mixture data of the compound-binomial degree law.
+    """The mixture components of the compound-binomial degree law.
 
-    ``log_weights[i] = ln P(S = s)`` and ``log_p[i] = ln p_s`` for s = s_lo + i
-    on the window of S ~ Bin(l, mu1) outside which every weight times l + 1
-    is below 2**-1074.  The table backs the evaluators below and the direct
-    sampler.
+    ``p`` holds the distinct p_s over ``_attribute_window`` in order of their
+    first s, floored at the smallest normal double (below it a component puts
+    < n * 2.2e-308 on d >= 1); ``log_w`` holds the log-sum-exp of ln P(S = s)
+    over the s that share each, so a p_s of its own keeps its weight to the
+    bit.  The evaluators below and the direct sampler read only these.
     """
 
-    params: ModelParams
     n: int
-    l: int
-    s_lo: int
-    log_weights: np.ndarray = field(repr=False)
-    log_p: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
+    log_w: np.ndarray = field(repr=False)
 
     @classmethod
     def from_model(cls, params: ModelParams, n: int, l: int) -> "DegreePmfTable":
         _check_int("n", n, 2, EXACT_MAX)
         _check_int("l", l, 1, EXACT_MAX)
         c = derive_constants(params)
-        # ln P(S = s) is unimodal and at least -ln(l + 1) at the mode, so an
-        # end of 0..l below the floor is a bisection between it and the mode.
-        floor = -1074 * math.log(2.0) - math.log(l + 1)
-        mode = min(l, math.floor((l + 1) * params.mu1))
-        log_w = lambda s: _binomial_log_pmf(l, params.mu1, s)
-        lo_in, hi_in = log_w(np.array([0.0, l])) >= floor
-        s_lo = 0 if lo_in else _bisect(0, mode, lambda s: log_w(s) >= floor)
-        s_end = l + 1 if hi_in else _bisect(mode, l, lambda s: log_w(s) < floor)
-        s = np.arange(s_lo, s_end, dtype=np.float64)
-        log_weights = log_w(s)
-        log_p = s * c.log_gamma1 + (l - s) * c.log_gamma0
-        return cls(params=params, n=n, l=l, s_lo=s_lo, log_weights=log_weights, log_p=log_p)
-
-    def _mixture(self) -> tuple[np.ndarray, np.ndarray]:
-        """(p, log_w): the distinct p_s in order of their first s, floored at
-        the smallest normal double (below it a component puts < n * 2.2e-308
-        on d >= 1), and the log-sum-exp of the weights of the s that share
-        each; a p_s of its own keeps its weight to the bit."""
-        p = np.maximum(np.exp(self.log_p), np.finfo(np.float64).tiny)
+        s = _attribute_window(l, params.mu1)
+        p = np.maximum(np.exp(s * c.log_gamma1 + (l - s) * c.log_gamma0),
+                       np.finfo(np.float64).tiny)
         _, first, which = np.unique(p, return_index=True, return_inverse=True)
         key = first[which]  # each s's first s with the same p_s
         order = np.argsort(key, kind="stable")
         start = np.flatnonzero(np.diff(key[order], prepend=-1))
-        return p[order[start]], np.logaddexp.reduceat(self.log_weights[order], start)
+        log_w = np.logaddexp.reduceat(_binomial_log_pmf(l, params.mu1, s)[order], start)
+        return cls(n=n, p=p[order[start]], log_w=log_w)
 
     # -- evaluation ----------------------------------------------------
 
@@ -185,7 +183,7 @@ class DegreePmfTable:
         """ln P(D = d) for scalar or array ``d`` in [0, n - 1], in blocks of
         rows of at most ``_CHUNK`` terms (one row at least)."""
         d_arr, scalar = _as_degree_array(d, self.n)
-        p, log_w = self._mixture()
+        p, log_w = self.p, self.log_w
         step = max(1, _CHUNK // p.size)
         out = np.concatenate([
             _logsumexp_rows(log_w + _binomial_log_pmf(self.n - 1, p, d_arr[lo:lo + step, None]))
@@ -201,8 +199,7 @@ class DegreePmfTable:
         (module docstring); a component whose band exceeds ``_BAND_CAP``
         takes its upper incomplete beta betaincc(d+1, n-1-d, p) instead."""
         d_arr, scalar = _as_degree_array(d, self.n)
-        p, log_w = self._mixture()
-        mean = (self.n - 1) * p
+        p, mean = self.p, (self.n - 1) * self.p
         # each band widened to a power of two: at most seven widths to loop over
         band = 2.0 ** np.ceil(np.log2(_band(mean)))
         comp = np.empty((d_arr.size, p.size))
@@ -215,7 +212,7 @@ class DegreePmfTable:
 
                 d_col = d_arr[:, None]
                 comp[:, at] = scipy.special.betaincc(d_col + 1.0, (self.n - 1) - d_col, p[at])
-        out = np.minimum(comp @ np.exp(log_w), 1.0)
+        out = np.minimum(comp @ np.exp(self.log_w), 1.0)
         return float(out[0]) if scalar else out
 
     def prob_zero(self) -> float:
@@ -229,7 +226,7 @@ class DegreePmfTable:
         cdf stays below q up to it."""
         if not 0.0 < q < 1.0:
             raise InvalidParamsError(f"quantile level must lie in (0, 1), got {q}")
-        mean = (self.n - 1) * self._mixture()[0]
+        mean = (self.n - 1) * self.p
         hi = min(self.n - 1, math.ceil(np.max(mean + _band(mean))))
         return _bisect(-1, hi, lambda d: self.cdf(d) >= q)
 

@@ -14,10 +14,11 @@ Two routes produce degrees with identical laws:
   consecutive pair indices.
 
 * ``sample_degrees_direct`` skips the graph and draws from the compound
-  binomial directly: S ~ Bin(l, mu1), by inversion of the exact law's
-  weights at one uniform per draw, then D ~ Bin(n - 1, p_S).  Binomial
-  draws are exact-distribution and vectorized over draws: sequential
-  inversion when the mean of Bin(n - 1, min(p, 1 - p)) is at most
+  binomial directly: a component p_s of the exact law's ``DegreePmfTable``
+  by inversion of the component weights at one uniform per draw, then
+  D ~ Bin(n - 1, p_s), as n - 1 minus a Bin(n - 1, 1 - p_s) draw when
+  p_s > 1/2.  Binomial draws are exact-distribution and vectorized over
+  draws: sequential inversion when the mean is at most
   ``INVERSION_MEAN_MAX``, otherwise Hörmann's (1993) transformed rejection
   with squeeze (BTRS), whose acceptance test evaluates the log pmf in
   Loader's saddle-point form.  No normal approximation anywhere.
@@ -261,8 +262,8 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
         seeds = _rng.words_at(rep_key, np.arange(i0, i1, dtype=np.uint64))
         words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
         pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
-        log_p = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
-        hits = _edge_test(np.exp(log_p), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
+        log_link = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
+        hits = _edge_test(np.exp(log_link), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
         out[i0:i1] = hits.sum(axis=1, dtype=np.int64)
 
     _run_chunks(work, count, n * l, threads)
@@ -276,13 +277,13 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
 def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed: int,
                           threads: int = 1) -> DegreeSampleSet:
-    """``count`` exact draws of D: S ~ Bin(l, mu1), then D ~ Bin(n-1, p_S), with
-    S and p_S from the exact law's :class:`DegreePmfTable`."""
+    """``count`` exact draws of D: a component p of the exact law's
+    :class:`DegreePmfTable` by its weight, then D ~ Bin(n-1, p)."""
     table = DegreePmfTable.from_model(params, n, l)
     _check_int("seed", seed, 0, 2 ** 64 - 1)
     _check_int("count", count, 1, EXACT_MAX)
-    # P(S <= s) for s_lo <= s < s_hi; S - s_lo is how many a draw's uniform reaches
-    cdf_s = np.cumsum(np.exp(table.log_weights[:-1]))
+    # P(D's component is at most j); a draw's j is how many its uniform reaches
+    cdf_w = np.cumsum(np.exp(table.log_w[:-1]))
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)
     key_u = _rng.stream_key(seed, _rng.TAG_DIRECT_U)
     key_btrs = _rng.stream_key(seed, _rng.TAG_DIRECT_BTRS)
@@ -291,18 +292,18 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
 
     def work(i0: int, i1: int) -> None:
         idx = np.arange(i0, i1, dtype=np.uint64)
-        s = np.searchsorted(cdf_s, _rng.uniforms_at(key_s, idx), side="right")
-        p = np.exp(table.log_p[s])
+        p = table.p[np.searchsorted(cdf_w, _rng.uniforms_at(key_s, idx), side="right")]
+        flip = p > 0.5
+        q = np.where(flip, 1.0 - p, p)
         d = np.empty(len(idx), dtype=np.int64)
-
-        inv = m * np.minimum(p, 1.0 - p) <= INVERSION_MEAN_MAX
+        inv = m * q <= INVERSION_MEAN_MAX
         if inv.any():
             u = _rng.uniforms_at(key_u, idx[inv])
-            d[inv] = _binomial_inversion(m, p[inv], u)
+            d[inv] = _binomial_inversion(m, q[inv], np.where(flip[inv], 1.0 - u, u))
         rej = ~inv
         if rej.any():
-            d[rej] = _binomial_btrs(m, p[rej], key_btrs, idx[rej])
-        out[i0:i1] = d
+            d[rej] = _binomial_btrs(m, q[rej], key_btrs, idx[rej])
+        out[i0:i1] = np.where(flip, m - d, d)
 
     _run_chunks(work, count, 16, threads)  # a draw costs ~16 array elements, whatever l
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
@@ -312,19 +313,14 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
 def _binomial_inversion(m: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Exact binomial quantile at uniforms ``u``: min{k : P(X <= k) >= u}.
 
-    Sequential search from k = 0 with the pmf ratio recurrence; when
-    p > 1/2 the complement Bin(m, 1-p) is inverted at 1-u instead, which
-    keeps iteration counts at O(mean).  Exact up to double rounding.
+    Sequential search from k = 0 with the pmf ratio recurrence, which takes
+    O(mean) steps for the p <= 1/2 it is given.  Exact up to double rounding.
     """
-    flip = p > 0.5
-    p_eff = np.where(flip, 1.0 - p, p)
-    u_eff = np.where(flip, 1.0 - u, u)
-
-    pf = np.exp(m * np.log1p(-p_eff))
+    pf = np.exp(m * np.log1p(-p))
     cdf = pf.copy()
     k = np.zeros(p.shape, dtype=np.int64)
-    odds = p_eff / (1.0 - p_eff)
-    active = np.nonzero(cdf < u_eff)[0]
+    odds = p / (1.0 - p)
+    active = np.nonzero(cdf < u)[0]
     kk = 0
     while active.size and kk < m:
         ratio = ((m - kk) / (kk + 1.0)) * odds[active]
@@ -332,28 +328,25 @@ def _binomial_inversion(m: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         cdf[active] += pf[active]
         kk += 1
         k[active] = kk
-        still = cdf[active] < u_eff[active]
+        still = cdf[active] < u[active]
         # Guard against stalling once the pmf underflows; the residual
         # probability mass at that point is below 1e-300.
         still &= pf[active] > 0.0
         active = active[still]
-    return np.where(flip, m - k, k)
+    return k
 
 
 def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarray:
-    """Exact Bin(m, p) draws by transformed rejection with squeeze (BTRS).
+    """Exact Bin(m, p) draws by transformed rejection with squeeze (BTRS),
+    for p <= 1/2.
 
     Hörmann (1993), "The generation of binomial random variates", J. Stat.
-    Comput. Simul. 46; needs m * min(p, 1 - p) >= 10.  As in
-    :func:`_binomial_inversion`, p > 1/2 draws Bin(m, 1 - p) and returns
-    m minus it.  Attempt a of draw ``idx[i]`` takes its two uniforms from
-    positions 2 idx[i] and 2 idx[i] + 1 of the stream keyed
-    ``_rng.word_at(key, a)``, so every draw is a pure function of (key,
-    draw index, attempt).  The loop runs over attempts, each on the draws
-    still pending.
+    Comput. Simul. 46; needs m * p >= 10.  Attempt a of draw ``idx[i]``
+    takes its two uniforms from positions 2 idx[i] and 2 idx[i] + 1 of the
+    stream keyed ``_rng.word_at(key, a)``, so every draw is a pure function
+    of (key, draw index, attempt).  The loop runs over attempts, each on the
+    draws still pending.
     """
-    flip = p > 0.5
-    p = np.where(flip, 1.0 - p, p)
     spq = np.sqrt(m * p * (1.0 - p))
     b = 1.15 + 2.53 * spq
     a = -0.0873 + 0.0248 * b + 0.01 * p
@@ -385,8 +378,7 @@ def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarr
             k[pending[done]] = kk[done]
             pending = pending[~done]
             attempt += 1
-    k = k.astype(np.int64)
-    return np.where(flip, m - k, k)
+    return k.astype(np.int64)
 
 
 def _run_chunks(work, count: int, item_elems: int, threads: int) -> None:

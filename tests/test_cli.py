@@ -9,6 +9,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -534,6 +535,29 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), "scipy.special" in sys.modules,
         seen.append(proc.stdout.split())
     assert [s[:2] for s in seen] == [["1", "True"], ["2", "True"], ["None", "True"]]
     assert len({s[2] for s in seen}) == 1
+
+
+def test_bench_tracer_hooks_resolve_in_the_package(tmp_path, monkeypatch):
+    # bench/tracing.py wraps the table's methods by name and bench/run.py
+    # imports these names; a rename in the package must fail here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    from magnet import REFERENCE_PARAMS, DegreePmfTable, GridSpec, ModelParams
+    from magnet.sampler import INVERSION_MEAN_MAX
+
+    methods = ("from_model", "log_pmf", "pmf", "cdf", "quantile", "prob_zero")
+    originals = {m: DegreePmfTable.__dict__[m] for m in methods}
+    assert isinstance(originals["from_model"], classmethod)
+    tracer = tracing.Tracer()
+    with tracer:
+        assert main(["pmf", "--n", "1000000", "--out", str(tmp_path / "pmf.csv")]) == 0
+    names = {span[3] for span in tracer.spans}
+    for name in ("from_model", "quantile", "cdf", "pmf", "write_pmf_csv"):
+        assert f"degree_dist.{name}" in names, name
+    assert all(DegreePmfTable.__dict__[m] is originals[m] for m in methods)
+    assert isinstance(REFERENCE_PARAMS, ModelParams)
+    assert GridSpec().n_delta * GridSpec().n_eta > 0
+    assert INVERSION_MEAN_MAX > 0
 
 
 def test_installed_entry_point_runs():

@@ -7,7 +7,8 @@ The frozen probe values below come from a 40-digit (mpmath) evaluation of
 
 rounded to nearest float64, and must agree to 1e-12 relative.  At
 n = 1e9 and 1e12 the 40-digit reference is recomputed in the test from
-the table's own p_s.
+the same double p_s that the table forms.  Per-s oracles (``_per_s``) are
+built in the tests, apart from the table's merged components.
 """
 
 import io
@@ -26,10 +27,11 @@ from magnet import (
     ModelParams,
     REFERENCE_PARAMS,
     Scaling,
+    derive_constants,
     write_pmf_csv,
 )
 from magnet.degree_dist import (
-    _BAND_CAP, _band, _band_cdf, _binomial_log_pmf, _logsumexp_rows,
+    _BAND_CAP, _attribute_window, _band, _band_cdf, _binomial_log_pmf, _logsumexp_rows,
 )
 
 P = REFERENCE_PARAMS
@@ -72,13 +74,24 @@ def test_desk_scale_matches_high_precision_probes():
     assert table.cdf(50) == pytest.approx(CDF1E6_AT_50, rel=1e-12)
 
 
-def _mp_pmf(table, ds):
-    """40-digit P(D = d) at each d of ``ds``, from the table's own p_s."""
-    m, l = table.n - 1, table.l
+def _per_s(params, l):
+    """(s, p_s, ln P(S = s)) over the attribute-count window, one entry per
+    s: neither merged where p_s repeat nor floored."""
+    c = derive_constants(params)
+    s = _attribute_window(l, params.mu1)
+    return (s, np.exp(s * c.log_gamma1 + (l - s) * c.log_gamma0),
+            _binomial_log_pmf(l, params.mu1, s))
+
+
+def _mp_pmf(params, n, l, ds):
+    """40-digit P(D = d) at each d of ``ds``, one component per s of the
+    window, from the double p_s that the table forms."""
+    m = n - 1
+    s, p_s, _ = _per_s(params, l)
     with mp.workdps(40):
-        mu1, mu0 = mp.mpf(table.params.mu1), mp.mpf(table.params.mu0)
+        mu1, mu0 = mp.mpf(params.mu1), mp.mpf(params.mu0)
         comps = [(mp.binomial(l, s) * mu1 ** s * mu0 ** (l - s), mp.mpf(float(p)))
-                 for s, p in enumerate(np.exp(table.log_p), start=table.s_lo)]
+                 for s, p in zip(s.astype(int).tolist(), p_s)]
         return [mp.fsum(w * mp.binomial(m, d) * p ** d * (1 - p) ** (m - d) for w, p in comps)
                 for d in ds]
 
@@ -88,12 +101,13 @@ def _mp_pmf(table, ds):
     (10**12, (0, 3, 100, 1000, 3906), (16, 40)),
 ])
 def test_large_n_matches_40_digit_probes(n, pmf_at, cdf_at):
-    table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+    l = Scaling(rho=1.0).attr_count(n)
+    table = DegreePmfTable.from_model(P, n, l)
     got = table.pmf(np.array(pmf_at))
-    for d, g, w in zip(pmf_at, got, _mp_pmf(table, pmf_at)):
+    for d, g, w in zip(pmf_at, got, _mp_pmf(P, n, l, pmf_at)):
         assert abs(g / float(w) - 1.0) <= 1e-12, (d, g, w)
     for d in cdf_at:
-        want = float(mp.fsum(_mp_pmf(table, range(d + 1))))
+        want = float(mp.fsum(_mp_pmf(P, n, l, range(d + 1))))
         assert abs(table.cdf(d) - want) <= 1e-12, (d, table.cdf(d), want)
 
 
@@ -101,10 +115,11 @@ def test_cdf_matches_40_digit_sums_at_1e9():
     # components with mean 3-9 once put the incomplete-beta cdf 1.6e-12 off
     # here at d = 7; the band sums must stay within 1e-12 at every d <= 50
     n = 10**9
-    table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
+    l = Scaling(rho=1.0).attr_count(n)
+    table = DegreePmfTable.from_model(P, n, l)
     ds = np.arange(51)
     with mp.workdps(40):
-        want = np.array([float(c) for c in itertools.accumulate(_mp_pmf(table, ds))])
+        want = np.array([float(c) for c in itertools.accumulate(_mp_pmf(P, n, l, ds))])
     got = table.cdf(ds)
     assert np.max(np.abs(got - want)) <= 1e-12, np.abs(got - want).argmax()
 
@@ -208,14 +223,14 @@ def test_cdf_past_the_band_cap_is_the_incomplete_beta_mixture():
     # ~1.1e5 take betaincc and the rest band sums; the mixture must equal
     # sum_s w_s betaincc(d + 1, n - 1 - d, p_s) throughout
     n = 2**53
-    table = DegreePmfTable.from_model(ModelParams(q11=0.9, q10=0.2, q00=0.3, mu1=0.6), n,
-                                      Scaling(rho=1.0).attr_count(n))
-    mean = (n - 1) * np.exp(table.log_p)
+    params = ModelParams(q11=0.9, q10=0.2, q00=0.3, mu1=0.6)
+    l = Scaling(rho=1.0).attr_count(n)
+    table = DegreePmfTable.from_model(params, n, l)
+    _, p, log_w = _per_s(params, l)
+    mean = (n - 1) * p
     assert 0 < np.sum(_band(mean) > _BAND_CAP) < len(mean)
     d = np.unique(np.concatenate([np.arange(0.0, 7e5, 3500.0), np.floor(mean[mean < 1e12])]))
-    p = np.exp(table.log_p)
-    want = scipy.special.betaincc(d[:, None] + 1.0, (n - 1) - d[:, None], p) \
-        @ np.exp(table.log_weights)
+    want = scipy.special.betaincc(d[:, None] + 1.0, (n - 1) - d[:, None], p) @ np.exp(log_w)
     assert np.max(np.abs(table.cdf(d) - want)) <= 1e-13
 
 
@@ -238,7 +253,7 @@ def test_log_pmf_sum_is_scipy_logsumexp_to_the_bit(n):
     # scipy.special.logsumexp forms it
     table = DegreePmfTable.from_model(P, n, Scaling(rho=1.0).attr_count(n))
     d = np.arange(table.quantile(1.0 - 1e-12) + 1.0)
-    terms = table.log_weights + _binomial_log_pmf(n - 1, np.exp(table.log_p), d[:, None])
+    terms = table.log_w + _binomial_log_pmf(n - 1, table.p, d[:, None])
     assert np.array_equal(_logsumexp_rows(terms), scipy.special.logsumexp(terms, axis=1))
 
 
@@ -260,10 +275,10 @@ def test_quantile_stays_within_the_band_bound():
     # past hi = max_s(mu_s + K_s) = 1174 every component holds less than
     # 1e-20, so the answer is at most hi even where the computed cdf stays
     # below q = 1 - 2**-53 up to hi, never a degree out towards n - 1
-    table = DegreePmfTable.from_model(
-        ModelParams(q11=0.26416816438270224, q10=0.5398063027663567,
-                    q00=0.3829596498932713, mu1=0.5935280347365751), 31833, 5)
-    mean = (table.n - 1) * np.exp(table.log_p)
+    params = ModelParams(q11=0.26416816438270224, q10=0.5398063027663567,
+                         q00=0.3829596498932713, mu1=0.5935280347365751)
+    table = DegreePmfTable.from_model(params, 31833, 5)
+    mean = (table.n - 1) * _per_s(params, 5)[1]
     assert math.ceil(np.max(mean + _band(mean))) == 1174
     q = 1.0 - 2.0**-53
     d = table.quantile(q)
@@ -276,33 +291,30 @@ def test_components_sharing_a_floored_p_are_summed_once(l):
     # at n = 1000 every p_s of the window is below the smallest normal
     # double: one component carries all the weight, and the pmf still sums to 1
     table = DegreePmfTable.from_model(P, 1000, l)
-    p, log_w = table._mixture()
-    assert len(table.log_weights) > 30000
-    assert p.tolist() == [np.finfo(np.float64).tiny]
-    assert abs(log_w[0]) <= 1e-15
+    assert len(_attribute_window(l, P.mu1)) > 30000
+    assert table.p.tolist() == [np.finfo(np.float64).tiny]
+    assert abs(table.log_w[0]) <= 1e-15
     assert abs(math.fsum(table.pmf(np.arange(1000))) - 1.0) <= 1e-12
 
 
 def test_equal_p_s_are_one_component_even_where_not_adjacent():
     # with gamma1 = gamma0 = 0.99 the computed p_s of s = 0..1000 take two
     # interleaved doubles; each double is one component, whatever its s
-    table = DegreePmfTable.from_model(ModelParams(q11=0.99, q10=0.99, q00=0.99, mu1=0.5),
-                                      10**6, 1000)
-    p_s = np.exp(table.log_p)
+    params = ModelParams(q11=0.99, q10=0.99, q00=0.99, mu1=0.5)
+    table = DegreePmfTable.from_model(params, 10**6, 1000)
+    _, p_s, log_w_s = _per_s(params, 1000)
     assert np.count_nonzero(np.diff(p_s)) > 2
-    p, log_w = table._mixture()
-    assert sorted(p) == sorted(set(p_s))
-    assert len(p) == 2
-    for value, lw in zip(p, log_w):
-        assert math.exp(lw) == pytest.approx(np.exp(table.log_weights)[p_s == value].sum(),
-                                             rel=1e-14)
+    assert sorted(table.p) == sorted(set(p_s))
+    assert len(table.p) == 2
+    for value, lw in zip(table.p, table.log_w):
+        assert math.exp(lw) == pytest.approx(np.exp(log_w_s)[p_s == value].sum(), rel=1e-14)
 
 
 def test_distinct_components_keep_their_weights_to_the_bit():
     table = DegreePmfTable.from_model(P, 10**12, 28)
-    p, log_w = table._mixture()
-    assert log_w.tobytes() == table.log_weights.tobytes()
-    assert p.tobytes() == np.exp(table.log_p).tobytes()
+    _, p_s, log_w_s = _per_s(P, 28)
+    assert table.log_w.tobytes() == log_w_s.tobytes()
+    assert table.p.tobytes() == p_s.tobytes()
 
 
 def test_pmf_of_many_rows_and_components_stays_in_bounded_memory():
@@ -310,9 +322,10 @@ def test_pmf_of_many_rows_and_components_stays_in_bounded_memory():
     # their temporaries peak near 500 MiB; in blocks of _CHUNK terms, 4 MiB
     import tracemalloc
 
-    table = DegreePmfTable.from_model(ModelParams(q11=0.93, q10=0.93, q00=0.929, mu1=0.5),
-                                      10**5, 300)
-    assert len(np.unique(np.exp(table.log_p))) == 301
+    params = ModelParams(q11=0.93, q10=0.93, q00=0.929, mu1=0.5)
+    table = DegreePmfTable.from_model(params, 10**5, 300)
+    assert len(np.unique(_per_s(params, 300)[1])) == 301
+    assert len(table.p) == 301
     tracemalloc.start()
     try:
         table.pmf(np.arange(16384))
@@ -324,9 +337,9 @@ def test_pmf_of_many_rows_and_components_stays_in_bounded_memory():
 
 def test_log_weights_normalize():
     table = DegreePmfTable.from_model(P, 100, 7)
-    assert scipy.special.logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
-    assert len(table.log_weights) == 8
-    assert np.all(table.log_p < 0)
+    assert scipy.special.logsumexp(table.log_w) == pytest.approx(0.0, abs=1e-12)
+    assert len(table.log_w) == 8
+    assert np.all(table.p < 1)
 
 
 @pytest.mark.parametrize("l, mu1, window", [
@@ -340,10 +353,13 @@ def test_log_weights_normalize():
 def test_attribute_count_window_drops_less_than_the_smallest_double(l, mu1, window):
     # outside [s_lo, s_hi] every weight times (l + 1) is below 2**-1074, by
     # a 40-digit ln P(S = s); the ends themselves are kept
-    table = DegreePmfTable.from_model(ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=mu1), 1000, l)
-    s_lo, s_hi = table.s_lo, table.s_lo + len(table.log_weights) - 1
+    params = ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=mu1)
+    table = DegreePmfTable.from_model(params, 1000, l)
+    kept = _attribute_window(l, mu1)
+    s_lo, s_hi = int(kept[0]), int(kept[-1])
     assert (s_lo, s_hi) == window
-    assert len(table.log_p) == len(table.log_weights)
+    assert np.array_equal(kept, np.arange(s_lo, s_hi + 1.0))
+    assert len(table.p) == len(table.log_w)
     with mp.workdps(40):
         floor = -1074 * mp.log(2)
 
@@ -355,7 +371,8 @@ def test_attribute_count_window_drops_less_than_the_smallest_double(l, mu1, wind
             if 0 <= s <= l:
                 assert log_weight_times_l1(s) < floor, s
         assert log_weight_times_l1(s_lo) >= floor and log_weight_times_l1(s_hi) >= floor
-    assert scipy.special.logsumexp(table.log_weights) == pytest.approx(0.0, abs=1e-12)
+    assert scipy.special.logsumexp(_per_s(params, l)[2]) == pytest.approx(0.0, abs=1e-12)
+    assert scipy.special.logsumexp(table.log_w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_whole_range_window_costs_no_bisection(monkeypatch):
@@ -371,8 +388,9 @@ def test_whole_range_window_costs_no_bisection(monkeypatch):
 
     monkeypatch.setattr(dd, "_binomial_log_pmf", counted)
     table = DegreePmfTable.from_model(P, 10**6, 14)
-    assert (table.s_lo, len(table.log_weights)) == (0, 15)
     assert len(calls) <= 2
+    assert len(table.log_w) == 15
+    assert _attribute_window(14, P.mu1).tolist() == list(range(15))
 
 
 def test_degree_argument_validation():

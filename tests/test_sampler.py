@@ -39,7 +39,7 @@ from magnet.sampler import (
     replicate_seed,
     unpack_rows,
 )
-from magnet.stats import chi_square_gof, tv_to_exact
+from magnet.stats import FIT_ALPHA, chi_square_gof, tv_to_exact
 
 P = REFERENCE_PARAMS
 
@@ -394,6 +394,28 @@ def test_direct_sampler_complement_flip_distribution():
         assert dof >= 5
 
 
+def test_direct_draws_where_components_merge_follow_the_exact_law():
+    # with gamma1 = gamma0 = 0.99 the 1001 computed p_s take two doubles:
+    # a draw picks one of the two merged components, which pmf sums over
+    params = ModelParams(q11=0.99, q10=0.99, q00=0.99, mu1=0.5)
+    table = DegreePmfTable.from_model(params, 10**6, 1000)
+    assert len(table.p) == 2
+    draws = sample_degrees_direct(params, 10**6, 1000, 100000, seed=29).degrees
+    exact = np.asarray(table.pmf(np.arange(draws.max() + 1)))
+    _, pval, dof = chi_square_gof(draws, exact)
+    assert pval > FIT_ALPHA
+    assert dof >= 5
+
+
+def test_direct_draws_from_a_floored_component_are_zero():
+    # at n = 1000, l = 1e6 every p_s is below the smallest normal double:
+    # the one floored component puts all its mass on degree 0
+    table = DegreePmfTable.from_model(P, 1000, 10**6)
+    assert table.p.tolist() == [np.finfo(np.float64).tiny]
+    draws = sample_degrees_direct(P, 1000, 10**6, 10000, seed=31).degrees
+    assert np.all(draws == 0)
+
+
 def test_direct_sampler_rejection_draws_at_mixed_scale_match_exact_binomials():
     # The bench's `mixed` scale: n = 1e12, l = 28, where ~40% of draws take
     # BTRS.  Each draw's attribute count S is recomputed from its uniform by
@@ -450,7 +472,8 @@ def test_both_degree_routes_agree_in_distribution():
 
 def test_binomial_inversion_matches_reference_distribution():
     rng_u = np.random.default_rng(0).uniform(size=20000)
-    # complement flip: p > 0.5 goes through the mirrored recurrence
+    # p > 0.5 unmirrored: the recurrence is exact there too, only slower
+    # (the direct sampler mirrors before it calls this)
     hi = _binomial_inversion(40, np.full(20000, 0.9), rng_u)
     assert tv_to_exact(hi, stats.binom.pmf(np.arange(41), 40, 0.9)) < 0.02
     lo = _binomial_inversion(40, np.full(20000, 0.1), rng_u)
