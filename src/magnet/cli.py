@@ -1,14 +1,14 @@
 """Command line interface.
 
 Subcommands: generate, degrees, pmf, regime, approx, bound, experiment.
-Common flags: --seed <u64>, --out <path>, --threads <k> (threads affect
-speed only, never output).  Exit codes: 0 success, 2 invalid
-configuration (an output path that cannot be opened included), 3 regime
-violation, 4 budget exceeded (a failed allocation included).  Reruns with
-the same arguments and seed produce byte-identical outputs; wall-clock
-metadata only ever lands in report sidecars.  Each command loads only the
-modules it runs, and OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS
-is set before start-up.
+Common flags: --seed <u64>, --out <path>, --threads <k> (accepted and
+checked to be at least 1, but it changes nothing: every command runs on one
+thread).  Exit codes: 0 success, 2 invalid configuration (an output path
+that cannot be opened included), 3 regime violation, 4 budget exceeded (a
+failed allocation included).  Reruns with the same arguments and seed
+produce byte-identical outputs; wall-clock metadata only ever lands in
+report sidecars.  Each command loads only the modules it runs, and OpenBLAS
+runs one thread unless OPENBLAS_NUM_THREADS is set before start-up.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; affects speed only, never output")
+                        help="accepted for compatibility; changes nothing")
     model = argparse.ArgumentParser(add_help=False, parents=[common])
     for f in dataclasses.fields(ModelParams):
         model.add_argument(f"--{f.name}", type=float, default=getattr(REFERENCE_PARAMS, f.name))
@@ -130,8 +130,7 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
         if args.method == SampleMethod.DIRECT.value
         else sample_degrees_fullgraph
     )
-    samples = sampler(_params(args), args.n, _attr_count(args), args.count,
-                      _seed(args), threads=args.threads)
+    samples = sampler(_params(args), args.n, _attr_count(args), args.count, _seed(args))
     write_degrees_csv(samples, _target(args))
     return 0
 
@@ -206,7 +205,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    report = run_experiment(config, threads=args.threads)
+    report = run_experiment(config)
     out = args.out if args.out is not None else config.out
     if out is None:
         _write_out(sys.stdout, report.lines())

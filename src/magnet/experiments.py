@@ -305,14 +305,14 @@ class ExperimentReport:
 # Runners
 # =====================================================================
 
-def _direct_draws(config: ExperimentConfig, n: int, threads: int) -> DegreeSampleSet:
+def _direct_draws(config: ExperimentConfig, n: int) -> DegreeSampleSet:
     """The config's direct degree draws at node count ``n``."""
     seed = _rng.word_at(_rng.stream_key(config.seed, _rng.TAG_GRID_DIRECT), n)
-    return sample_degrees_direct(config.params, n, config.scaling.attr_count(n), config.draws,
-                                 seed, threads=threads)
+    return sample_degrees_direct(config.params, n, config.scaling.attr_count(n),
+                                 config.draws, seed)
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the experiment described by ``config`` and build its report."""
     runner = {
         ExperimentKind.DEGREE_FIT: _run_degree_fit,
@@ -322,7 +322,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
         ExperimentKind.BOUND_CHECK: _run_bound_check,
         ExperimentKind.KL_RECONCILE: _run_kl_reconcile,
     }[config.kind]
-    rows = runner(config, threads)
+    rows = runner(config)
     prov = {
         "kind": config.kind.value,
         "config_hash": config_hash(config),
@@ -345,14 +345,14 @@ def _fraction_stderr(frac: float, count: int) -> float:
     return math.sqrt(max(frac * (1.0 - frac), 1e-300) / count)
 
 
-def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
+def _run_degree_fit(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for n in config.n_grid:
         l = config.scaling.attr_count(n)
-        direct = _direct_draws(config, n, threads)
+        direct = _direct_draws(config, n)
         graph_seed = _rng.word_at(_rng.stream_key(config.seed, _rng.TAG_GRID_GRAPH), n)
         graph = sample_degrees_fullgraph(config.params, n, l, max(100, config.draws // 4),
-                                         graph_seed, threads=threads)
+                                         graph_seed)
         table = DegreePmfTable.from_model(config.params, n, l)
         d_hi = int(max(direct.degrees.max(), graph.degrees.max()))
         exact = np.asarray(table.pmf(np.arange(d_hi + 1)))
@@ -374,11 +374,11 @@ def _run_degree_fit(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     return rows
 
 
-def _run_lognormal_ks(config: ExperimentConfig, threads: int) -> list[ReportRow]:
+def _run_lognormal_ks(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     deltas: list[SupDelta] = []
     for n in config.n_grid:
-        sd = empirical_sup_delta(_direct_draws(config, n, threads), config.scaling)
+        sd = empirical_sup_delta(_direct_draws(config, n), config.scaling)
         deltas.append(sd)
         cert = optimize_bound(config.params, n, config.scaling)
         dominates = cert.vacuous or (sd.sup_delta + 3.0 * sd.proxy <= cert.total)
@@ -409,7 +409,7 @@ def _run_lognormal_ks(config: ExperimentConfig, threads: int) -> list[ReportRow]
     return rows
 
 
-def _run_zero_one_law(config: ExperimentConfig, threads: int) -> list[ReportRow]:
+def _run_zero_one_law(config: ExperimentConfig) -> list[ReportRow]:
     regime = classify_regime(config.params, config.scaling.rho)
     if regime.regime is Regime.BOUNDARY:
         raise RegimeError("the zero-one law experiment needs a non-boundary regime")
@@ -435,10 +435,10 @@ def _run_zero_one_law(config: ExperimentConfig, threads: int) -> list[ReportRow]
     return rows
 
 
-def _run_lambda_probe(config: ExperimentConfig, threads: int) -> list[ReportRow]:
+def _run_lambda_probe(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     for n in config.n_grid:
-        samples = _direct_draws(config, n, threads)
+        samples = _direct_draws(config, n)
         for t in (0.1, 1.0, 10.0):
             frac = lambda_limit_probe(t, samples, config.scaling)
             rows.append(ReportRow(
@@ -449,7 +449,7 @@ def _run_lambda_probe(config: ExperimentConfig, threads: int) -> list[ReportRow]
     return rows
 
 
-def _run_bound_check(config: ExperimentConfig, threads: int) -> list[ReportRow]:
+def _run_bound_check(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     totals: list[float] = []
     for n in config.n_grid:
@@ -472,7 +472,7 @@ def _run_bound_check(config: ExperimentConfig, threads: int) -> list[ReportRow]:
     return rows
 
 
-def _run_kl_reconcile(config: ExperimentConfig, threads: int) -> list[ReportRow]:
+def _run_kl_reconcile(config: ExperimentConfig) -> list[ReportRow]:
     # q11, q10, q00, mu1 of each of 20 random sets: uniform on [0.05, 0.95)
     u = _rng.uniforms_at(_rng.stream_key(config.seed, _rng.TAG_PARAM_SETS), np.arange(4 * 20))
     draws = (0.05 + 0.9 * u).reshape(-1, 4).tolist()

@@ -25,16 +25,15 @@ Two routes produce degrees with identical laws:
 
 All randomness is counter-based (see ``_rng``): every value is a pure
 function of ``(seed, stream tag, index)``, so outputs are independent of
-chunking and thread count, and replicate r of a batch equals the graph
-sampled standalone with replicate r's derived seed.
+chunking, and replicate r of a batch equals the graph sampled standalone
+with replicate r's derived seed.  Batches run in chunks, in order, on the
+calling thread.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -65,7 +64,7 @@ __all__ = [
 #: mean of at least 10).
 INVERSION_MEAN_MAX = 30.0
 
-#: Target element count per vectorized work chunk.
+#: Most array elements per vectorized work chunk (one item at least).
 _CHUNK_ELEMS = 1 << 22
 
 #: Pairs per edge-test block of ``sample_graph``.
@@ -211,7 +210,7 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
     _check_int("n", n, 2, EXACT_MAX)
     _check_int("l", l, 1, EXACT_MAX)
     _check_int("seed", seed, 0, 2 ** 64 - 1)
-    _check_pair_budget(n, pair_budget)
+    _check_pair_budget(n * (n - 1) // 2, pair_budget)
 
     bits = _attr_bits_for_seed(np.array([seed], dtype=np.uint64), n, l, params.mu1)[0]
     words = pack_rows(bits)
@@ -239,7 +238,6 @@ def replicate_seed(seed: int, r: int) -> int:
 
 
 def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, seed: int,
-                             threads: int = 1,
                              pair_budget: int = DEFAULT_PAIR_BUDGET) -> DegreeSampleSet:
     """Node-0 degrees of ``count`` independently sampled graphs.
 
@@ -247,13 +245,14 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
     degree equals ``sample_graph(..., replicate_seed(seed, r)).degrees()[0]``
     realization for realization; only the node-0-incident uniforms and the
     attribute rows are evaluated, which is what makes batches affordable.
-    Raises :class:`BudgetError` when n(n-1)/2 exceeds ``pair_budget``.
+    Raises :class:`BudgetError` when the count (n-1) pairs it evaluates
+    exceed ``pair_budget``.
     """
     _check_int("n", n, 2, EXACT_MAX)
     _check_int("l", l, 1, EXACT_MAX)
     _check_int("seed", seed, 0, 2 ** 64 - 1)
     _check_int("count", count, 1, EXACT_MAX)
-    _check_pair_budget(n, pair_budget)
+    _check_pair_budget(count * (n - 1), pair_budget)
 
     out = np.empty(count, dtype=np.int64)
     rep_key = _rng.stream_key(seed, _rng.TAG_REPLICATE)
@@ -266,7 +265,7 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
         hits = _edge_test(np.exp(log_link), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
         out[i0:i1] = hits.sum(axis=1, dtype=np.int64)
 
-    _run_chunks(work, count, n * l, threads)
+    _run_chunks(work, count, n * l)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.FULL_GRAPH, degrees=out)
 
@@ -275,8 +274,8 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 # Direct compound-binomial sampling
 # =====================================================================
 
-def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed: int,
-                          threads: int = 1) -> DegreeSampleSet:
+def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int,
+                          seed: int) -> DegreeSampleSet:
     """``count`` exact draws of D: a component p of the exact law's
     :class:`DegreePmfTable` by its weight, then D ~ Bin(n-1, p)."""
     table = DegreePmfTable.from_model(params, n, l)
@@ -305,7 +304,7 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int, seed:
             d[rej] = _binomial_btrs(m, q[rej], key_btrs, idx[rej])
         out[i0:i1] = np.where(flip, m - d, d)
 
-    _run_chunks(work, count, 16, threads)  # a draw costs ~16 array elements, whatever l
+    _run_chunks(work, count, 16)  # a draw costs ~16 array elements, whatever l
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.DIRECT, degrees=out)
 
@@ -381,35 +380,20 @@ def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarr
     return k.astype(np.int64)
 
 
-def _run_chunks(work, count: int, item_elems: int, threads: int) -> None:
-    """Run ``work(i0, i1)`` over [0, count) in near-equal spans.
+def _run_chunks(work, count: int, item_elems: int) -> None:
+    """Run ``work(i0, i1)`` over [0, count) in near-equal spans, in order.
 
-    An item costs about ``item_elems`` array elements.  Each thread used
-    gets at least ``_CHUNK_ELEMS // 16`` elements of work (below that,
-    handing work between threads costs more than it saves).  The number of
-    spans is the least multiple of the threads used that keeps each span
-    within ``_CHUNK_ELEMS`` elements, so every thread gets the same share.
-    The pool runs at most one worker per CPU; the spans do not depend on that.
+    An item costs about ``item_elems`` array elements; a span holds at most
+    ``_CHUNK_ELEMS`` elements, or one item when an item is larger.
     """
-    total = count * max(1, item_elems)
-    threads = max(1, min(threads, total // (_CHUNK_ELEMS // 16)))
-    spans = -(-total // _CHUNK_ELEMS)
-    spans = min(count, -(-spans // threads) * threads)
+    spans = -(-count // max(1, _CHUNK_ELEMS // item_elems))
     bounds = [count * k // spans for k in range(spans + 1)]
-    if threads == 1 or spans == 1:
-        for i0, i1 in zip(bounds, bounds[1:]):
-            work(i0, i1)
-        return
-    workers = min(threads, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, i0, i1) for i0, i1 in zip(bounds, bounds[1:])]
-        for f in futures:
-            f.result()
+    for i0, i1 in zip(bounds, bounds[1:]):
+        work(i0, i1)
 
 
-def _check_pair_budget(n: int, pair_budget: int) -> None:
+def _check_pair_budget(pairs: int, pair_budget: int) -> None:
     _check_int("pair_budget", pair_budget, 1)
-    pairs = n * (n - 1) // 2
     if pairs > pair_budget:
         raise BudgetError(
             f"{pairs} node pairs exceed the pair budget of {pair_budget}"

@@ -72,9 +72,9 @@ def _verdict(num: int, ok: bool, name: str, detail: str) -> bool:
 def test_criterion_01_sampler_pmf_oracle_equivalence():
     t0 = time.monotonic()
     exact = np.asarray(DegreePmfTable.from_model(P, 30, 3).pmf(np.arange(30)))
-    direct = sample_degrees_direct(P, 30, 3, 200000, seed=101, threads=1)
+    direct = sample_degrees_direct(P, 30, 3, 200000, seed=101)
     tv_d = tv_to_exact(direct.degrees, exact)
-    graphs = sample_degrees_fullgraph(P, 30, 3, 50000, seed=102, threads=1)
+    graphs = sample_degrees_fullgraph(P, 30, 3, 50000, seed=102)
     tv_g = tv_to_exact(graphs.degrees, exact)
     elapsed = time.monotonic() - t0
     ok = tv_d < 0.01 and tv_g < 0.02 and elapsed < 60.0

@@ -9,6 +9,7 @@ import json
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,30 @@ def test_degrees_thread_invariance(tmp_path):
     assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
     assert main(base + ["--threads", "4", "--out", str(out4)]) == 0
     assert out1.read_bytes() == out4.read_bytes()
+
+
+def test_threads_flag_starts_no_thread(tmp_path, monkeypatch):
+    # --threads is accepted and changes nothing: the samplers run every
+    # chunk on the calling thread, at 40000 direct draws and 600 replicates
+    # of 200 nodes too, and write the bytes they write at --threads 1
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    ini = tmp_path / "probe.ini"
+    ini.write_text(INI.replace("kl_reconcile", "lambda_probe")
+                   .replace("n_grid = 1000 1000000", "n_grid = 1000")
+                   .replace("draws = 100", "draws = 40000"))
+    commands = {
+        "direct": ["degrees", "--method", "direct", "--n", "1000", "--count", "40000"],
+        "fullgraph": ["degrees", "--method", "fullgraph", "--n", "200", "--count", "600"],
+        "experiment": ["experiment", str(ini)],
+    }
+    for name, args in commands.items():
+        outs = [tmp_path / f"{name}_t{t}.out" for t in (1, 4)]
+        for t, out in zip((1, 4), outs):
+            assert main(args + ["--seed", "3", "--threads", str(t), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes(), name
 
 
 def test_degrees_fullgraph_method(tmp_path):
@@ -183,10 +208,11 @@ def test_exit_code_4_on_budget_exceeded(capsys):
 
 
 def test_exit_code_4_on_fullgraph_budget_exceeded(capsys):
-    # 50000 nodes are 1,249,975,000 pairs, over the default budget of 10**9
-    assert main(["degrees", "--method", "fullgraph", "--n", "50000", "--count", "1"]) == 4
+    # 20001 replicates of node 0's 49999 pairs are 1,000,029,999 pairs, over
+    # the default budget of 10**9; one replicate is well within it
+    assert main(["degrees", "--method", "fullgraph", "--n", "50000", "--count", "20001"]) == 4
     err = capsys.readouterr().err
-    assert "1249975000 node pairs exceed the pair budget" in err
+    assert "1000029999 node pairs exceed the pair budget" in err
     assert "raise the budget" not in err  # degrees has no --pair-budget flag
 
 
@@ -197,8 +223,8 @@ def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # l = 1e7, whose 120181 components share one floored p_s; an n, l or --count
     # past 2**53 or an --out that cannot be opened must be refused with exit
     # 2, and so must a rho whose rho * ln n overflows to inf; an allocation
-    # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB of attribute
-    # bits) must exit 4; never a traceback
+    # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB and 13.4 GiB of
+    # attribute uniforms) must exit 4; never a traceback
     script = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -221,6 +247,7 @@ sys.exit(main(sys.argv[1:]))
         (["degrees", "--n", "30", "--count", str(2**64)], 2),
         (["degrees", "--n", "30", "--count", str(2**53)], 4),
         (["generate", "--n", "30", "--l", str(10**8)], 4),
+        (["degrees", "--method", "fullgraph", "--n", str(10**8), "--count", "1"], 4),
         *(([command, "--n", "1000", "--rho", "1e308"], 2)
           for command in ("bound", "pmf", "approx", "degrees")),
         (["bound", "--n", str(10**50), "--rho", "1e307"], 2),
@@ -548,13 +575,54 @@ def test_bench_tracer_hooks_resolve_in_the_package(tmp_path, monkeypatch):
     methods = ("from_model", "log_pmf", "pmf", "cdf", "quantile", "prob_zero")
     originals = {m: DegreePmfTable.__dict__[m] for m in methods}
     assert isinstance(originals["from_model"], classmethod)
+    # A tiny replay of the traced benchmark's commands: bench/run.py reads
+    # each span below by name, indexes the first and divides by their work
+    # and duration, so each must be recorded with nonzero work.
+    def experiment(kind: str, grid: str, draws: int) -> list[str]:
+        ini = tmp_path / f"{kind}.ini"
+        ini.write_text(INI.replace("kl_reconcile", kind)
+                       .replace("n_grid = 1000 1000000", f"n_grid = {grid}")
+                       .replace("draws = 100", f"draws = {draws}"))
+        return ["experiment", str(ini)]
+
+    direct = ["degrees", "--n", "1000000", "--count", "500"]
+    commands = {
+        "generate": ["generate", "--n", "300"],
+        "direct_t1": [*direct, "--threads", "1"],
+        "direct_t2": [*direct, "--threads", "2"],
+        "fullgraph": ["degrees", "--method", "fullgraph", "--n", "100", "--count", "100"],
+        "pmf": ["pmf", "--n", "1000000"],
+        "approx": ["approx", "--n", "1000000"],
+        "bound": ["bound", "--n", "1000"],
+        "degree_fit": experiment("degree_fit", "50 100", 400),
+        "lognormal_ks": experiment("lognormal_ks", "1000 10000", 400),
+    }
+    by_cmd = {}
     tracer = tracing.Tracer()
     with tracer:
-        assert main(["pmf", "--n", "1000000", "--out", str(tmp_path / "pmf.csv")]) == 0
-    names = {span[3] for span in tracer.spans}
-    for name in ("from_model", "quantile", "cdf", "pmf", "write_pmf_csv"):
-        assert f"degree_dist.{name}" in names, name
+        for key, args in commands.items():
+            i0 = len(tracer.spans)
+            assert main([*args, "--seed", "1", "--out", str(tmp_path / f"{key}.out")]) == 0
+            by_cmd[key] = tracer.spans[i0:]
     assert all(DegreePmfTable.__dict__[m] is originals[m] for m in methods)
+    wanted = {
+        "generate": ["rng.uniforms_at", "sampler.sample_graph", "sampler.write_edge_list"],
+        "direct_t1": ["sampler.sample_degrees_direct", "sampler.write_degrees_csv"],
+        "direct_t2": ["sampler.sample_degrees_direct"],
+        "fullgraph": ["sampler.sample_degrees_fullgraph", "sampler.write_degrees_csv"],
+        "pmf": [f"degree_dist.{m}" for m in ("from_model", "quantile", "cdf", "pmf",
+                                             "write_pmf_csv")],
+        "approx": ["limits.cdf_approx"],
+        "bound": ["bounds.optimize_bound", "bounds.berry_esseen_bound"],
+        "degree_fit": ["stats.chi_square_gof", "stats.two_sample_ks", "stats.tv_to_exact",
+                       "experiments.run_experiment.degree_fit"],
+        "lognormal_ks": ["stats.ks_statistic", "experiments.run_experiment.lognormal_ks"],
+    }
+    for key, names in wanted.items():
+        for name in names:
+            spans = [s for s in by_cmd[key] if s[3] == name]
+            assert spans and spans[0][6] > 0, (key, name)
+            assert sum(s[5] - s[4] for s in spans) > 0, (key, name)
     assert isinstance(REFERENCE_PARAMS, ModelParams)
     assert GridSpec().n_delta * GridSpec().n_eta > 0
     assert INVERSION_MEAN_MAX > 0

@@ -2,7 +2,6 @@
 agreement between full-graph realizations and direct compound draws.
 """
 
-import concurrent.futures
 import hashlib
 import io
 import math
@@ -131,9 +130,10 @@ def test_pair_budget_enforced():
     with pytest.raises(BudgetError):
         sample_graph(P, 100, 3, seed=0, pair_budget=1000)  # needs 4950
     sample_graph(P, 100, 3, seed=0, pair_budget=4950)  # exactly enough
+    # one replicate evaluates node 0's 99 pairs
     with pytest.raises(BudgetError):
-        sample_degrees_fullgraph(P, 100, 3, 1, seed=0, pair_budget=4949)
-    sample_degrees_fullgraph(P, 100, 3, 1, seed=0, pair_budget=4950)
+        sample_degrees_fullgraph(P, 100, 3, 1, seed=0, pair_budget=98)
+    sample_degrees_fullgraph(P, 100, 3, 1, seed=0, pair_budget=99)
 
 
 def test_empirical_edge_density_matches_pair_probability():
@@ -241,83 +241,48 @@ def test_fullgraph_batch_equals_standalone_realizations():
 
 
 def test_fullgraph_batch_thread_invariance(monkeypatch):
-    a = sample_degrees_fullgraph(P, 40, 3, 600, seed=5, threads=1)
-    b = sample_degrees_fullgraph(P, 40, 3, 600, seed=5, threads=3)
+    a = sample_degrees_fullgraph(P, 40, 3, 600, seed=5)
+    b = sample_degrees_fullgraph(P, 40, 3, 600, seed=5)
+    c = sample_degrees_fullgraph(P, 40, 3, 600, seed=6)
     assert np.array_equal(a.degrees, b.degrees)
+    assert not np.array_equal(a.degrees, c.degrees)
     # Small chunks: 600 replicates of 120 elements each span >= 5 chunks of
-    # <= 10^4 elements; bytes depend neither on the split nor on threads.
+    # <= 10^4 elements; bytes do not depend on the split.
     spans = []
     monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 10 ** 4)
     real_run_chunks = sampler._run_chunks
 
-    def counting_run_chunks(work, count, item_elems, threads):
+    def counting_run_chunks(work, count, item_elems):
         def counted(i0, i1):
             spans.append((i0, i1))
             work(i0, i1)
-        real_run_chunks(counted, count, item_elems, threads)
+        real_run_chunks(counted, count, item_elems)
 
     monkeypatch.setattr(sampler, "_run_chunks", counting_run_chunks)
-    for threads in (1, 2, 4):
-        spans.clear()
-        split = sample_degrees_fullgraph(P, 40, 3, 600, seed=5, threads=threads)
-        assert np.array_equal(split.degrees, a.degrees)
-        assert len(spans) >= 5 and len(spans) % threads == 0
-        assert sorted(spans)[0][0] == 0 and sum(i1 - i0 for i0, i1 in spans) == 600
+    split = sample_degrees_fullgraph(P, 40, 3, 600, seed=5)
+    assert np.array_equal(split.degrees, a.degrees)
+    assert len(spans) >= 5
+    assert spans[0][0] == 0 and sum(i1 - i0 for i0, i1 in spans) == 600
 
 
-@pytest.mark.parametrize("count, item_elems, threads, n_spans", [
-    (200_000, 14, 1, 1), (200_000, 14, 2, 2),  # bench `inv`
-    (200_000, 28, 1, 2), (200_000, 28, 2, 2),  # bench `mixed`
-    (25_000, 7, 2, 1),  # bench `rej`: below the per-thread minimum of work
-    (1200, 2000 * 8, 1, 5), (1200, 2000 * 8, 2, 6),  # bench `fullgraph`
-    (100, 1 << 20, 4, 28), (1, 10 ** 9, 4, 1), (3, 1, 8, 1),
+@pytest.mark.parametrize("count, item_elems, n_spans", [
+    (200_000, 14, 1),  # bench `inv`
+    (200_000, 28, 2),  # bench `mixed`
+    (25_000, 7, 1),  # bench `rej`
+    (1200, 2000 * 8, 5),  # bench `fullgraph`
+    (100, 1 << 20, 25), (1, 10 ** 9, 1), (3, 1, 1), (10 ** 6, 16, 4), (10 ** 8, 16, 382),
 ])
-def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, threads,
-                                                            n_spans):
+def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
     assert sampler._CHUNK_ELEMS == 1 << 22
     spans = []
-    sampler._run_chunks(lambda i0, i1: spans.append((i0, i1)), count, item_elems, threads)
-    spans.sort()
+    sampler._run_chunks(lambda i0, i1: spans.append((i0, i1)), count, item_elems)
     assert len(spans) == n_spans
+    # in order and without gaps: each span starts where the one before ended
     assert spans[0][0] == 0 and spans[-1][1] == count
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     sizes = [i1 - i0 for i0, i1 in spans]
     assert max(sizes) - min(sizes) <= 1  # near-equal
-    assert max(sizes) == 1 or (max(sizes) - 1) * item_elems < sampler._CHUNK_ELEMS
-
-
-@pytest.mark.parametrize("count, threads, cpus, n_spans, workers", [
-    (10 ** 8, 10_000, 2, 6103, 2), (10 ** 6, 2, 4, 4, 2), (10 ** 6, 3, None, 6, 1),
-])
-def test_run_chunks_pool_holds_at_most_one_worker_per_cpu(monkeypatch, count, threads, cpus,
-                                                          n_spans, workers):
-    # `degrees --n 1000000 --count 100000000 --threads 10000` splits into
-    # 6103 spans; the pool must not start a thread per span.  The fake pool
-    # runs each span inline, so this test starts no thread.
-    seen = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(sampler.concurrent.futures, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
-    spans = []
-    sampler._run_chunks(lambda i0, i1: spans.append((i0, i1)), count, 16, threads)
-    assert seen == [workers]
-    assert len(spans) == n_spans  # the split follows --threads, not the pool
-    assert sum(i1 - i0 for i0, i1 in spans) == count
+    assert max(sizes) == 1 or max(sizes) * item_elems <= sampler._CHUNK_ELEMS
 
 
 def test_replicate_seeds_are_distinct():
@@ -328,20 +293,19 @@ def test_replicate_seeds_are_distinct():
 # ------------------------------------------------------------- direct route
 
 def test_direct_sampler_deterministic_and_thread_invariant(monkeypatch):
-    a = sample_degrees_direct(P, 10**6, 14, 5000, seed=7, threads=1)
-    b = sample_degrees_direct(P, 10**6, 14, 5000, seed=7, threads=4)
-    c = sample_degrees_direct(P, 10**6, 14, 5000, seed=8, threads=1)
+    a = sample_degrees_direct(P, 10**6, 14, 5000, seed=7)
+    b = sample_degrees_direct(P, 10**6, 14, 5000, seed=7)
+    c = sample_degrees_direct(P, 10**6, 14, 5000, seed=8)
     assert np.array_equal(a.degrees, b.degrees)
     assert not np.array_equal(a.degrees, c.degrees)
     assert a.method is SampleMethod.DIRECT
     assert a.n == 10**6 and a.l == 14 and a.seed == 7
     # l = 7 sends every draw to BTRS.  Small chunks split the draws over
-    # many work items; bytes depend neither on the split nor on threads.
+    # many work items; bytes do not depend on the split.
     rej = sample_degrees_direct(P, 10**6, 7, 3000, seed=41).degrees
-    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 1000)  # 21-24 chunks of 125-143 draws
-    for threads in (1, 2, 4):
-        split = sample_degrees_direct(P, 10**6, 7, 3000, seed=41, threads=threads)
-        assert np.array_equal(split.degrees, rej)
+    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 1000)  # 49 chunks of 61-62 draws
+    split = sample_degrees_direct(P, 10**6, 7, 3000, seed=41)
+    assert np.array_equal(split.degrees, rej)
 
 
 def test_direct_sampler_inversion_branch_distribution():
