@@ -2,6 +2,7 @@
 agreement between full-graph realizations and direct compound draws.
 """
 
+import concurrent.futures
 import hashlib
 import io
 import math
@@ -283,6 +284,41 @@ def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
     sizes = [i1 - i0 for i0, i1 in spans]
     assert max(sizes) - min(sizes) <= 1  # near-equal
     assert max(sizes) == 1 or max(sizes) * item_elems <= sampler._CHUNK_ELEMS
+
+
+@pytest.mark.parametrize("count, item_elems, threads, n_spans", [
+    (200_000, 14, 1, 1), (200_000, 14, 2, 2),  # bench `inv`
+    (200_000, 28, 1, 2), (200_000, 28, 2, 2),  # bench `mixed`
+    (25_000, 7, 2, 1),  # bench `rej`
+    (1200, 2000 * 8, 1, 5), (1200, 2000 * 8, 2, 6),  # bench `fullgraph`
+    (100, 1 << 20, 4, 28), (1, 10 ** 9, 4, 1), (3, 1, 8, 1),
+])
+def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, threads,
+                                                            n_spans):
+    # A `threads`-worker pool once ran these n_spans near-equal spans in any
+    # order.  One thread runs no more spans than that, and since each draw
+    # reads only its own stream positions, both splits write the same bytes.
+    key = _rng.stream_key(9, _rng.TAG_DIRECT_U)
+
+    def filler(out):
+        def work(i0, i1):
+            out[i0:i1] = _rng.uniforms_at(key, np.arange(i0, i1, dtype=np.uint64))
+        return work
+
+    one_thread = np.full(count, np.nan)
+    spans = []
+    fill = filler(one_thread)
+    sampler._run_chunks(lambda i0, i1: (spans.append((i0, i1)), fill(i0, i1)),
+                        count, item_elems)
+    assert len(spans) <= n_spans
+    per_thread = np.full(count, np.nan)
+    edges = [count * k // n_spans for k in range(n_spans + 1)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        for f in [pool.submit(filler(per_thread), i0, i1)
+                  for i0, i1 in reversed(list(zip(edges, edges[1:])))]:
+            f.result()
+    assert not np.isnan(per_thread).any()
+    assert np.array_equal(one_thread, per_thread)
 
 
 def test_replicate_seeds_are_distinct():
