@@ -17,17 +17,24 @@ disjoint index ranges to workers reproduces the sequential output bit for
 bit.
 
 Uniform doubles take the top 53 bits of a word: ``u = (w >> 11) * 2**-53``,
-so ``u`` lies in [0, 1).
+so ``u`` lies in [0, 1).  Bits ``u < prob`` are decided on the 53-bit
+integer ``k = w >> 11`` alone: ``k * 2**-53`` and ``prob * 2**53`` are
+exact doubles, so ``u < prob`` exactly when ``k < ceil(prob * 2**53)``, and
+no double is formed.
 
-:func:`words_at` and :func:`uniforms_at` evaluate the finalizer in place,
-block by block (``_BLOCK`` words, so a block and its one scratch array stay
-in cache), writing straight into the array they return.  Every word is the
-same as in the element-wise formula above; only the order of evaluation
-differs.  Each call owns its scratch array, so concurrent calls share no
-state.
+:func:`words_at`, :func:`uniforms_at` and :func:`bits_at` evaluate the
+finalizer in place, block by block (``_BLOCK`` words, so a block and its
+scratch arrays stay in cache), writing straight into the array they
+return.  Words and uniforms hold the state in the returned array itself;
+bits, one byte each, hold it in one more block of scratch.  Every value is
+the same as in the element-wise formula above; only the order of
+evaluation differs.  Each call owns its scratch arrays, so concurrent calls
+share no state.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -67,10 +74,11 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _finalize(z: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+def _finalize(z: np.ndarray, t: np.ndarray, out: np.ndarray, below=None) -> None:
     """Run the finalizer over the states ``z`` in place (``t`` is scratch of
-    the same shape) and store the words in ``out``: ``z`` itself, or a
-    float64 array that receives the uniforms."""
+    the same shape) and store the words in ``out``: ``z`` itself, a float64
+    array that receives the uniforms, or a bool array that receives
+    ``w >> 11 < below``."""
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= np.uint64(_MUL1)
@@ -83,26 +91,31 @@ def _finalize(z: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
     else:
         t ^= z
         t >>= np.uint64(11)
-        # 53-bit integers convert to double exactly; int64 converts faster.
-        np.multiply(t.view(np.int64), 2.0 ** -53, out=out)
+        if out.dtype == np.bool_:
+            np.less(t, below, out=out)
+        else:
+            # 53-bit integers convert to double exactly; int64 converts faster.
+            np.multiply(t.view(np.int64), 2.0 ** -53, out=out)
 
 
-def _stream_at(key, indices: np.ndarray, dtype) -> np.ndarray:
-    """Words (``dtype`` uint64) or uniforms (float64) of the streams ``key``
-    at ``indices``, evaluated block by block into the returned array."""
+def _stream_at(key, indices: np.ndarray, dtype, below=None) -> np.ndarray:
+    """Words (``dtype`` uint64), uniforms (float64) or bits (bool, with the
+    53-bit bound ``below``) of the streams ``key`` at ``indices``, evaluated
+    block by block into the returned array."""
     idx = indices.astype(np.uint64, copy=False)
     key = key if isinstance(key, np.ndarray) else np.uint64(key)
     out = np.empty(np.broadcast_shapes(key.shape, idx.shape), dtype)
     scratch = np.empty(min(out.size, _BLOCK), np.uint64)
+    state = np.empty_like(scratch) if out.dtype == np.bool_ else None
     with np.nditer([key, idx, out], flags=["external_loop", "buffered", "zerosize_ok"],
                    op_flags=[["readonly"], ["readonly"], ["writeonly"]],
                    buffersize=_BLOCK) as blocks:
         for k, i, o in blocks:
-            z = o.view(np.uint64)
+            z = o.view(np.uint64) if state is None else state[:o.size]
             np.add(i, np.uint64(1), out=z)
             z *= np.uint64(GOLDEN)
             z += k
-            _finalize(z, scratch[:z.size], o)
+            _finalize(z, scratch[:z.size], o, below)
     return out
 
 
@@ -135,3 +148,10 @@ def uniforms_at(key, indices: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) doubles at absolute stream positions (keys as in
     :func:`words_at`)."""
     return _stream_at(key, indices, np.float64)
+
+
+def bits_at(key, indices: np.ndarray, prob: float) -> np.ndarray:
+    """The bools ``uniforms_at(key, indices) < prob`` for ``prob`` in [0, 1],
+    decided on the 53-bit integers without forming the uniforms (keys as in
+    :func:`words_at`)."""
+    return _stream_at(key, indices, np.bool_, np.uint64(math.ceil(prob * 2.0 ** 53)))

@@ -26,8 +26,10 @@ Two routes produce degrees with identical laws:
 All randomness is counter-based (see ``_rng``): every value is a pure
 function of ``(seed, stream tag, index)``, so outputs are independent of
 chunking, and replicate r of a batch equals the graph sampled standalone
-with replicate r's derived seed.  Batches run in chunks, in order, on the
-calling thread.
+with replicate r's derived seed.  Attribute bit j of node u is 1 when
+uniform u l + j of the attribute stream is below mu1; ``_rng.bits_at``
+decides that on the uniform's 53-bit integer, one byte per bit, with no
+double formed.  Batches run in chunks, in order, on the calling thread.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class DegreeSampleSet:
 def _attr_bits_for_seed(seeds: np.ndarray, n: int, l: int, mu1: float) -> np.ndarray:
     """Attribute bit matrices, one per seed: shape (len(seeds), n, l) uint8."""
     keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)
-    u = _rng.uniforms_at(keys[:, None], np.arange(n * l, dtype=np.uint64))
-    return (u < mu1).astype(np.uint8).reshape(len(seeds), n, l)
+    bits = _rng.bits_at(keys[:, None], np.arange(n * l, dtype=np.uint64), mu1)
+    return bits.view(np.uint8).reshape(len(seeds), n, l)
 
 
 def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:

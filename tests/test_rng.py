@@ -16,6 +16,7 @@ from magnet._rng import (
     GOLDEN,
     TAG_ATTR_BITS,
     TAG_PAIR_UNIF,
+    bits_at,
     mix64,
     mix64_array,
     stream_key,
@@ -151,25 +152,56 @@ def test_blocked_kernel_broadcasts_key_columns_against_indices(n):
         assert np.array_equal(unif[r], _scalar_uniforms(want))
 
 
+@pytest.mark.parametrize("prob", [0.6, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 1e-300])
+def test_bits_at_is_the_uniform_below_prob_bit_for_bit(prob):
+    # The integer test k < ceil(prob 2**53) must give exactly the bools of
+    # the float formula: over 1e6 positions under one key, and over a
+    # length that is no multiple of the block under an (R, 1) key column.
+    key = stream_key(31, TAG_ATTR_BITS)
+    idx = np.arange(10 ** 6, dtype=np.uint64)
+    got = bits_at(key, idx, prob)
+    assert got.dtype == np.bool_ and got.shape == (10 ** 6,)
+    assert np.array_equal(got, uniforms_at(key, idx) < prob)
+    keys = np.array([stream_key(s, TAG_ATTR_BITS) for s in (0, 1, 2**64 - 1)],
+                    dtype=np.uint64)
+    odd = np.arange(3 * _rng._BLOCK + 7, dtype=np.uint64)
+    got = bits_at(keys[:, None], odd, prob)
+    assert got.shape == (3, len(odd))
+    assert np.array_equal(got, uniforms_at(keys[:, None], odd) < prob)
+
+
+def test_bits_at_decides_a_prob_on_the_lattice_exactly():
+    # prob = k 2**-53 for the k of a stream word: that position's uniform
+    # equals prob, so its bit is False; one ulp more makes it True.
+    key = stream_key(5, TAG_ATTR_BITS)
+    for i in (0, 1, 12345, _rng._BLOCK + 3):
+        k = word_at(key, i) >> 11
+        prob = k * 2.0 ** -53
+        at = np.array([i], dtype=np.uint64)
+        assert uniforms_at(key, at)[0] == prob
+        assert not bits_at(key, at, prob)[0]
+        assert bits_at(key, at, np.nextafter(prob, 1.0))[0]
+
+
 def test_blocked_kernel_is_safe_across_threads():
-    # Each call owns its scratch array: concurrent calls on different
+    # Each call owns its scratch arrays: concurrent calls on different
     # streams and sizes must return what sequential calls return.
     jobs = [(stream_key(s, TAG_PAIR_UNIF), np.arange(s * 1000, s * 1000 + 2 * _rng._BLOCK + s,
                                                      dtype=np.uint64))
             for s in range(16)]
-    want = [(words_at(k, i), uniforms_at(k, i)) for k, i in jobs]
+    want = [(words_at(k, i), uniforms_at(k, i), bits_at(k, i, 0.6)) for k, i in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(lambda k=k, i=i: (words_at(k, i), uniforms_at(k, i)))
+            futures = [pool.submit(lambda k=k, i=i: (words_at(k, i), uniforms_at(k, i),
+                                                     bits_at(k, i, 0.6)))
                        for k, i in jobs]
             got = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for (gw, gu), (ww, wu) in zip(got, want):
-        assert np.array_equal(gw, ww)
-        assert np.array_equal(gu, wu)
+    for g, w in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(g, w))
 
 
 def test_golden_constant_is_the_64_bit_golden_ratio():

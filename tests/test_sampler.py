@@ -6,6 +6,7 @@ import concurrent.futures
 import hashlib
 import io
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -264,6 +265,20 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
     assert np.array_equal(split.degrees, a.degrees)
     assert len(spans) >= 5
     assert spans[0][0] == 0 and sum(i1 - i0 for i0, i1 in spans) == 600
+
+
+def test_fullgraph_chunk_memory_stays_bounded():
+    # the bench's fullgraph batch: five chunks of 240 graphs at n = 2000,
+    # l = 8.  Attribute bits come one byte each from the word stream, so
+    # no chunk holds a double per attribute (that took the peak to 36.6 MiB).
+    sample_degrees_fullgraph(P, 20, 8, 4, seed=1)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        sample_degrees_fullgraph(P, 2000, 8, 1200, seed=23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2 ** 20
 
 
 @pytest.mark.parametrize("count, item_elems, n_spans", [

@@ -3,15 +3,18 @@ and the exact two-sample KS p-value."""
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import magnet.stats as mstats
 from magnet.errors import InvalidParamsError
 from magnet.stats import (
+    _chi2_sf,
     _ks_outside_prob,
     chi_square_gof,
     dkw_proxy,
@@ -160,18 +163,32 @@ def _chi_square_gof_and_scipy(monkeypatch, draws, pmf):
     return got, stats.chisquare(*seen[-1])
 
 
+def _chi2_sf_40_digits(x: float, dof: int) -> float:
+    """Q(dof/2, x/2), the chi-square upper tail, at 40 digits and then
+    rounded to the nearest double."""
+    with mp.workdps(40):
+        return float(mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2, regularized=True))
+
+
+def _assert_p_value(p: float, stat: float, dof: int) -> None:
+    want = _chi2_sf_40_digits(stat, dof)
+    assert abs(p - want) <= 1e-13 * want, (stat, dof, p, want)
+
+
 def test_chi_square_gof_calibration(monkeypatch):
     rng = np.random.default_rng(11)
     pmf = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
     draws = rng.choice(5, size=50000, p=pmf)
     (stat, p, dof), want = _chi_square_gof_and_scipy(monkeypatch, draws, pmf)
-    assert (stat, p) == (want.statistic, want.pvalue)
+    assert stat == want.statistic
+    _assert_p_value(p, stat, dof)
     assert p > 1e-3
     assert dof >= 3
     # a wrong reference law is rejected hard
     wrong = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
-    (stat, p_bad, _), want = _chi_square_gof_and_scipy(monkeypatch, draws, wrong)
-    assert (stat, p_bad) == (want.statistic, want.pvalue)
+    (stat, p_bad, dof), want = _chi_square_gof_and_scipy(monkeypatch, draws, wrong)
+    assert stat == want.statistic
+    _assert_p_value(p_bad, stat, dof)
     assert p_bad < 1e-10
 
 
@@ -182,9 +199,43 @@ def test_chi_square_gof_merges_sparse_tail(monkeypatch):
     k = 30  # far into the sparse tail; merging must keep expected >= 5
     pmf = stats.poisson.pmf(np.arange(k), lam)
     (stat, p, dof), want = _chi_square_gof_and_scipy(monkeypatch, draws, pmf)
-    assert (stat, p) == (want.statistic, want.pvalue)
+    assert stat == want.statistic
+    _assert_p_value(p, stat, dof)
     assert p > 1e-3
     assert dof < k  # tail bins were merged
+
+
+def test_chi2_sf_matches_40_digits_over_a_grid():
+    # dof 1..300, x <= 1500 from the centre of each law out to both tails.
+    # The closed form's worst relative error must stay within 2e-13 and
+    # within 1e-15 of scipy's chdtrc's worst on the same grid; below the
+    # normal doubles, relative error means nothing, so there p is held to
+    # an absolute 1e-300.
+    worst = worst_chdtrc = 0.0
+    for dof in range(1, 301):
+        xs = {dof * f for f in (0.05, 0.3, 0.7, 1.0, 1.3, 2.0, 4.0)}
+        xs |= {0.01, 0.5, 1.0, 5.0, 20.0, 100.0, 400.0, 1000.0, 1500.0}
+        for x in sorted(v for v in xs if v <= 1500.0):
+            want, got = _chi2_sf_40_digits(x, dof), _chi2_sf(x, dof)
+            if want < 1e-290:
+                assert abs(got - want) <= 1e-300, (x, dof)
+                continue
+            worst = max(worst, abs(got - want) / want)
+            worst_chdtrc = max(worst_chdtrc, abs(special.chdtrc(dof, x) - want) / want)
+    assert worst <= 2e-13
+    assert worst <= worst_chdtrc + 1e-15
+
+
+def test_chi2_sf_edges():
+    for dof in (1, 2, 7, 300):
+        assert _chi2_sf(0.0, dof) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _chi2_sf(1e308, dof) == 0.0
+    # the closed form's one-term cases, to the bit
+    for x in (1e-9, 0.1, 3.7, 50.0, 700.0):
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
 
 
 def test_merge_bins_sweeps_up_and_folds_the_remainder():
