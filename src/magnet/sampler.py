@@ -7,11 +7,11 @@ Two routes produce degrees with identical laws:
   uniform, and the edge test compares it against
   ``exp(c11 ln q11 + c10 ln q10 + c00 ln q00)`` where c11/c10 come from
   popcounts of AND/XOR of the packed rows and ``c00 = l - c11 - c10``.
-  While the distinct attribute rows (classes) are few enough for a table
-  over class pairs to hold O(n) entries, the edge test reads these
-  probabilities from that table, built once per graph with the same
-  formula, so the doubles are the same.  Pairs are tested in blocks of
-  consecutive pair indices.
+  While the K distinct attribute rows (classes) give K^2 <= min(n(n-1)/2,
+  ``_CHUNK_ELEMS``), the edge test reads these probabilities from a K x K
+  table over class pairs, built once per graph with the same formula, so
+  the doubles are the same.  Pairs are tested in blocks of consecutive
+  pair indices.
 
 * ``sample_degrees_direct`` skips the graph and draws from the compound
   binomial directly: a component p_s of the exact law's ``DegreePmfTable``
@@ -71,10 +71,6 @@ _CHUNK_ELEMS = 1 << 22
 
 #: Pairs per edge-test block of ``sample_graph``.
 _BLOCK_PAIRS = 1 << 16
-
-#: ``sample_graph`` tabulates link probabilities over attribute classes
-#: while the table has at most this many entries per node.
-_TABLE_ENTRIES_PER_NODE = 64
 
 # =====================================================================
 # Bit-packed attribute rows
@@ -189,16 +185,20 @@ def _edge_test(p: np.ndarray, key, first: int) -> np.ndarray:
 def _row_probabilities(words: np.ndarray, l: int, params: ModelParams):
     """Link probabilities of node u towards nodes u+1..n-1, as a function of u.
 
-    While the attribute classes (distinct rows) are few, K^2 <= 64 n, they
-    come from a K x K table of ``exp(_log_link(...))`` over the classes,
-    built once; otherwise each row is evaluated directly.  Equal rows give
-    equal popcounts, so both ways give the same doubles.
+    While the K attribute classes (distinct rows) give K^2 <= min(n(n-1)/2,
+    ``_CHUNK_ELEMS``), so that the table evaluates no more links than the
+    rows would and fits in one chunk, they come from a K x K table of
+    ``exp(_log_link(...))`` over the classes, built once; otherwise each
+    row is evaluated directly.  Equal rows give equal popcounts, so both
+    ways give the same doubles.
     """
     n = len(words)
     classes, cls = np.unique(words, axis=0, return_inverse=True)
-    if len(classes) ** 2 > _TABLE_ENTRIES_PER_NODE * n:
+    if len(classes) ** 2 > min(n * (n - 1) // 2, _CHUNK_ELEMS):
         return lambda u: np.exp(_log_link(words[u], words[u + 1:], l, params))
-    table = np.array([np.exp(_log_link(c, classes, l, params)) for c in classes])
+    table = np.empty((len(classes), len(classes)))
+    for a, c in enumerate(classes):
+        table[a] = np.exp(_log_link(c, classes, l, params))
     cls = cls.reshape(-1)  # numpy 2.0.0 kept a trailing axis here
     return lambda u: table[cls[u]].take(cls[u + 1:])
 
@@ -239,6 +239,16 @@ def replicate_seed(seed: int, r: int) -> int:
     return _rng.word_at(_rng.stream_key(seed, _rng.TAG_REPLICATE), r)
 
 
+def _node0_degrees(params: ModelParams, n: int, l: int, seeds: np.ndarray) -> np.ndarray:
+    """Node 0's degree in the graph sampled under each of ``seeds``; its
+    arrays are freed on return, before the next span allocates its own."""
+    words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
+    pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
+    log_link = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
+    hits = _edge_test(np.exp(log_link), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
+    return hits.sum(axis=1, dtype=np.int64)
+
+
 def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, seed: int,
                              pair_budget: int = DEFAULT_PAIR_BUDGET) -> DegreeSampleSet:
     """Node-0 degrees of ``count`` independently sampled graphs.
@@ -258,16 +268,9 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     out = np.empty(count, dtype=np.int64)
     rep_key = _rng.stream_key(seed, _rng.TAG_REPLICATE)
-
-    def work(i0: int, i1: int) -> None:
+    for i0, i1 in _spans(count, n * l):
         seeds = _rng.words_at(rep_key, np.arange(i0, i1, dtype=np.uint64))
-        words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
-        pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
-        log_link = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
-        hits = _edge_test(np.exp(log_link), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
-        out[i0:i1] = hits.sum(axis=1, dtype=np.int64)
-
-    _run_chunks(work, count, n * l)
+        out[i0:i1] = _node0_degrees(params, n, l, seeds)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.FULL_GRAPH, degrees=out)
 
@@ -290,8 +293,7 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int,
     key_btrs = _rng.stream_key(seed, _rng.TAG_DIRECT_BTRS)
     m = n - 1
     out = np.empty(count, dtype=np.int64)
-
-    def work(i0: int, i1: int) -> None:
+    for i0, i1 in _spans(count, 16):  # a draw costs ~16 array elements, whatever l
         idx = np.arange(i0, i1, dtype=np.uint64)
         p = table.p[np.searchsorted(cdf_w, _rng.uniforms_at(key_s, idx), side="right")]
         flip = p > 0.5
@@ -305,8 +307,6 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int,
         if rej.any():
             d[rej] = _binomial_btrs(m, q[rej], key_btrs, idx[rej])
         out[i0:i1] = np.where(flip, m - d, d)
-
-    _run_chunks(work, count, 16)  # a draw costs ~16 array elements, whatever l
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.DIRECT, degrees=out)
 
@@ -382,16 +382,15 @@ def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarr
     return k.astype(np.int64)
 
 
-def _run_chunks(work, count: int, item_elems: int) -> None:
-    """Run ``work(i0, i1)`` over [0, count) in near-equal spans, in order.
+def _spans(count: int, item_elems: int) -> list[tuple[int, int]]:
+    """[0, count) as near-equal ``(i0, i1)`` spans, in order.
 
     An item costs about ``item_elems`` array elements; a span holds at most
     ``_CHUNK_ELEMS`` elements, or one item when an item is larger.
     """
     spans = -(-count // max(1, _CHUNK_ELEMS // item_elems))
     bounds = [count * k // spans for k in range(spans + 1)]
-    for i0, i1 in zip(bounds, bounds[1:]):
-        work(i0, i1)
+    return list(zip(bounds, bounds[1:]))
 
 
 def _check_pair_budget(pairs: int, pair_budget: int) -> None:
@@ -432,8 +431,8 @@ def write_edge_list(graph: MagGraph, target: str | IO[str]) -> None:
 
 def write_attributes(graph: MagGraph, target: str | IO[str]) -> None:
     """Attribute dump: one line per node of l characters '0'/'1'."""
-    bits = graph.attribute_matrix()
-    _write_out(target, ("".join("1" if b else "0" for b in row) for row in bits))
+    chars = graph.attribute_matrix() + ord("0")
+    _write_out(target, (bytes(row).decode("ascii") for row in chars))
 
 
 def write_degrees_csv(samples: DegreeSampleSet, target: str | IO[str]) -> None:

@@ -208,10 +208,28 @@ def _brute_force_edges(params, n, l, seed):
     return words, np.stack([u[hit], v[hit]], axis=1)
 
 
+def _sample_graph_counting_rows(monkeypatch, params, n, l, seed):
+    """``sample_graph`` and how many rows it passed to ``_log_link``: the K
+    class rows when it built the class table, the n - 1 node rows when it
+    evaluated each row directly."""
+    calls = []
+
+    def counting_log_link(row, others, l, params):
+        calls.append(row)
+        return _log_link(row, others, l, params)
+
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_log_link", counting_log_link)
+        g = sample_graph(params, n, l, seed=seed)
+    return g, len(calls)
+
+
 @pytest.mark.parametrize("block_pairs", [None, 1000, 50])
 @pytest.mark.parametrize("params, n, l, table", [
     (P, 200, 3, True),  # K = 8 classes < n: the class table
     (ModelParams(q11=0.99, q10=0.97, q00=0.98, mu1=0.5), 120, 130, False),  # K = n, 3 words
+    # K = 205: K^2 is above 64 n (the old table rule) and below the n(n-1)/2 pairs
+    (ModelParams(q11=0.9, q10=0.6, q00=0.8, mu1=0.5), 400, 8, True),
 ])
 def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, table,
                                                    block_pairs):
@@ -219,13 +237,45 @@ def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, ta
         monkeypatch.setattr(sampler, "_BLOCK_PAIRS", block_pairs)
     words, edges = _brute_force_edges(params, n, l, seed=8)
     k = len(np.unique(words, axis=0))
-    assert (k * k <= sampler._TABLE_ENTRIES_PER_NODE * n) == table
-    assert k == (8 if table else n)
-    g = sample_graph(params, n, l, seed=8)
+    assert k == {200: 8, 120: n, 400: 205}[n]
+    g, rows = _sample_graph_counting_rows(monkeypatch, params, n, l, seed=8)
+    assert rows == (k if table else n - 1)
     assert np.array_equal(g.attr_words, words)
     assert len(edges) > 100
     assert g.edges.dtype == np.int64
     assert np.array_equal(g.edges, edges)
+    if n == 400:
+        assert len(edges) == 6096
+
+
+def test_sample_graph_class_table_fits_one_chunk(monkeypatch):
+    # K = 205 classes: the table holds K^2 = 42 025 links, so a chunk cap
+    # one below that sends the graph to the per-row path, with the same edges.
+    params = ModelParams(q11=0.9, q10=0.6, q00=0.8, mu1=0.5)
+    k = 205
+    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", k * k)
+    table, rows = _sample_graph_counting_rows(monkeypatch, params, 400, 8, seed=8)
+    assert rows == k
+    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", k * k - 1)
+    per_row, rows = _sample_graph_counting_rows(monkeypatch, params, 400, 8, seed=8)
+    assert rows == 400 - 1
+    assert len(table.edges) == 6096
+    assert np.array_equal(per_row.edges, table.edges)
+
+
+def test_sample_graph_class_table_memory_stays_bounded():
+    # K = 1561 classes at n = 3000: the table is K^2 doubles, 18.6 MiB,
+    # built in place (a list of rows stacked into it would hold it twice).
+    params = ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=0.5)
+    sample_graph(params, 20, 11, seed=1)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        g = sample_graph(params, 3000, 11, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(g.attr_words, axis=0)) == 1561
+    assert peak <= 24 * 2 ** 20
 
 
 # ------------------------------------------------------- batched full graphs
@@ -252,15 +302,14 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
     # <= 10^4 elements; bytes do not depend on the split.
     spans = []
     monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 10 ** 4)
-    real_run_chunks = sampler._run_chunks
+    real_spans = sampler._spans
 
-    def counting_run_chunks(work, count, item_elems):
-        def counted(i0, i1):
-            spans.append((i0, i1))
-            work(i0, i1)
-        real_run_chunks(counted, count, item_elems)
+    def counting_spans(count, item_elems):
+        for span in real_spans(count, item_elems):
+            spans.append(span)  # as the sampler reaches it
+            yield span
 
-    monkeypatch.setattr(sampler, "_run_chunks", counting_run_chunks)
+    monkeypatch.setattr(sampler, "_spans", counting_spans)
     split = sample_degrees_fullgraph(P, 40, 3, 600, seed=5)
     assert np.array_equal(split.degrees, a.degrees)
     assert len(spans) >= 5
@@ -270,7 +319,9 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
 def test_fullgraph_chunk_memory_stays_bounded():
     # the bench's fullgraph batch: five chunks of 240 graphs at n = 2000,
     # l = 8.  Attribute bits come one byte each from the word stream, so
-    # no chunk holds a double per attribute (that took the peak to 36.6 MiB).
+    # no chunk holds a double per attribute (that took the peak to 36.6 MiB),
+    # and no chunk's arrays outlive it (holding them into the next chunk
+    # took it to 26.2 MiB).
     sample_degrees_fullgraph(P, 20, 8, 4, seed=1)  # lazy imports and caches first
     tracemalloc.start()
     try:
@@ -278,7 +329,7 @@ def test_fullgraph_chunk_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 28 * 2 ** 20
+    assert peak <= 24 * 2 ** 20
 
 
 @pytest.mark.parametrize("count, item_elems, n_spans", [
@@ -289,9 +340,10 @@ def test_fullgraph_chunk_memory_stays_bounded():
     (100, 1 << 20, 25), (1, 10 ** 9, 1), (3, 1, 1), (10 ** 6, 16, 4), (10 ** 8, 16, 382),
 ])
 def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
+    # The samplers walk these spans of `_spans` in a loop; the test keeps the
+    # name of `_run_chunks`, the callback runner `_spans` replaced.
     assert sampler._CHUNK_ELEMS == 1 << 22
-    spans = []
-    sampler._run_chunks(lambda i0, i1: spans.append((i0, i1)), count, item_elems)
+    spans = sampler._spans(count, item_elems)
     assert len(spans) == n_spans
     # in order and without gaps: each span starts where the one before ended
     assert spans[0][0] == 0 and spans[-1][1] == count
@@ -311,8 +363,9 @@ def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
 def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, threads,
                                                             n_spans):
     # A `threads`-worker pool once ran these n_spans near-equal spans in any
-    # order.  One thread runs no more spans than that, and since each draw
-    # reads only its own stream positions, both splits write the same bytes.
+    # order.  One thread runs no more spans of `_spans` than that, and since
+    # each draw reads only its own stream positions, both splits write the
+    # same bytes.
     key = _rng.stream_key(9, _rng.TAG_DIRECT_U)
 
     def filler(out):
@@ -321,10 +374,9 @@ def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, t
         return work
 
     one_thread = np.full(count, np.nan)
-    spans = []
-    fill = filler(one_thread)
-    sampler._run_chunks(lambda i0, i1: (spans.append((i0, i1)), fill(i0, i1)),
-                        count, item_elems)
+    spans = sampler._spans(count, item_elems)
+    for i0, i1 in spans:
+        filler(one_thread)(i0, i1)
     assert len(spans) <= n_spans
     per_thread = np.full(count, np.nan)
     edges = [count * k // n_spans for k in range(n_spans + 1)]
@@ -556,3 +608,12 @@ def test_attributes_file_roundtrip(tmp_path):
     assert all(len(ln) == 5 and set(ln) <= {"0", "1"} for ln in body)
     mat = np.array([[int(ch) for ch in ln] for ln in body])
     assert np.array_equal(mat, g.attribute_matrix())
+
+
+def test_attributes_file_matches_per_bit_text():
+    # l = 130 is three packed words and no whole number of bytes
+    g = sample_graph(P, 40, 130, seed=5)
+    buf = io.StringIO()
+    write_attributes(g, buf)
+    per_bit = ["".join("1" if b else "0" for b in row) for row in g.attribute_matrix()]
+    assert buf.getvalue() == "".join(line + "\n" for line in per_bit)
