@@ -30,6 +30,12 @@ with replicate r's derived seed.  Attribute bit j of node u is 1 when
 uniform u l + j of the attribute stream is below mu1; ``_rng.bits_at``
 decides that on the uniform's 53-bit integer, one byte per bit, with no
 double formed.  Batches run in chunks, in order, on the calling thread.
+
+``sample_degrees_fullgraph`` evaluates node 0's pairs only, and draws their
+uniforms first: no link probability exceeds ``(max q)^l`` (up to rounding
+slack), so a pair whose uniform is above that bound is a non-edge, and
+attribute rows are drawn for node 0 and the remaining candidates alone.
+Node 0's degree is the one the whole graph under that seed has.
 """
 
 from __future__ import annotations
@@ -239,14 +245,48 @@ def replicate_seed(seed: int, r: int) -> int:
     return _rng.word_at(_rng.stream_key(seed, _rng.TAG_REPLICATE), r)
 
 
+def _link_bound(l: int, params: ModelParams) -> float:
+    """A double at or above every link probability ``exp(_log_link(...))``
+    at ``l`` attributes.
+
+    The log link is at most l max ln q.  The slack in the exponent covers
+    the rounding of its three products and two sums, each within 2^-53 of
+    a term at most l max |ln q|, and that of ``exp``.
+    """
+    logs = [math.log(q) for q in (params.q11, params.q10, params.q00)]
+    return math.exp(l * max(logs) + 2.0 ** -40 * (1.0 + l * -min(logs)))
+
+
 def _node0_degrees(params: ModelParams, n: int, l: int, seeds: np.ndarray) -> np.ndarray:
     """Node 0's degree in the graph sampled under each of ``seeds``; its
-    arrays are freed on return, before the next span allocates its own."""
-    words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
+    arrays are freed on return, before the next span allocates its own.
+
+    A pair whose uniform lies above ``_link_bound`` is a non-edge whatever
+    the two rows, so only node 0's row and the rows of the other pairs
+    (the candidates) are drawn.  Below a bound of 1/3 that is faster and
+    holds less than drawing every row; near 1/2 the gather passes the
+    whole-row draw in time and memory, so from 1/3 on every row is drawn.
+    """
     pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
-    log_link = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
-    hits = _edge_test(np.exp(log_link), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
-    return hits.sum(axis=1, dtype=np.int64)
+    hi = _link_bound(l, params)
+    if 3.0 * hi >= 1.0:
+        words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
+        log_link = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
+        hits = _edge_test(np.exp(log_link), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
+        return hits.sum(axis=1, dtype=np.int64)
+    # u <= hi is u < the next double above hi, which bits_at decides
+    rep, pair = np.nonzero(_rng.bits_at(pair_keys[:, None], np.arange(n - 1, dtype=np.uint64),
+                                        math.nextafter(hi, 1.0)))
+    attr_keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)[:, None]
+    cols = np.arange(l, dtype=np.uint64)
+    row0 = pack_rows(_rng.bits_at(attr_keys, cols, params.mu1).view(np.uint8))  # (R, W)
+    pair = pair.astype(np.uint64)  # pair v - 1 of node 0 joins it to node v
+    first = (pair + np.uint64(1)) * np.uint64(l)  # position of node v's bit 0
+    rows = pack_rows(_rng.bits_at(attr_keys[rep], first[:, None] + cols, params.mu1)
+                     .view(np.uint8))  # (candidates, W)
+    p = np.exp(_log_link(row0[rep], rows, l, params))
+    hit = _rng.uniforms_at(pair_keys[rep], pair) <= p
+    return np.bincount(rep[hit], minlength=len(seeds))
 
 
 def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, seed: int,
@@ -255,8 +295,9 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     Replicate r uses the derived seed ``replicate_seed(seed, r)`` and its
     degree equals ``sample_graph(..., replicate_seed(seed, r)).degrees()[0]``
-    realization for realization; only the node-0-incident uniforms and the
-    attribute rows are evaluated, which is what makes batches affordable.
+    realization for realization; only node 0's uniforms are drawn, and
+    attribute rows only for node 0 and the nodes whose uniform could still
+    make them neighbours, which is what makes batches affordable.
     Raises :class:`BudgetError` when the count (n-1) pairs it evaluates
     exceed ``pair_budget``.
     """

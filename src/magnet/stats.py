@@ -116,15 +116,22 @@ def _ks_outside_prob(m: int, n: int, h: int) -> float:
     g = math.gcd(m, n)
     mg, w = m // g, (m + n) // g
     i = np.arange(m + 1, dtype=np.float64)
+    j = np.arange(m + n, -1, -1, dtype=np.float64)  # j[m + n - s + k] = s - k
     b = np.zeros(m + 2)  # b[k + 1] = B(k, s - k); b[0] stands for i = -1
     b[1] = 1.0
+    via_i, via_j = np.empty(m + 1), np.empty(m + 1)  # scratch rows, reused each step
     for s in range(1, m + n + 1):
         lo = max(0, s - n, (mg * s - h) // w + 1)
         hi = min(m, s, (mg * s + h - 1) // w)
         if lo > hi:
             return 1.0
-        ii = i[lo:hi + 1]
-        b[lo + 1:hi + 2] = (ii * b[lo:hi + 1] + (s - ii) * b[lo + 1:hi + 2]) / s
+        # positional outputs: numpy parses them faster than out=, and the
+        # per-step call overhead is most of the cost at narrow bands
+        cur, ti, tj = b[lo + 1:hi + 2], via_i[:hi + 1 - lo], via_j[:hi + 1 - lo]
+        np.multiply(i[lo:hi + 1], b[lo:hi + 1], ti)  # i B(i - 1, j)
+        np.multiply(j[m + n - s + lo:m + n - s + hi + 1], cur, tj)  # j B(i, j - 1)
+        np.add(ti, tj, ti)
+        np.divide(ti, s, cur)
         b[lo] = 0.0
     return min(1.0, max(0.0, 1.0 - b[m + 1]))
 

@@ -280,16 +280,63 @@ def test_sample_graph_class_table_memory_stays_bounded():
 
 # ------------------------------------------------------- batched full graphs
 
-def test_fullgraph_batch_equals_standalone_realizations():
-    batch = sample_degrees_fullgraph(P, 25, 3, 16, seed=99)
+@pytest.mark.parametrize("params, n, l, gather", [
+    (P, 25, 3, False),  # bound 0.343: every row
+    (P, 300, 6, True),  # bound 0.118: rows only for node 0's candidate pairs
+    (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 200, 8, False),  # bound 0.923
+    (ModelParams(q11=0.98, q10=0.9, q00=0.95, mu1=0.5), 200, 70, True),  # two words per row
+], ids=["small", "sparse", "dense", "two-words"])
+def test_fullgraph_batch_equals_standalone_realizations(monkeypatch, params, n, l, gather):
+    whole_rows = []  # spans that drew every attribute row
+    real_attr_bits = sampler._attr_bits_for_seed
+
+    def counting_attr_bits(seeds, *args):
+        whole_rows.append(len(seeds))
+        return real_attr_bits(seeds, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_attr_bits_for_seed", counting_attr_bits)
+        batch = sample_degrees_fullgraph(params, n, l, 16, seed=99)
+    assert whole_rows == ([] if gather else [16])
     assert batch.method is SampleMethod.FULL_GRAPH
-    solo = np.array(
-        [
-            sample_graph(P, 25, 3, replicate_seed(99, r)).degrees()[0]
-            for r in range(16)
-        ]
-    )
+    solo = [sample_graph(params, n, l, replicate_seed(99, r)).degrees()[0] for r in range(16)]
     assert np.array_equal(batch.degrees, solo)
+    assert batch.degrees.sum() > 16
+
+
+def _max_links_by_brute_force(l, cases):
+    """Per parameter set, the largest exp(c11 ln q11 + c10 ln q10 + c00 ln q00)
+    over every c11 + c10 <= l, each sum evaluated as ``_log_link`` does."""
+    c11, ones = np.triu_indices(l + 1)  # every c11 <= ones <= l once
+    # int64 counts times a float convert to float64 first, so this is the same
+    c11, c10, c00 = (c.astype(np.float64) for c in (c11, ones - c11, l - ones))
+    for params in cases:
+        log_link = (c11 * math.log(params.q11) + c10 * math.log(params.q10)
+                    + c00 * math.log(params.q00))
+        top = log_link >= log_link.max() - 1e-6  # exp is only evaluated near the top
+        yield params, float(np.exp(log_link[top]).max())
+
+
+def _bound_cases():
+    rng = np.random.default_rng(2024)
+    fixed = [
+        P,
+        ModelParams(q11=0.6, q10=0.3, q00=0.6, mu1=0.5),  # q11 = q00 tie
+        ModelParams(q11=0.4, q10=0.4, q00=0.4, mu1=0.5),  # all three equal
+        ModelParams(q11=1 - 1e-15, q10=0.999999, q00=0.5, mu1=0.5),  # q near 1
+        ModelParams(q11=1e-150, q10=1e-149, q00=3e-150, mu1=0.5),  # q near 1e-150
+        ModelParams(q11=1e-150, q10=0.5, q00=1e-150, mu1=0.5),
+    ]
+    drawn = [ModelParams(*rng.uniform(1e-3, 1 - 1e-3, 3), mu1=0.5) for _ in range(30)]
+    return fixed + drawn
+
+
+@pytest.mark.parametrize("l", [1, 2, 7, 8, 64, 65, 300, 2000])
+def test_link_bound_covers_every_link(l):
+    for params, top in _max_links_by_brute_force(l, _bound_cases()):
+        bound = sampler._link_bound(l, params)
+        assert bound >= top, (l, params)
+        assert bound <= top * (1 + 1e-6) + 1e-300, (l, params)  # tight enough to prune
 
 
 def test_fullgraph_batch_thread_invariance(monkeypatch):
@@ -316,16 +363,19 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
     assert spans[0][0] == 0 and sum(i1 - i0 for i0, i1 in spans) == 600
 
 
-def test_fullgraph_chunk_memory_stays_bounded():
+@pytest.mark.parametrize("params", [
+    P, ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5),
+], ids=["sparse", "dense"])
+def test_fullgraph_chunk_memory_stays_bounded(params):
     # the bench's fullgraph batch: five chunks of 240 graphs at n = 2000,
     # l = 8.  Attribute bits come one byte each from the word stream, so
     # no chunk holds a double per attribute (that took the peak to 36.6 MiB),
     # and no chunk's arrays outlive it (holding them into the next chunk
-    # took it to 26.2 MiB).
-    sample_degrees_fullgraph(P, 20, 8, 4, seed=1)  # lazy imports and caches first
+    # took it to 26.2 MiB).  At the dense parameters every row is drawn.
+    sample_degrees_fullgraph(params, 20, 8, 4, seed=1)  # lazy imports and caches first
     tracemalloc.start()
     try:
-        sample_degrees_fullgraph(P, 2000, 8, 1200, seed=23)
+        sample_degrees_fullgraph(params, 2000, 8, 1200, seed=23)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

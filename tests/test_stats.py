@@ -141,6 +141,34 @@ def test_ks_outside_prob_matches_path_enumeration():
                 assert abs(_ks_outside_prob(m, n, h) - want) <= 1e-15, (m, n, h)
 
 
+def _ks_outside_prob_reference(m, n, h):
+    """The band sweep with fresh arrays at every step, as first written."""
+    g = math.gcd(m, n)
+    mg, w = m // g, (m + n) // g
+    i = np.arange(m + 1, dtype=np.float64)
+    b = np.zeros(m + 2)
+    b[1] = 1.0
+    for s in range(1, m + n + 1):
+        lo = max(0, s - n, (mg * s - h) // w + 1)
+        hi = min(m, s, (mg * s + h - 1) // w)
+        if lo > hi:
+            return 1.0
+        ii = i[lo:hi + 1]
+        b[lo + 1:hi + 2] = (ii * b[lo:hi + 1] + (s - ii) * b[lo + 1:hi + 2]) / s
+        b[lo] = 0.0
+    return min(1.0, max(0.0, 1.0 - b[m + 1]))
+
+
+def test_ks_outside_prob_equals_allocating_sweep():
+    # the scratch-row sweep does the same arithmetic in the same order, so
+    # every double must match, across shapes, orders and band widths
+    for m, n in [(1, 1), (3, 7), (7, 3), (40, 20), (97, 61), (300, 300), (1200, 300),
+                 (300, 1200), (5000, 1250)]:
+        lcm = m // math.gcd(m, n) * n
+        for h in sorted({1, lcm // 200 + 1, lcm // 50 + 1, lcm // 20 + 1, lcm // 5 + 1, lcm}):
+            assert _ks_outside_prob(m, n, h) == _ks_outside_prob_reference(m, n, h), (m, n, h)
+
+
 def test_two_sample_ks_rejects_empty():
     with pytest.raises(InvalidParamsError):
         two_sample_ks(np.array([]), np.array([1.0]))
