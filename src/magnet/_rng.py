@@ -14,7 +14,8 @@ word at position ``i`` of the stream is ``mix(key + (i + 1) * GOLDEN)``,
 i.e. splitmix64 run in counter mode.  Because a word depends only on the
 key and the absolute index, any chunking or thread schedule that assigns
 disjoint index ranges to workers reproduces the sequential output bit for
-bit.
+bit.  Position ``o + j`` of key ``k`` is position ``j`` of key
+``k + o * GOLDEN`` (:func:`advance`).
 
 Uniform doubles take the top 53 bits of a word: ``u = (w >> 11) * 2**-53``,
 so ``u`` lies in [0, 1).  Bits ``u < prob`` are decided on the 53-bit
@@ -130,6 +131,13 @@ def stream_key(seed, tag: int):
     return mix((h + GOLDEN) & _MASK)
 
 
+def advance(key, offset):
+    """The uint64 key(s) whose stream position ``j`` is position ``offset + j``
+    of the stream ``key``: ``key + offset * GOLDEN`` mod 2**64 (ints or uint64
+    arrays that broadcast)."""
+    return np.asarray(offset, np.uint64) * np.uint64(GOLDEN) + np.asarray(key, np.uint64)
+
+
 def words_at(key, indices: np.ndarray) -> np.ndarray:
     """Stream words at absolute positions ``indices`` (uint64 array).
 
@@ -151,7 +159,7 @@ def uniforms_at(key, indices: np.ndarray) -> np.ndarray:
 
 
 def bits_at(key, indices: np.ndarray, prob: float) -> np.ndarray:
-    """The bools ``uniforms_at(key, indices) < prob`` for ``prob`` in [0, 1],
+    """The bools ``uniforms_at(key, indices) < prob`` for ``prob`` >= 0,
     decided on the 53-bit integers without forming the uniforms (keys as in
-    :func:`words_at`)."""
-    return _stream_at(key, indices, np.bool_, np.uint64(math.ceil(prob * 2.0 ** 53)))
+    :func:`words_at`); a ``prob`` of 1 or more gives all True."""
+    return _stream_at(key, indices, np.bool_, np.uint64(math.ceil(min(prob, 1.0) * 2.0 ** 53)))

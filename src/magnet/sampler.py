@@ -34,7 +34,8 @@ double formed.  Batches run in chunks, in order, on the calling thread.
 ``sample_degrees_fullgraph`` evaluates node 0's pairs only, and draws their
 uniforms first: no link probability exceeds ``(max q)^l`` (up to rounding
 slack), so a pair whose uniform is above that bound is a non-edge, and
-attribute rows are drawn for node 0 and the remaining candidates alone.
+attribute rows are drawn for node 0 and the remaining candidates alone,
+whatever the bound; both reads start at stream offsets (``_rng.advance``).
 Node 0's degree is the one the whole graph under that seed has.
 """
 
@@ -75,7 +76,8 @@ INVERSION_MEAN_MAX = 30.0
 #: Most array elements per vectorized work chunk (one item at least).
 _CHUNK_ELEMS = 1 << 22
 
-#: Pairs per edge-test block of ``sample_graph``.
+#: Pairs per edge-test block of ``sample_graph``, and most pair uniforms per
+#: row of node 0's pair read in ``sample_degrees_fullgraph``.
 _BLOCK_PAIRS = 1 << 16
 
 # =====================================================================
@@ -164,28 +166,17 @@ class DegreeSampleSet:
 # Full-graph sampling
 # =====================================================================
 
-def _attr_bits_for_seed(seeds: np.ndarray, n: int, l: int, mu1: float) -> np.ndarray:
-    """Attribute bit matrices, one per seed: shape (len(seeds), n, l) uint8."""
-    keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)
-    bits = _rng.bits_at(keys[:, None], np.arange(n * l, dtype=np.uint64), mu1)
-    return bits.view(np.uint8).reshape(len(seeds), n, l)
+def _attr_rows(keys, nodes, l: int, mu1: float) -> np.ndarray:
+    """Packed attribute rows of ``nodes`` (bits l v .. l v + l - 1 of the
+    stream) in the graphs whose attribute stream keys are ``keys``."""
+    starts = _rng.advance(keys, np.asarray(nodes, np.uint64) * np.uint64(l))
+    bits = _rng.bits_at(starts[..., None], np.arange(l, dtype=np.uint64), mu1)
+    return pack_rows(bits.view(np.uint8))
 
 
 def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Linear index of pair (u, v), u < v, in row-major upper-triangle order."""
     return u * n - (u * (u + 1)) // 2 + (v - u - 1)
-
-
-def _edge_test(p: np.ndarray, key, first: int) -> np.ndarray:
-    """Edge indicators of the consecutive pairs ``first``, ``first`` + 1, ...
-    along the last axis of ``p``, their link probabilities: a pair is an
-    edge when its uniform is at most its probability.
-
-    ``key`` is the pair-uniform stream key and broadcasts like
-    ``_rng.uniforms_at``.
-    """
-    unif = _rng.uniforms_at(key, np.arange(first, first + p.shape[-1], dtype=np.uint64))
-    return unif <= p
 
 
 def _row_probabilities(words: np.ndarray, l: int, params: ModelParams):
@@ -220,8 +211,7 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
     _check_int("seed", seed, 0, 2 ** 64 - 1)
     _check_pair_budget(n * (n - 1) // 2, pair_budget)
 
-    bits = _attr_bits_for_seed(np.array([seed], dtype=np.uint64), n, l, params.mu1)[0]
-    words = pack_rows(bits)
+    words = _attr_rows(_rng.stream_key(seed, _rng.TAG_ATTR_BITS), np.arange(n), l, params.mu1)
     probs = _row_probabilities(words, l, params)
 
     key_pair = _rng.stream_key(seed, _rng.TAG_PAIR_UNIF)
@@ -232,7 +222,9 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
     while u0 < n - 1:
         u1 = min(n - 1, max(u0 + 1, int(np.searchsorted(starts, starts[u0] + _BLOCK_PAIRS))))
         p = np.concatenate([probs(u) for u in range(u0, u1)])
-        hits.append(np.flatnonzero(_edge_test(p, key_pair, int(starts[u0]))) + starts[u0])
+        first = int(starts[u0])  # a pair is an edge when its uniform is at most its link
+        edge = _rng.uniforms_at(key_pair, np.arange(first, first + len(p), dtype=np.uint64)) <= p
+        hits.append(np.flatnonzero(edge) + first)
         u0 = u1
     pairs = np.concatenate(hits)
     u = np.searchsorted(starts, pairs, side="right") - 1
@@ -251,10 +243,11 @@ def _link_bound(l: int, params: ModelParams) -> float:
 
     The log link is at most l max ln q.  The slack in the exponent covers
     the rounding of its three products and two sums, each within 2^-53 of
-    a term at most l max |ln q|, and that of ``exp``.
+    a term at most l max |ln q|, and that of ``exp``.  No log link is
+    positive, so the exponent is capped at 0, which keeps ``exp`` finite.
     """
     logs = [math.log(q) for q in (params.q11, params.q10, params.q00)]
-    return math.exp(l * max(logs) + 2.0 ** -40 * (1.0 + l * -min(logs)))
+    return math.exp(min(0.0, l * max(logs) + 2.0 ** -40 * (1.0 + l * -min(logs))))
 
 
 def _node0_degrees(params: ModelParams, n: int, l: int, seeds: np.ndarray) -> np.ndarray:
@@ -263,27 +256,22 @@ def _node0_degrees(params: ModelParams, n: int, l: int, seeds: np.ndarray) -> np
 
     A pair whose uniform lies above ``_link_bound`` is a non-edge whatever
     the two rows, so only node 0's row and the rows of the other pairs
-    (the candidates) are drawn.  Below a bound of 1/3 that is faster and
-    holds less than drawing every row; near 1/2 the gather passes the
-    whole-row draw in time and memory, so from 1/3 on every row is drawn.
+    (the candidates) are drawn.  Node 0's pairs 0..n-2 are read as near-equal
+    rows of at most ``_BLOCK_PAIRS`` uniforms, each row under its pair key
+    advanced to the row's first pair.
     """
     pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
-    hi = _link_bound(l, params)
-    if 3.0 * hi >= 1.0:
-        words = pack_rows(_attr_bits_for_seed(seeds, n, l, params.mu1))  # (R, n, W)
-        log_link = _log_link(words[:, :1], words[:, 1:], l, params)  # (R, n-1)
-        hits = _edge_test(np.exp(log_link), pair_keys[:, None], 0)  # node 0's pairs: 0..n-2
-        return hits.sum(axis=1, dtype=np.int64)
+    blocks = -(-(n - 1) // _BLOCK_PAIRS)
+    width = -(-(n - 1) // blocks)
+    block_keys = _rng.advance(pair_keys[:, None, None],
+                              np.arange(0, blocks * width, width, dtype=np.uint64)[:, None])
     # u <= hi is u < the next double above hi, which bits_at decides
-    rep, pair = np.nonzero(_rng.bits_at(pair_keys[:, None], np.arange(n - 1, dtype=np.uint64),
-                                        math.nextafter(hi, 1.0)))
-    attr_keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)[:, None]
-    cols = np.arange(l, dtype=np.uint64)
-    row0 = pack_rows(_rng.bits_at(attr_keys, cols, params.mu1).view(np.uint8))  # (R, W)
-    pair = pair.astype(np.uint64)  # pair v - 1 of node 0 joins it to node v
-    first = (pair + np.uint64(1)) * np.uint64(l)  # position of node v's bit 0
-    rows = pack_rows(_rng.bits_at(attr_keys[rep], first[:, None] + cols, params.mu1)
-                     .view(np.uint8))  # (candidates, W)
+    below = _rng.bits_at(block_keys, np.arange(width, dtype=np.uint64),
+                         math.nextafter(_link_bound(l, params), math.inf))
+    rep, pair = np.nonzero(below.reshape(len(seeds), -1)[:, :n - 1])
+    attr_keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)
+    row0 = _attr_rows(attr_keys, 0, l, params.mu1)  # (R, W)
+    rows = _attr_rows(attr_keys[rep], pair + 1, l, params.mu1)  # pair v - 1 joins node v
     p = np.exp(_log_link(row0[rep], rows, l, params))
     hit = _rng.uniforms_at(pair_keys[rep], pair) <= p
     return np.bincount(rep[hit], minlength=len(seeds))
@@ -309,7 +297,9 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     out = np.empty(count, dtype=np.int64)
     rep_key = _rng.stream_key(seed, _rng.TAG_REPLICATE)
-    for i0, i1 in _spans(count, n * l):
+    # when every pair is a candidate, a pair holds its l attribute bits and
+    # about 8 more elements: keys, row words and link terms
+    for i0, i1 in _spans(count, n * (l + 8)):
         seeds = _rng.words_at(rep_key, np.arange(i0, i1, dtype=np.uint64))
         out[i0:i1] = _node0_degrees(params, n, l, seeds)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,

@@ -224,8 +224,10 @@ def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # past 2**53 or an --out that cannot be opened must be refused with exit
     # 2, and so must a rho whose rho * ln n overflows to inf; an allocation
     # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB of attribute
-    # uniforms, 7.45 GiB of node 0's pair positions) must exit 4; fullgraph
-    # at n = 1e7 draws attribute rows only for node 0's candidate neighbours
+    # uniforms, a 10**15-bit attribute row whose link bound's exponent
+    # would overflow) must exit 4; fullgraph at n = 1e7 and 999999999 draws
+    # attribute rows only for node 0's candidate neighbours and reads its
+    # pair uniforms under advanced keys, with no array of pair positions,
     # and fits; never a traceback
     script = """
 import resource, sys
@@ -250,7 +252,9 @@ sys.exit(main(sys.argv[1:]))
         (["degrees", "--n", "30", "--count", str(2**53)], 4),
         (["generate", "--n", "30", "--l", str(10**8)], 4),
         (["degrees", "--method", "fullgraph", "--n", str(10**7), "--count", "1"], 0),
-        (["degrees", "--method", "fullgraph", "--n", "999999999", "--count", "1"], 4),
+        (["degrees", "--method", "fullgraph", "--n", "999999999", "--count", "1"], 0),
+        (["degrees", "--method", "fullgraph", "--n", "2", "--l", str(10**15), "--q11",
+          "0.9999999999999999", "--q00", "1e-300", "--count", "1"], 4),
         *(([command, "--n", "1000", "--rho", "1e308"], 2)
           for command in ("bound", "pmf", "approx", "degrees")),
         (["bound", "--n", str(10**50), "--rho", "1e307"], 2),

@@ -16,6 +16,7 @@ from magnet._rng import (
     GOLDEN,
     TAG_ATTR_BITS,
     TAG_PAIR_UNIF,
+    advance,
     bits_at,
     mix64,
     mix64_array,
@@ -152,7 +153,7 @@ def test_blocked_kernel_broadcasts_key_columns_against_indices(n):
         assert np.array_equal(unif[r], _scalar_uniforms(want))
 
 
-@pytest.mark.parametrize("prob", [0.6, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 1e-300])
+@pytest.mark.parametrize("prob", [0.6, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53, 1e-300, 1.0, 3e300])
 def test_bits_at_is_the_uniform_below_prob_bit_for_bit(prob):
     # The integer test k < ceil(prob 2**53) must give exactly the bools of
     # the float formula: over 1e6 positions under one key, and over a
@@ -168,6 +169,25 @@ def test_bits_at_is_the_uniform_below_prob_bit_for_bit(prob):
     got = bits_at(keys[:, None], odd, prob)
     assert got.shape == (3, len(odd))
     assert np.array_equal(got, uniforms_at(keys[:, None], odd) < prob)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2 ** 16 - 1, 2 ** 63, 2 ** 64 - 1])
+def test_advanced_key_reads_the_stream_from_an_offset(offset):
+    # Position j of advance(key, o) is position o + j of key (mod 2**64, so
+    # the last offset wraps), under one key and under a (k, 1) key column.
+    m = 70
+    at = np.arange(m, dtype=np.uint64)
+    shifted = np.uint64(offset) + at
+    keys = np.array([stream_key(s, TAG_ATTR_BITS) for s in (0, 1, 2**64 - 1)],
+                    dtype=np.uint64)[:, None]
+    for key in (stream_key(77, TAG_PAIR_UNIF), keys):
+        moved = advance(key, offset)
+        want = words_at(key, shifted)
+        assert np.array_equal(words_at(moved, at), want)
+        assert np.array_equal(uniforms_at(moved, at), uniforms_at(key, shifted))
+        assert np.array_equal(bits_at(moved, at, 0.3), bits_at(key, shifted, 0.3))
+        for k, row in zip(np.reshape(key, -1), np.reshape(want, (-1, m))):
+            assert row.tolist() == [word_at(int(k), offset + j) for j in range(m)]
 
 
 def test_bits_at_decides_a_prob_on_the_lattice_exactly():

@@ -280,28 +280,43 @@ def test_sample_graph_class_table_memory_stays_bounded():
 
 # ------------------------------------------------------- batched full graphs
 
-@pytest.mark.parametrize("params, n, l, gather", [
-    (P, 25, 3, False),  # bound 0.343: every row
-    (P, 300, 6, True),  # bound 0.118: rows only for node 0's candidate pairs
-    (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 200, 8, False),  # bound 0.923
-    (ModelParams(q11=0.98, q10=0.9, q00=0.95, mu1=0.5), 200, 70, True),  # two words per row
-], ids=["small", "sparse", "dense", "two-words"])
-def test_fullgraph_batch_equals_standalone_realizations(monkeypatch, params, n, l, gather):
-    whole_rows = []  # spans that drew every attribute row
-    real_attr_bits = sampler._attr_bits_for_seed
+EVERY_PAIR = ModelParams(q11=0.9999999999999999, q10=0.5, q00=0.5, mu1=0.5)
 
-    def counting_attr_bits(seeds, *args):
-        whole_rows.append(len(seeds))
-        return real_attr_bits(seeds, *args)
 
-    with monkeypatch.context() as m:
-        m.setattr(sampler, "_attr_bits_for_seed", counting_attr_bits)
-        batch = sample_degrees_fullgraph(params, n, l, 16, seed=99)
-    assert whole_rows == ([] if gather else [16])
+@pytest.mark.parametrize("params, n, l", [
+    (P, 25, 3),  # bound 0.343
+    (P, 300, 6),  # bound 0.118
+    (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 200, 8),  # bound 0.923
+    (ModelParams(q11=0.98, q10=0.9, q00=0.95, mu1=0.5), 200, 70),  # two words per row
+    (EVERY_PAIR, 50, 1),  # bound above 1: every pair is a candidate
+], ids=["small", "sparse", "dense", "two-words", "every-pair"])
+def test_fullgraph_batch_equals_standalone_realizations(params, n, l):
+    if params is EVERY_PAIR:
+        assert sampler._link_bound(l, params) >= 1.0
+    batch = sample_degrees_fullgraph(params, n, l, 16, seed=99)
     assert batch.method is SampleMethod.FULL_GRAPH
     solo = [sample_graph(params, n, l, replicate_seed(99, r)).degrees()[0] for r in range(16)]
     assert np.array_equal(batch.degrees, solo)
     assert batch.degrees.sum() > 16
+
+
+def test_fullgraph_node0_degree_by_hand_past_one_pair_block():
+    # n - 1 = 69999 pairs fill two blocks of node 0's pair read, the second
+    # cut one position short; sample_graph's n(n-1)/2 pairs are over budget
+    # here, so node 0's degree is counted from every row and pair uniform
+    # drawn by hand.  At a link bound of 0.97 nearly every pair is an edge,
+    # so a read past pair n - 2 would show.
+    params, n, l = ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 70_000, 3
+    batch = sample_degrees_fullgraph(params, n, l, 3, seed=12)
+    for r, got in enumerate(batch.degrees):
+        seed = replicate_seed(12, r)
+        bits = _rng.bits_at(_rng.stream_key(seed, _rng.TAG_ATTR_BITS),
+                            np.arange(n * l, dtype=np.uint64), params.mu1)
+        words = sampler.pack_rows(bits.view(np.uint8).reshape(n, l))
+        p = np.exp(sampler._log_link(words[0], words[1:], l, params))
+        unif = _rng.uniforms_at(_rng.stream_key(seed, _rng.TAG_PAIR_UNIF),
+                                np.arange(n - 1, dtype=np.uint64))
+        assert got == np.count_nonzero(unif <= p)
 
 
 def _max_links_by_brute_force(l, cases):
@@ -345,7 +360,7 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
     c = sample_degrees_fullgraph(P, 40, 3, 600, seed=6)
     assert np.array_equal(a.degrees, b.degrees)
     assert not np.array_equal(a.degrees, c.degrees)
-    # Small chunks: 600 replicates of 120 elements each span >= 5 chunks of
+    # Small chunks: 600 replicates of 440 elements each span >= 5 chunks of
     # <= 10^4 elements; bytes do not depend on the split.
     spans = []
     monkeypatch.setattr(sampler, "_CHUNK_ELEMS", 10 ** 4)
@@ -367,11 +382,12 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
     P, ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5),
 ], ids=["sparse", "dense"])
 def test_fullgraph_chunk_memory_stays_bounded(params):
-    # the bench's fullgraph batch: five chunks of 240 graphs at n = 2000,
+    # the bench's fullgraph batch: ten chunks of 120 graphs at n = 2000,
     # l = 8.  Attribute bits come one byte each from the word stream, so
     # no chunk holds a double per attribute (that took the peak to 36.6 MiB),
     # and no chunk's arrays outlive it (holding them into the next chunk
-    # took it to 26.2 MiB).  At the dense parameters every row is drawn.
+    # took it to 26.2 MiB).  At the dense parameters (link bound 0.923)
+    # most pairs are candidates, whose rows are drawn.
     sample_degrees_fullgraph(params, 20, 8, 4, seed=1)  # lazy imports and caches first
     tracemalloc.start()
     try:
@@ -386,7 +402,7 @@ def test_fullgraph_chunk_memory_stays_bounded(params):
     (200_000, 14, 1),  # bench `inv`
     (200_000, 28, 2),  # bench `mixed`
     (25_000, 7, 1),  # bench `rej`
-    (1200, 2000 * 8, 5),  # bench `fullgraph`
+    (1200, 2000 * (8 + 8), 10),  # bench `fullgraph`
     (100, 1 << 20, 25), (1, 10 ** 9, 1), (3, 1, 1), (10 ** 6, 16, 4), (10 ** 8, 16, 382),
 ])
 def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
@@ -407,7 +423,7 @@ def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
     (200_000, 14, 1, 1), (200_000, 14, 2, 2),  # bench `inv`
     (200_000, 28, 1, 2), (200_000, 28, 2, 2),  # bench `mixed`
     (25_000, 7, 2, 1),  # bench `rej`
-    (1200, 2000 * 8, 1, 5), (1200, 2000 * 8, 2, 6),  # bench `fullgraph`
+    (1200, 2000 * (8 + 8), 1, 10), (1200, 2000 * (8 + 8), 2, 10),  # bench `fullgraph`
     (100, 1 << 20, 4, 28), (1, 10 ** 9, 4, 1), (3, 1, 8, 1),
 ])
 def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, threads,
