@@ -7,11 +7,10 @@ Two routes produce degrees with identical laws:
   uniform, and the edge test compares it against
   ``exp(c11 ln q11 + c10 ln q10 + c00 ln q00)`` where c11/c10 come from
   popcounts of AND/XOR of the packed rows and ``c00 = l - c11 - c10``.
-  While the K distinct attribute rows (classes) give K^2 <= min(n(n-1)/2,
-  ``_CHUNK_ELEMS``), the edge test reads these probabilities from a K x K
-  table over class pairs, built once per graph with the same formula, so
-  the doubles are the same.  Pairs are tested in blocks of consecutive
-  pair indices.
+  No link exceeds ``(max q)^l`` (up to rounding slack), so a pair whose
+  uniform is above that bound is a non-edge.  Spans of consecutive pair
+  indices are read first as bits "uniform at most the bound", and only
+  these candidates have their link evaluated and their uniform re-read.
 
 * ``sample_degrees_direct`` skips the graph and draws from the compound
   binomial directly: a component p_s of the exact law's ``DegreePmfTable``
@@ -31,12 +30,10 @@ uniform u l + j of the attribute stream is below mu1; ``_rng.bits_at``
 decides that on the uniform's 53-bit integer, one byte per bit, with no
 double formed.  Batches run in chunks, in order, on the calling thread.
 
-``sample_degrees_fullgraph`` evaluates node 0's pairs only, and draws their
-uniforms first: no link probability exceeds ``(max q)^l`` (up to rounding
-slack), so a pair whose uniform is above that bound is a non-edge, and
-attribute rows are drawn for node 0 and the remaining candidates alone,
-whatever the bound; both reads start at stream offsets (``_rng.advance``).
-Node 0's degree is the one the whole graph under that seed has.
+``sample_degrees_fullgraph`` evaluates node 0's pairs only, with the same
+edge test, and draws attribute rows for node 0 and its candidates alone;
+both samplers read from stream offsets (``_rng.advance``).  Node 0's
+degree is the one the whole graph under that seed has.
 """
 
 from __future__ import annotations
@@ -76,8 +73,8 @@ INVERSION_MEAN_MAX = 30.0
 #: Most array elements per vectorized work chunk (one item at least).
 _CHUNK_ELEMS = 1 << 22
 
-#: Pairs per edge-test block of ``sample_graph``, and most pair uniforms per
-#: row of node 0's pair read in ``sample_degrees_fullgraph``.
+#: Most pair uniforms per row of node 0's pair read in
+#: ``sample_degrees_fullgraph``.
 _BLOCK_PAIRS = 1 << 16
 
 # =====================================================================
@@ -179,27 +176,6 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return u * n - (u * (u + 1)) // 2 + (v - u - 1)
 
 
-def _row_probabilities(words: np.ndarray, l: int, params: ModelParams):
-    """Link probabilities of node u towards nodes u+1..n-1, as a function of u.
-
-    While the K attribute classes (distinct rows) give K^2 <= min(n(n-1)/2,
-    ``_CHUNK_ELEMS``), so that the table evaluates no more links than the
-    rows would and fits in one chunk, they come from a K x K table of
-    ``exp(_log_link(...))`` over the classes, built once; otherwise each
-    row is evaluated directly.  Equal rows give equal popcounts, so both
-    ways give the same doubles.
-    """
-    n = len(words)
-    classes, cls = np.unique(words, axis=0, return_inverse=True)
-    if len(classes) ** 2 > min(n * (n - 1) // 2, _CHUNK_ELEMS):
-        return lambda u: np.exp(_log_link(words[u], words[u + 1:], l, params))
-    table = np.empty((len(classes), len(classes)))
-    for a, c in enumerate(classes):
-        table[a] = np.exp(_log_link(c, classes, l, params))
-    cls = cls.reshape(-1)  # numpy 2.0.0 kept a trailing axis here
-    return lambda u: table[cls[u]].take(cls[u + 1:])
-
-
 def sample_graph(params: ModelParams, n: int, l: int, seed: int,
                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> MagGraph:
     """Sample one MAG graph at (params, n, l) under ``seed``.
@@ -212,24 +188,22 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
     _check_pair_budget(n * (n - 1) // 2, pair_budget)
 
     words = _attr_rows(_rng.stream_key(seed, _rng.TAG_ATTR_BITS), np.arange(n), l, params.mu1)
-    probs = _row_probabilities(words, l, params)
-
     key_pair = _rng.stream_key(seed, _rng.TAG_PAIR_UNIF)
     rows = np.arange(n, dtype=np.int64)
     starts = _pair_index(rows, rows + 1, n)  # row u's first pair; starts[n-1] = n(n-1)/2
-    hits: list[np.ndarray] = []
-    u0 = 0
-    while u0 < n - 1:
-        u1 = min(n - 1, max(u0 + 1, int(np.searchsorted(starts, starts[u0] + _BLOCK_PAIRS))))
-        p = np.concatenate([probs(u) for u in range(u0, u1)])
-        first = int(starts[u0])  # a pair is an edge when its uniform is at most its link
-        edge = _rng.uniforms_at(key_pair, np.arange(first, first + len(p), dtype=np.uint64)) <= p
-        hits.append(np.flatnonzero(edge) + first)
-        u0 = u1
-    pairs = np.concatenate(hits)
-    u = np.searchsorted(starts, pairs, side="right") - 1
-    edges = np.stack([u, pairs - starts[u] + u + 1], axis=1)
-    return MagGraph(params=params, n=n, l=l, seed=seed, attr_words=words, edges=edges)
+    edges = []
+    # when every pair is a candidate, a pair holds its index, its two nodes,
+    # their rows' words and the AND and XOR of those (W each), its link terms
+    # and its uniform
+    for i0, i1 in _spans(int(starts[-1]), 4 * words.shape[1] + 12):
+        pair = np.flatnonzero(_candidates(_rng.advance(key_pair, i0),
+                                          np.arange(i1 - i0, dtype=np.uint64), l, params)) + i0
+        u = np.searchsorted(starts, pair, side="right") - 1
+        v = pair - starts[u] + u + 1
+        hit = _is_edge(key_pair, pair, words[u], words[v], l, params)
+        edges.append(np.stack([u[hit], v[hit]], axis=1))
+    return MagGraph(params=params, n=n, l=l, seed=seed, attr_words=words,
+                    edges=np.concatenate(edges))
 
 
 def replicate_seed(seed: int, r: int) -> int:
@@ -250,30 +224,40 @@ def _link_bound(l: int, params: ModelParams) -> float:
     return math.exp(min(0.0, l * max(logs) + 2.0 ** -40 * (1.0 + l * -min(logs))))
 
 
+def _candidates(keys, indices: np.ndarray, l: int, params: ModelParams) -> np.ndarray:
+    """Whether the pair uniforms at ``indices`` of the streams ``keys`` are at
+    most ``_link_bound``: a pair with a larger uniform is a non-edge whatever
+    its two rows."""
+    # u <= hi is u < the next double above hi, which bits_at decides
+    return _rng.bits_at(keys, indices, math.nextafter(_link_bound(l, params), math.inf))
+
+
+def _is_edge(keys, indices: np.ndarray, row: np.ndarray, others: np.ndarray, l: int,
+             params: ModelParams) -> np.ndarray:
+    """The edge test of candidate pairs: their uniform, re-read at ``indices``
+    of the streams ``keys``, is at most the link of their packed rows."""
+    return _rng.uniforms_at(keys, indices) <= np.exp(_log_link(row, others, l, params))
+
+
 def _node0_degrees(params: ModelParams, n: int, l: int, seeds: np.ndarray) -> np.ndarray:
     """Node 0's degree in the graph sampled under each of ``seeds``; its
     arrays are freed on return, before the next span allocates its own.
 
-    A pair whose uniform lies above ``_link_bound`` is a non-edge whatever
-    the two rows, so only node 0's row and the rows of the other pairs
-    (the candidates) are drawn.  Node 0's pairs 0..n-2 are read as near-equal
-    rows of at most ``_BLOCK_PAIRS`` uniforms, each row under its pair key
-    advanced to the row's first pair.
+    Only node 0's row and the rows of its ``_candidates`` are drawn.  Node
+    0's pairs 0..n-2 are read as near-equal rows of at most ``_BLOCK_PAIRS``
+    uniforms, each row under its pair key advanced to the row's first pair.
     """
     pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
     blocks = -(-(n - 1) // _BLOCK_PAIRS)
     width = -(-(n - 1) // blocks)
     block_keys = _rng.advance(pair_keys[:, None, None],
                               np.arange(0, blocks * width, width, dtype=np.uint64)[:, None])
-    # u <= hi is u < the next double above hi, which bits_at decides
-    below = _rng.bits_at(block_keys, np.arange(width, dtype=np.uint64),
-                         math.nextafter(_link_bound(l, params), math.inf))
+    below = _candidates(block_keys, np.arange(width, dtype=np.uint64), l, params)
     rep, pair = np.nonzero(below.reshape(len(seeds), -1)[:, :n - 1])
     attr_keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)
     row0 = _attr_rows(attr_keys, 0, l, params.mu1)  # (R, W)
     rows = _attr_rows(attr_keys[rep], pair + 1, l, params.mu1)  # pair v - 1 joins node v
-    p = np.exp(_log_link(row0[rep], rows, l, params))
-    hit = _rng.uniforms_at(pair_keys[rep], pair) <= p
+    hit = _is_edge(pair_keys[rep], pair, row0[rep], rows, l, params)
     return np.bincount(rep[hit], minlength=len(seeds))
 
 

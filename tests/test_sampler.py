@@ -43,6 +43,7 @@ from magnet.sampler import (
 from magnet.stats import FIT_ALPHA, chi_square_gof, tv_to_exact
 
 P = REFERENCE_PARAMS
+EVERY_PAIR = ModelParams(q11=0.9999999999999999, q10=0.5, q00=0.5, mu1=0.5)
 
 
 # ---------------------------------------------------------------- bit packing
@@ -178,11 +179,24 @@ def test_realizations_are_frozen():
 
     assert degrees_digest(sample_degrees_fullgraph(q, 500, 70, 64, seed=11)) == (
         "34d76604b71203c90520664cac1df9e9345659c8f057c2cfb5346981c7bb21bf")
-    # bench scale: the class table, many pair blocks and several chunks
+    # bench scale: several pair spans, 253 distinct attribute rows
     bench = sample_graph(P, 3000, 8, seed=17)
     assert bench.edge_count == 5201
     assert edge_list_digest(bench) == (
         "6276f564f0c8dba057db4d6f68c0aaa3008c91d0892538ab433003c775f4e0f4")
+    # 1561 distinct attribute rows at a link bound of 0.02, a dense graph
+    # (bound 0.923), and every pair a candidate (bound above 1)
+    for params, n, l, seed, count, digest in [
+        (ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=0.5), 3000, 11, 7, 184,
+         "4dc85bd4f55943d2b97bc3610d86256df752f5023fa6ad657d4345a21cd2835a"),
+        (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 500, 8, 4, 106_280,
+         "b6d1f64f08113802b58035b12a479f2a7b267ea04efce4e5d385eee2b3ffe42b"),
+        (EVERY_PAIR, 300, 1, 5, 27_741,
+         "310ac883764b3dfcb5188cec1750be77c61db3e287e091834c09f0da728a088a"),
+    ]:
+        g = sample_graph(params, n, l, seed)
+        assert g.edge_count == count
+        assert edge_list_digest(g) == digest
     assert degrees_digest(sample_degrees_fullgraph(P, 2000, 8, 300, seed=19)) == (
         "55d19c75239e7d06fc657c28adcfd0ed9c8d6e16bfbbf7bf20eeb9b82464cd0b")
     # direct route: n = 30, l = 3 takes only the inversion branch, n = 1e6,
@@ -208,38 +222,25 @@ def _brute_force_edges(params, n, l, seed):
     return words, np.stack([u[hit], v[hit]], axis=1)
 
 
-def _sample_graph_counting_rows(monkeypatch, params, n, l, seed):
-    """``sample_graph`` and how many rows it passed to ``_log_link``: the K
-    class rows when it built the class table, the n - 1 node rows when it
-    evaluated each row directly."""
-    calls = []
-
-    def counting_log_link(row, others, l, params):
-        calls.append(row)
-        return _log_link(row, others, l, params)
-
-    with monkeypatch.context() as m:
-        m.setattr(sampler, "_log_link", counting_log_link)
-        g = sample_graph(params, n, l, seed=seed)
-    return g, len(calls)
-
-
-@pytest.mark.parametrize("block_pairs", [None, 1000, 50])
-@pytest.mark.parametrize("params, n, l, table", [
-    (P, 200, 3, True),  # K = 8 classes < n: the class table
+@pytest.mark.parametrize("span_pairs", [None, 1000, 50])
+@pytest.mark.parametrize("params, n, l, shared_rows", [
+    (P, 200, 3, True),  # K = 8 distinct attribute rows
     (ModelParams(q11=0.99, q10=0.97, q00=0.98, mu1=0.5), 120, 130, False),  # K = n, 3 words
-    # K = 205: K^2 is above 64 n (the old table rule) and below the n(n-1)/2 pairs
-    (ModelParams(q11=0.9, q10=0.6, q00=0.8, mu1=0.5), 400, 8, True),
+    (ModelParams(q11=0.9, q10=0.6, q00=0.8, mu1=0.5), 400, 8, True),  # K = 205
+    (EVERY_PAIR, 300, 1, True),  # link bound above 1: every pair is a candidate
+    (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 500, 8, True),  # bound 0.923
 ])
-def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, table,
-                                                   block_pairs):
-    if block_pairs is not None:  # 50 pairs is shorter than a row
-        monkeypatch.setattr(sampler, "_BLOCK_PAIRS", block_pairs)
+def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, shared_rows,
+                                                   span_pairs):
     words, edges = _brute_force_edges(params, n, l, seed=8)
-    k = len(np.unique(words, axis=0))
-    assert k == {200: 8, 120: n, 400: 205}[n]
-    g, rows = _sample_graph_counting_rows(monkeypatch, params, n, l, seed=8)
-    assert rows == (k if table else n - 1)
+    if span_pairs is not None:  # 50 pairs is shorter than a row
+        # a span gives each pair 4 W + 12 elements, W words per packed row
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMS", span_pairs * (4 * words.shape[1] + 12))
+    if params is EVERY_PAIR:
+        assert sampler._link_bound(l, params) >= 1.0
+    # the cases cover graphs with repeated attribute rows and with all rows distinct
+    assert (len(np.unique(words, axis=0)) < n) is shared_rows
+    g = sample_graph(params, n, l, seed=8)
     assert np.array_equal(g.attr_words, words)
     assert len(edges) > 100
     assert g.edges.dtype == np.int64
@@ -248,24 +249,9 @@ def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, ta
         assert len(edges) == 6096
 
 
-def test_sample_graph_class_table_fits_one_chunk(monkeypatch):
-    # K = 205 classes: the table holds K^2 = 42 025 links, so a chunk cap
-    # one below that sends the graph to the per-row path, with the same edges.
-    params = ModelParams(q11=0.9, q10=0.6, q00=0.8, mu1=0.5)
-    k = 205
-    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", k * k)
-    table, rows = _sample_graph_counting_rows(monkeypatch, params, 400, 8, seed=8)
-    assert rows == k
-    monkeypatch.setattr(sampler, "_CHUNK_ELEMS", k * k - 1)
-    per_row, rows = _sample_graph_counting_rows(monkeypatch, params, 400, 8, seed=8)
-    assert rows == 400 - 1
-    assert len(table.edges) == 6096
-    assert np.array_equal(per_row.edges, table.edges)
-
-
-def test_sample_graph_class_table_memory_stays_bounded():
-    # K = 1561 classes at n = 3000: the table is K^2 doubles, 18.6 MiB,
-    # built in place (a list of rows stacked into it would hold it twice).
+def test_sample_graph_memory_stays_bounded():
+    # K = 1561 distinct attribute rows at n = 3000, where a K x K link table
+    # would take 18.6 MiB: only the rows and one span of pairs are held.
     params = ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=0.5)
     sample_graph(params, 20, 11, seed=1)  # lazy imports and caches first
     tracemalloc.start()
@@ -275,13 +261,10 @@ def test_sample_graph_class_table_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert len(np.unique(g.attr_words, axis=0)) == 1561
-    assert peak <= 24 * 2 ** 20
+    assert peak <= 8 * 2 ** 20
 
 
 # ------------------------------------------------------- batched full graphs
-
-EVERY_PAIR = ModelParams(q11=0.9999999999999999, q10=0.5, q00=0.5, mu1=0.5)
-
 
 @pytest.mark.parametrize("params, n, l", [
     (P, 25, 3),  # bound 0.343
