@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .model import (
-    EXACT_MAX, ModelParams, Scaling, derive_constants, _check_int, _require_lognormal_limit,
-    _write_out,
+    EXACT_MAX, ModelParams, Scaling, derive_constants, _check_int, _check_real,
+    _require_lognormal_limit, _write_out,
 )
 
 __all__ = [
@@ -95,11 +95,6 @@ def default_eta(params: ModelParams) -> float:
     return min(params.mu1, params.mu0) / 4.0
 
 
-def _check_eta(eta: float, mu1: float) -> None:
-    if not (math.isfinite(eta) and 0.0 < eta < mu1):
-        raise InvalidParamsError(f"eta must lie in (0, mu1) = (0, {mu1}), got {eta}")
-
-
 def _log_n_over_n_minus_1(n: int) -> float:
     """ln(n / (n-1)); collapses to 0.0 once n-1 exceeds the float range."""
     try:
@@ -143,9 +138,8 @@ def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
     _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
     if eta is None:
         eta = default_eta(params)
-    if not (math.isfinite(delta) and 0.0 < delta < 1.0):
-        raise InvalidParamsError(f"delta must lie in (0, 1), got {delta}")
-    _check_eta(eta, params.mu1)
+    _check_real("delta", delta, 0, 1)
+    _check_real("eta", eta, 0, params.mu1)
     clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta)
     return BoundCertificate(
         n=n, l=l, delta=delta, eta=eta,
@@ -199,9 +193,8 @@ def ratio_concentration_bound(params: ModelParams, n: int, l: int,
     """
     _check_int("n", n, 2)
     _check_int("l", l, 1, EXACT_MAX)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise InvalidParamsError(f"delta must be positive, got {delta}")
-    _check_eta(eta, params.mu1)
+    _check_real("delta", delta, 0)
+    _check_real("eta", eta, 0, params.mu1)
     hoeffding, chernoff = _tail_terms(params, n, l, delta, eta)
     return hoeffding + chernoff
 

@@ -162,15 +162,14 @@ def _cmd_regime(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    from .degree_dist import DegreePmfTable, _last_degree, _pmf_rows
+    from .degree_dist import _pmf_rows
     from .limits import cdf_approx
     params = _params(args)
     scaling = _scaling(args)
     n = args.n
-    table = DegreePmfTable.from_model(params, n, scaling.attr_count(n))
+    rows = _pmf_rows(params, n, scaling.attr_count(n), args.d_max, 0.999)
     # cdf_exact is the pmf command's cdf column: the running sum of the pmf
-    blocks = ((t, exact, cdf_approx(t, n, scaling, params))
-              for t, _, exact in _pmf_rows(table, _last_degree(table, args.d_max, 0.999)))
+    blocks = ((t, exact, cdf_approx(t, n, scaling, params)) for t, _, exact in rows)
     _write_out(_target(args), itertools.chain(["n,t,cdf_exact,cdf_approx,abs_err"], (
         f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}"
         for t, exact, approx in blocks for ti, ei, ai in zip(t, exact, approx))))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .model import (
-    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _check_int, _write_out,
+    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _check_int, _check_real, _write_out,
 )
 
 __all__ = [
@@ -224,8 +224,7 @@ class DegreePmfTable:
         inside [-1, hi], hi = min(n - 1, max_s(mu_s + K_s)), above which
         every component holds less than 1e-20; hi itself when the computed
         cdf stays below q up to it."""
-        if not 0.0 < q < 1.0:
-            raise InvalidParamsError(f"quantile level must lie in (0, 1), got {q}")
+        _check_real("q", q, 0, 1)
         mean = (self.n - 1) * self.p
         hi = min(self.n - 1, math.ceil(np.max(mean + _band(mean))))
         return _bisect(-1, hi, lambda d: self.cdf(d) >= q)
@@ -277,7 +276,10 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
     scalar = np.isscalar(d)
-    d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    try:
+        d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    except OverflowError:  # an int past the double range, refused below as inf
+        d_arr = np.array([math.inf])
     if d_arr.size == 0:
         raise InvalidParamsError("degree argument must be nonempty")
     if np.any(d_arr != np.floor(d_arr)) or np.any(d_arr < 0) or np.any(d_arr > n - 1):
@@ -285,18 +287,16 @@ def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
     return d_arr, scalar
 
 
-def _last_degree(table: DegreePmfTable, d_max: int | None, q: float) -> int:
-    """The last degree of a table over 0..d_max: ``d_max`` itself, which
-    must lie in [0, n - 1], or the law's ``q`` quantile when it is None."""
-    if d_max is None:
-        return table.quantile(q)
-    _check_int("d_max", d_max, 0, table.n - 1)
-    return d_max
-
-
-def _pmf_rows(table: DegreePmfTable, d_end: int) -> Iterable[tuple[np.ndarray, ...]]:
-    """(d, pmf, cdf) for d = 0..d_end in blocks of ``_WRITE_BLOCK`` rows,
-    where cdf is the running sum of pmf, capped at 1."""
+def _pmf_rows(params: ModelParams, n: int, l: int, d_max: int | None,
+              q: float) -> Iterable[tuple[np.ndarray, ...]]:
+    """(d, pmf, cdf) of the exact law in blocks of ``_WRITE_BLOCK`` rows for
+    d = 0..d_max, checked before the law's table is built, or to its ``q``
+    quantile when d_max is None; cdf is the running sum of pmf, capped at 1."""
+    _check_int("n", n, 2, EXACT_MAX)
+    if d_max is not None:
+        _check_int("d_max", d_max, 0, n - 1)
+    table = DegreePmfTable.from_model(params, n, l)
+    d_end = table.quantile(q) if d_max is None else d_max
     total = 0.0
     for lo in range(0, d_end + 1, _WRITE_BLOCK):
         d = np.arange(lo, min(lo + _WRITE_BLOCK, d_end + 1))
@@ -313,8 +313,7 @@ def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
 
     ``d_max`` defaults to the 1 - 1e-9 quantile of the degree law.
     """
-    table = DegreePmfTable.from_model(params, n, l)
-    rows = _pmf_rows(table, _last_degree(table, d_max, 1.0 - 1e-9))
+    rows = _pmf_rows(params, n, l, d_max, 1.0 - 1e-9)
     _write_out(target, itertools.chain(["d,pmf,cdf"], (
         f"{int(di)},{pi:.17g},{ci:.17g}"
         for d, pmf, cdf in rows for di, pi, ci in zip(d, pmf, cdf))))

@@ -41,6 +41,7 @@ from .model import (
     Scaling,
     derive_constants,
     require_supercritical,
+    _check_real,
     _require_lognormal_limit,
 )
 if TYPE_CHECKING:  # annotations only: approx needs no sampler
@@ -63,9 +64,7 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 def std_normal_cdf(z):
     """Phi(z) = erfc(-z / sqrt(2)) / 2 for scalars or arrays, with the
-    standard library's erfc either way."""
-    if np.isscalar(z):
-        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    standard library's erfc elementwise."""
     erfc = _erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
     return 0.5 * np.asarray(erfc, dtype=np.float64)
 
@@ -81,10 +80,9 @@ class LogNormalSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.sigma2)):
-            raise InvalidParamsError("log-normal parameters must be finite")
-        if self.sigma2 < 0.0:
-            raise InvalidParamsError(f"sigma2 must be >= 0, got {self.sigma2}")
+        _check_real("m", self.m, -math.inf)
+        if self.sigma2 != 0:
+            _check_real("sigma2", self.sigma2, 0)
 
 
 def _on_log_scale(x, f, what=None):
@@ -181,10 +179,10 @@ def lambda_limit_probe(t: float, samples: DegreeSampleSet, scaling: Scaling) -> 
     """Empirical P(D / n**(1 + rho_n * lgbar) <= t) from degree draws.
 
     The ratio converges to a {0, +inf} two-point limit with equal mass,
-    so the fraction tends to 1/2 for every fixed t > 0 as n grows.
+    so the fraction tends to 1/2 for every fixed t > 0 as n grows; t must
+    be a finite real > 0.
     """
-    if not (np.isscalar(t) and t > 0):
-        raise InvalidParamsError(f"t must be a positive scalar, got {t!r}")
+    _check_real("t", t, 0)
     n = samples.n
     l, expo = _scale_exponent(samples.params, n, scaling)
     _check_sample_l(samples, l)

@@ -36,6 +36,7 @@ import itertools
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -83,6 +84,20 @@ def _check_int(name: str, value, lo: int, hi: float = math.inf) -> None:
         raise InvalidParamsError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
+def _check_real(name: str, value, lo: float, hi: float = math.inf) -> None:
+    """Raise :class:`InvalidParamsError` unless ``value`` is an int, a float
+    or a numpy integer or float scalar whose double is finite and strictly
+    inside (lo, hi); the package's one range check for real inputs."""
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    kinds = (int, float) if np is None else (int, float, np.integer, np.floating)
+    try:
+        x = float(value) if isinstance(value, kinds) else math.nan
+    except OverflowError:  # an int past the double range
+        x = math.nan
+    if not lo < x < hi:
+        raise InvalidParamsError(f"{name} must be a finite real in ({lo}, {hi}), got {value!r}")
+
+
 def _write_out(target: str | IO[str], lines: Iterable[str]) -> None:
     """Write ``lines``, each ended by a newline, to a path or an open text
     stream, ``_WRITE_BLOCK`` lines at a time; the package's one text writer.
@@ -121,11 +136,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("q11", "q10", "q00", "mu1"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidParamsError(f"{name} must be a finite real, got {v!r}")
-            if not 0.0 < v < 1.0:
-                raise InvalidParamsError(f"{name} must lie strictly in (0, 1), got {v}")
+            _check_real(name, getattr(self, name), 0, 1)
 
     @property
     def mu0(self) -> float:
@@ -187,8 +198,7 @@ class Scaling:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and self.rho > 0.0):
-            raise InvalidParamsError(f"rho must be a finite positive real, got {self.rho!r}")
+        _check_real("rho", self.rho, 0)
 
     def attr_count(self, n: int) -> int:
         """L_n: the integerized attribute count at node count ``n`` (>= 2)."""
@@ -228,8 +238,7 @@ def classify_regime(params: ModelParams, rho: float) -> RegimeResult:
     -BOUNDARY_TOL, boundary otherwise.  Boundary classifications are
     rejected by the limit-theory and bound operations downstream.
     """
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise InvalidParamsError(f"rho must be a finite positive real, got {rho!r}")
+    _check_real("rho", rho, 0)
     kappa = 1.0 + rho * derive_constants(params).log_gamma_bar
     if kappa > BOUNDARY_TOL:
         regime = Regime.SUPERCRITICAL

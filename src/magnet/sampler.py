@@ -298,9 +298,9 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int,
                           seed: int) -> DegreeSampleSet:
     """``count`` exact draws of D: a component p of the exact law's
     :class:`DegreePmfTable` by its weight, then D ~ Bin(n-1, p)."""
-    table = DegreePmfTable.from_model(params, n, l)
     _check_int("seed", seed, 0, 2 ** 64 - 1)
     _check_int("count", count, 1, EXACT_MAX)
+    table = DegreePmfTable.from_model(params, n, l)
     # P(D's component is at most j); a draw's j is how many its uniform reaches
     cdf_w = np.cumsum(np.exp(table.log_w[:-1]))
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)

@@ -222,7 +222,9 @@ def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # at l = 1e7 and 1e8 (its window, not all of 0..l), and the pmf at
     # l = 1e7, whose 120181 components share one floored p_s; an n, l or --count
     # past 2**53 or an --out that cannot be opened must be refused with exit
-    # 2, and so must a rho whose rho * ln n overflows to inf; an allocation
+    # 2, and so must a rho whose rho * ln n overflows to inf and a --count
+    # or --d-max out of range, before the exact law at l = 1e12 (past the
+    # cap) is built; an allocation
     # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB of attribute
     # uniforms, a 10**15-bit attribute row whose link bound's exponent
     # would overflow) must exit 4; fullgraph at n = 1e7 and 999999999 draws
@@ -246,6 +248,8 @@ sys.exit(main(sys.argv[1:]))
         (["pmf", "--n", "1000", "--l", str(10**7)], 0),
         (["pmf", "--n", "1000", "--l", str(10**7), "--d-max", "200"], 0),
         (["degrees", "--n", "1000", "--l", str(10**18), "--count", "10"], 2),
+        (["degrees", "--n", "1000", "--l", str(10**12), "--count", "0"], 2),
+        (["pmf", "--n", "1000", "--l", str(10**12), "--d-max", "-1"], 2),
         (["generate", "--n", "30", "--l", "3", "--out", str(tmp_path / "missing" / "x")], 2),
         (["degrees", "--n", "1000", "--count", str(10**9)], 4),
         (["degrees", "--n", "30", "--count", str(2**64)], 2),

@@ -5,6 +5,8 @@ arithmetic (mpmath) for the reference parameters q11=0.7, q10=0.2,
 q00=0.5, mu1=0.6.
 """
 
+import dataclasses
+import functools
 import io
 import math
 
@@ -16,14 +18,20 @@ import magnet.model as model
 from magnet import (
     BOUNDARY_TOL,
     REFERENCE_PARAMS,
+    DegreePmfTable,
     InvalidParamsError,
+    LogNormalSpec,
     ModelParams,
     Regime,
     RegimeError,
     Scaling,
+    berry_esseen_bound,
     classify_regime,
     derive_constants,
+    lambda_limit_probe,
+    ratio_concentration_bound,
     require_supercritical,
+    sample_degrees_direct,
 )
 from magnet.model import _write_out
 
@@ -112,6 +120,67 @@ def test_gammas_are_convex_combinations():
 def test_params_outside_open_unit_interval_rejected(kwargs):
     with pytest.raises(InvalidParamsError):
         ModelParams(**kwargs)
+
+
+@functools.cache
+def _table() -> DegreePmfTable:
+    return DegreePmfTable.from_model(REFERENCE_PARAMS, 1000, 7)  # L_n = 7 at rho = 1
+
+
+#: Every scalar input of the library with a range: a call passing v as that
+#: input (all other arguments valid), the values at or past the ends of its
+#: range, and values inside it; np.float64 and np.float32 copies of the first
+#: inside value are tried too.
+_RANGED_INPUTS = {
+    **{f"ModelParams.{f}": (
+        lambda v, f=f: dataclasses.replace(REFERENCE_PARAMS, **{f: v}), [0, 1, -1.0], [0.5])
+       for f in ("q11", "q10", "q00", "mu1")},
+    "Scaling.rho": (lambda v: Scaling(v), [0, -1.0], [0.5, 3]),
+    "classify_regime.rho": (lambda v: classify_regime(REFERENCE_PARAMS, v), [0, -1.0], [0.5]),
+    "berry_esseen_bound.delta": (
+        lambda v: berry_esseen_bound(REFERENCE_PARAMS, 1000, Scaling(1.0), v),
+        [0, 1, -1.0], [0.5]),
+    "berry_esseen_bound.eta": (
+        lambda v: berry_esseen_bound(REFERENCE_PARAMS, 1000, Scaling(1.0), 0.5, v),
+        [0, 0.6, -1.0], [0.3, None]),  # None: the default eta
+    "ratio_concentration_bound.delta": (
+        lambda v: ratio_concentration_bound(REFERENCE_PARAMS, 1000, 7, v, 0.1),
+        [0, -1.0], [0.5, 7.0]),
+    "ratio_concentration_bound.eta": (
+        lambda v: ratio_concentration_bound(REFERENCE_PARAMS, 1000, 7, 0.5, v),
+        [0, 0.6, -1.0], [0.3]),
+    "DegreePmfTable.quantile.q": (lambda v: _table().quantile(v), [0, 1, -1.0], [0.5]),
+    "lambda_limit_probe.t": (
+        lambda v: lambda_limit_probe(
+            v, sample_degrees_direct(REFERENCE_PARAMS, 1000, 7, 10, 0), Scaling(1.0)),
+        [0, -1.0], [0.5]),
+    "LogNormalSpec.m": (lambda v: LogNormalSpec(v, 1.0), [], [-1.0]),
+    "LogNormalSpec.sigma2": (lambda v: LogNormalSpec(0.0, v), [-1.0], [1.0, 0.0]),
+    **{f"DegreePmfTable.{m}.d": (lambda v, m=m: getattr(_table(), m)(v), [-1, 1000, 0.5], [3.0])
+       for m in ("pmf", "log_pmf", "cdf")},
+}
+
+
+@pytest.mark.parametrize("name", _RANGED_INPUTS)
+def test_every_ranged_scalar_input_refuses_what_its_range_excludes(name):
+    # non-numbers, nan, +-inf, an int past the double range and the ends all
+    # raise InvalidParamsError, never OverflowError or TypeError; numpy
+    # floats inside the range pass
+    call, ends, inside = _RANGED_INPUTS[name]
+    bad = [math.nan, math.inf, -math.inf, 10**400, "0.5", *ends]
+    escaped = []
+    for v in bad + ([] if None in inside else [None]):
+        try:
+            call(v)
+        except InvalidParamsError:
+            continue
+        except Exception as exc:
+            escaped.append((v, type(exc).__name__))
+        else:
+            escaped.append((v, "accepted"))
+    assert escaped == []
+    for v in [*inside, np.float64(inside[0]), np.float32(inside[0])]:
+        call(v)
 
 
 def test_scaling_attr_count_examples():
