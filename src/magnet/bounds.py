@@ -13,6 +13,9 @@ with Psi(x) = (x+1) ln(x+1) - x and C* = 0.4748 the best proven
 Berry-Esseen constant (Shevtsova 2011).  Totals at or above 1 certify
 nothing; they are returned flagged as vacuous rather than rejected, since
 the terms decay only on astronomical scales for typical parameters.
+Both evaluators take L_n from the one log-normal gate
+``model._lognormal_limit``, which refuses all but the supercritical regime
+with sigma != 0.
 
 The same Psi drives a standalone concentration bound for the ratio of a
 degree to its conditional mean.
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .model import (
     EXACT_MAX, ModelParams, Scaling, derive_constants, _check_int, _check_real,
-    _require_lognormal_limit, _write_out,
+    _lognormal_limit, _write_out,
 )
 
 __all__ = [
@@ -134,8 +137,7 @@ def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta):
 def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
                        delta: float, eta: float | None = None) -> BoundCertificate:
     """Evaluate the four-term certificate at (n, delta, eta)."""
-    l = scaling.attr_count(n)
-    _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
+    l, _, _ = _lognormal_limit(params, n, scaling, "the Berry-Esseen certificate")
     if eta is None:
         eta = default_eta(params)
     _check_real("delta", delta, 0, 1)
@@ -171,8 +173,7 @@ def optimize_bound(params: ModelParams, n: int, scaling: Scaling) -> BoundCertif
     Ties break toward the smaller delta, then the smaller eta, which the
     ascending row-major scan realizes as "first minimum wins".
     """
-    l = scaling.attr_count(n)
-    _require_lognormal_limit(params, scaling.rho, "the Berry-Esseen certificate")
+    l, _, _ = _lognormal_limit(params, n, scaling, "the Berry-Esseen certificate")
     grid = GridSpec()
     deltas = grid.deltas()
     etas = grid.etas(params.mu1)

@@ -105,7 +105,8 @@ def _scaling(args: argparse.Namespace) -> Scaling:
 
 
 def _attr_count(args: argparse.Namespace) -> int:
-    return args.l if args.l is not None else _scaling(args).attr_count(args.n)
+    scaling = _scaling(args)  # checks --rho also where --l overrides it
+    return args.l if args.l is not None else scaling.attr_count(args.n)
 
 
 def _target(args: argparse.Namespace):

@@ -276,12 +276,12 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
     scalar = np.isscalar(d)
-    try:
-        d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    except OverflowError:  # an int past the double range, refused below as inf
-        d_arr = np.array([math.inf])
+    d_arr = np.atleast_1d(np.asarray(d))
     if d_arr.size == 0:
         raise InvalidParamsError("degree argument must be nonempty")
+    # str, bytes, None and ints past uint64 take other dtypes: refused as nan
+    numeric = d_arr.dtype.kind in "biuf"
+    d_arr = d_arr.astype(np.float64, copy=False) if numeric else np.array([math.nan])
     if np.any(d_arr != np.floor(d_arr)) or np.any(d_arr < 0) or np.any(d_arr > n - 1):
         raise InvalidParamsError(f"degrees must be integers in [0, {n - 1}]")
     return d_arr, scalar

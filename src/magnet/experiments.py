@@ -48,7 +48,7 @@ from .model import (
     classify_regime,
     derive_constants,
     _check_int,
-    _require_lognormal_limit,
+    _lognormal_limit,
     _write_out,
 )
 from .sampler import DegreeSampleSet, sample_degrees_direct, sample_degrees_fullgraph
@@ -105,15 +105,15 @@ def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling) -> SupDelta:
     """
     params = samples.params
     n = samples.n
-    c = _require_lognormal_limit(params, scaling.rho, "the log-normal KS statistic")
-    _check_sample_l(samples, scaling.attr_count(n))
+    l, _, sigma = _lognormal_limit(params, n, scaling, "the log-normal KS statistic")
+    _check_sample_l(samples, l)
     d = samples.degrees
     zero_fraction = float((d == 0).mean())
     nonzero = d[d > 0]
     if len(nonzero) == 0:
         raise InvalidParamsError("all draws are zero; KS statistic undefined")
     w = transform_degree(nonzero.astype(np.float64), n, scaling, params)
-    spec = LogNormalSpec(m=0.0, sigma2=c.sigma ** 2)
+    spec = LogNormalSpec(m=0.0, sigma2=sigma ** 2)
     ks = ks_statistic(w, lambda x: lognormal_cdf(x, spec))
     return SupDelta(
         sup_delta=max(zero_fraction, ks),

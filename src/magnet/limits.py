@@ -23,6 +23,11 @@ mean by half the variance).  The ratio D / n**(1 + rho_n lgbar) itself
 converges to a two-point limit on {0, +inf}, each with probability 1/2;
 ``lambda_limit_probe`` estimates P(ratio <= t) from degree draws.
 
+Both limits need the supercritical regime and sigma != 0.  The one gate
+``model._lognormal_limit`` decides that and gives L_n, the centre
+(1 + rho_n lgbar) ln n and |sigma|; ``kl_params`` and ``kl_reconciled_law``
+hold in any regime and stay ungated.
+
 Normal cdf evaluations go through the complementary error function,
 ``Phi(z) = erfc(-z / sqrt(2)) / 2``, accurate to ~1e-16 absolute.
 """
@@ -36,14 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import (
-    ModelParams,
-    Scaling,
-    derive_constants,
-    require_supercritical,
-    _check_real,
-    _require_lognormal_limit,
-)
+from .model import ModelParams, Scaling, derive_constants, _check_real, _lognormal_limit
 if TYPE_CHECKING:  # annotations only: approx needs no sampler
     from .sampler import DegreeSampleSet
 
@@ -112,29 +110,21 @@ def lognormal_cdf(x, spec: LogNormalSpec):
 # The degree transform and its deterministic scale
 # ---------------------------------------------------------------------
 
-def _scale_exponent(params: ModelParams, n: int, scaling: Scaling) -> tuple[int, float]:
-    """(L_n, 1 + rho_n * lgbar) with the supercritical gate applied."""
-    l = scaling.attr_count(n)
-    require_supercritical(params, scaling.rho, "the log-normal degree limit")
-    return l, 1.0 + scaling.rho_n(n) * derive_constants(params).log_gamma_bar
-
-
 def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):
     """Map degrees onto the log-normal scale.
 
     W(d) = exp( (ln d - (1 + rho_n * lgbar) * ln n) / sqrt(L_n) ) for d >= 1;
     d = 0 maps to 0 by convention (the zero atom is handled by callers).
     """
-    l, expo = _scale_exponent(params, n, scaling)
-    shift, sq = expo * math.log(n), math.sqrt(l)
+    l, shift, _ = _lognormal_limit(params, n, scaling, "the log-normal degree limit")
+    sq = math.sqrt(l)
     return _on_log_scale(d, lambda u: np.exp((u - shift) / sq), "degree")
 
 
 def cdf_approx(t, n: int, scaling: Scaling, params: ModelParams):
     """Log-normal approximation of P(D <= t): Phi(ln x_n(t) / |sigma|)."""
-    l, expo = _scale_exponent(params, n, scaling)
-    sd = abs(_require_lognormal_limit(params, scaling.rho, "the log-normal limit").sigma)
-    shift, scale = expo * math.log(n), math.sqrt(l) * sd
+    l, shift, sd = _lognormal_limit(params, n, scaling, "the log-normal degree limit")
+    scale = math.sqrt(l) * sd
     return _on_log_scale(t, lambda u: std_normal_cdf((u - shift) / scale), "t")
 
 
@@ -184,9 +174,9 @@ def lambda_limit_probe(t: float, samples: DegreeSampleSet, scaling: Scaling) -> 
     """
     _check_real("t", t, 0)
     n = samples.n
-    l, expo = _scale_exponent(samples.params, n, scaling)
+    l, shift, _ = _lognormal_limit(samples.params, n, scaling, "the two-point ratio limit")
     _check_sample_l(samples, l)
-    threshold = float(t) * math.exp(expo * math.log(n))
+    threshold = float(t) * math.exp(shift)
     return float((samples.degrees <= threshold).mean())
 
 

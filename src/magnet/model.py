@@ -50,7 +50,6 @@ __all__ = [
     "RegimeResult",
     "derive_constants",
     "classify_regime",
-    "require_supercritical",
     "REFERENCE_PARAMS",
     "BOUNDARY_TOL",
 ]
@@ -249,22 +248,19 @@ def classify_regime(params: ModelParams, rho: float) -> RegimeResult:
     return RegimeResult(regime=regime, kappa=kappa, rho=rho)
 
 
-def require_supercritical(params: ModelParams, rho: float, what: str) -> RegimeResult:
-    """Raise :class:`RegimeError` unless (params, rho) is supercritical."""
-    res = classify_regime(params, rho)
+def _lognormal_limit(params: ModelParams, n: int, scaling: Scaling,
+                     what: str) -> tuple[int, float, float]:
+    """(L_n, centre (1 + rho_n * lgbar) * ln n, |sigma|) of the log-normal
+    degree limit at ``n``; the package's one gate for that limit, raising
+    :class:`RegimeError` unless (params, rho) is supercritical with sigma != 0."""
+    l = scaling.attr_count(n)
+    res = classify_regime(params, scaling.rho)
     if res.regime is not Regime.SUPERCRITICAL:
         raise RegimeError(
             f"{what} requires the supercritical regime; "
-            f"kappa = {res.kappa:.6g} at rho = {rho:.6g} is {res.regime.value}"
+            f"kappa = {res.kappa:.6g} at rho = {scaling.rho:.6g} is {res.regime.value}"
         )
-    return res
-
-
-def _require_lognormal_limit(params: ModelParams, rho: float, what: str) -> DerivedConstants:
-    """Raise :class:`RegimeError` unless (params, rho) is supercritical with
-    sigma != 0, the conditions of a nondegenerate log-normal limit."""
-    require_supercritical(params, rho, what)
     c = derive_constants(params)
     if c.sigma == 0.0:
         raise RegimeError(f"sigma = 0 (gamma0 = gamma1): {what} is degenerate")
-    return c
+    return l, (1.0 + scaling.rho_n(n) * c.log_gamma_bar) * math.log(n), abs(c.sigma)

@@ -192,12 +192,16 @@ def test_exit_code_3_on_regime_violation(capsys):
     assert "regime" in err
 
 
-def test_exit_code_3_on_degenerate_sigma(capsys):
+def test_exit_code_3_on_degenerate_sigma(tmp_path, capsys):
     # q00 = 0.7 and mu1 = 0.5 give gamma0 = gamma1 = 0.45, so sigma = 0
     flat = ["--n", "1000", "--q00", "0.7", "--mu1", "0.5"]
     assert main(["bound", *flat]) == 3
     assert main(["bound", *flat, "--delta", "0.5"]) == 3
     assert main(["approx", *flat, "--d-max", "5"]) == 3
+    probe = tmp_path / "probe.ini"
+    probe.write_text(INI.replace("q00 = 0.5", "q00 = 0.7").replace("mu1 = 0.6", "mu1 = 0.5")
+                     .replace("kind = kl_reconcile", "kind = lambda_probe"))
+    assert main(["experiment", str(probe)]) == 3
     assert "sigma = 0" in capsys.readouterr().err
 
 
@@ -222,9 +226,9 @@ def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # at l = 1e7 and 1e8 (its window, not all of 0..l), and the pmf at
     # l = 1e7, whose 120181 components share one floored p_s; an n, l or --count
     # past 2**53 or an --out that cannot be opened must be refused with exit
-    # 2, and so must a rho whose rho * ln n overflows to inf and a --count
-    # or --d-max out of range, before the exact law at l = 1e12 (past the
-    # cap) is built; an allocation
+    # 2, and so must a rho whose rho * ln n overflows to inf, a --rho out of
+    # range next to --l, and a --count or --d-max out of range, before the
+    # exact law at l = 1e12 (past the cap) is built; an allocation
     # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB of attribute
     # uniforms, a 10**15-bit attribute row whose link bound's exponent
     # would overflow) must exit 4; fullgraph at n = 1e7 and 999999999 draws
@@ -250,6 +254,8 @@ sys.exit(main(sys.argv[1:]))
         (["degrees", "--n", "1000", "--l", str(10**18), "--count", "10"], 2),
         (["degrees", "--n", "1000", "--l", str(10**12), "--count", "0"], 2),
         (["pmf", "--n", "1000", "--l", str(10**12), "--d-max", "-1"], 2),
+        (["pmf", "--n", "1000", "--l", "7", "--rho", "nan", "--d-max", "3"], 2),
+        (["degrees", "--n", "1000", "--l", "7", "--rho", "-1", "--count", "3"], 2),
         (["generate", "--n", "30", "--l", "3", "--out", str(tmp_path / "missing" / "x")], 2),
         (["degrees", "--n", "1000", "--count", str(10**9)], 4),
         (["degrees", "--n", "30", "--count", str(2**64)], 2),
@@ -496,8 +502,7 @@ def test_start_up_path_loads_scipy_on_first_use(tmp_path):
 PUBLIC = {
     "errors": ["MagnetError", "InvalidParamsError", "ConfigError", "RegimeError", "BudgetError"],
     "model": ["ModelParams", "DerivedConstants", "Scaling", "Regime", "RegimeResult",
-              "derive_constants", "classify_regime", "require_supercritical",
-              "REFERENCE_PARAMS", "BOUNDARY_TOL"],
+              "derive_constants", "classify_regime", "REFERENCE_PARAMS", "BOUNDARY_TOL"],
     "degree_dist": ["DegreePmfTable", "write_pmf_csv"],
     "sampler": ["SampleMethod", "MagGraph", "DegreeSampleSet", "sample_graph",
                 "sample_degrees_direct", "sample_degrees_fullgraph", "write_edge_list",

@@ -26,12 +26,15 @@ from magnet import (
     RegimeError,
     Scaling,
     berry_esseen_bound,
+    cdf_approx,
     classify_regime,
     derive_constants,
+    empirical_sup_delta,
     lambda_limit_probe,
+    optimize_bound,
     ratio_concentration_bound,
-    require_supercritical,
     sample_degrees_direct,
+    transform_degree,
 )
 from magnet.model import _write_out
 
@@ -77,12 +80,33 @@ def test_kappa_scales_linearly_in_rho():
         assert abs(kappa - (1.0 + scale * c.log_gamma_bar)) < 1e-12
 
 
-def test_require_supercritical_gate():
-    require_supercritical(REFERENCE_PARAMS, 1.0, "test")  # passes silently
-    with pytest.raises(RegimeError):
-        require_supercritical(REFERENCE_PARAMS, 2.0, "test")
-    with pytest.raises(RegimeError):
-        require_supercritical(REFERENCE_PARAMS, -1.0 / LOG_GAMMA_BAR, "test")
+def _draws(params: ModelParams, scaling: Scaling):
+    return sample_degrees_direct(params, 1000, scaling.attr_count(1000), 200, 0)
+
+
+#: Every entry point of the log-normal limit, called at n = 1000 (and on
+#: 200 direct draws at L_n where it reads draws).
+_LOGNORMAL_ENTRY_POINTS = {
+    "transform_degree": lambda p, s: transform_degree(5, 1000, s, p),
+    "cdf_approx": lambda p, s: cdf_approx(5.0, 1000, s, p),
+    "lambda_limit_probe": lambda p, s: lambda_limit_probe(1.0, _draws(p, s), s),
+    "berry_esseen_bound": lambda p, s: berry_esseen_bound(p, 1000, s, 0.5),
+    "optimize_bound": lambda p, s: optimize_bound(p, 1000, s),
+    "empirical_sup_delta": lambda p, s: empirical_sup_delta(_draws(p, s), s),
+}
+
+
+@pytest.mark.parametrize("entry", _LOGNORMAL_ENTRY_POINTS)
+@pytest.mark.parametrize("params, rho, match", [
+    (REFERENCE_PARAMS, 2.0, "is subcritical"),
+    (REFERENCE_PARAMS, -1.0 / LOG_GAMMA_BAR, "is boundary"),
+    (ModelParams(q11=0.4, q10=0.4, q00=0.4, mu1=0.6), 1.0, "sigma = 0"),  # gamma0 = gamma1
+], ids=["subcritical", "boundary", "sigma0"])
+def test_lognormal_entry_points_need_a_nondegenerate_supercritical_limit(entry, params, rho, match):
+    call = _LOGNORMAL_ENTRY_POINTS[entry]
+    call(REFERENCE_PARAMS, Scaling(1.0))  # supercritical with sigma != 0: passes
+    with pytest.raises(RegimeError, match=match):
+        call(params, Scaling(rho))
 
 
 def test_sigma_sign_follows_gamma_ordering():
@@ -156,7 +180,8 @@ _RANGED_INPUTS = {
         [0, -1.0], [0.5]),
     "LogNormalSpec.m": (lambda v: LogNormalSpec(v, 1.0), [], [-1.0]),
     "LogNormalSpec.sigma2": (lambda v: LogNormalSpec(0.0, v), [-1.0], [1.0, 0.0]),
-    **{f"DegreePmfTable.{m}.d": (lambda v, m=m: getattr(_table(), m)(v), [-1, 1000, 0.5], [3.0])
+    **{f"DegreePmfTable.{m}.d": (
+        lambda v, m=m: getattr(_table(), m)(v), [-1, 1000, 0.5, "3", ["2"]], [3.0])
        for m in ("pmf", "log_pmf", "cdf")},
 }
 
