@@ -4,11 +4,13 @@ Subcommands: generate, degrees, pmf, regime, approx, bound, experiment.
 Common flags: --seed <u64>, --out <path>, --threads <k> (accepted and
 checked to be at least 1, but it changes nothing: every command runs on one
 thread).  Exit codes: 0 success, 2 invalid configuration (an output path
-that cannot be opened included), 3 regime violation, 4 budget exceeded (a
-failed allocation included).  Reruns with the same arguments and seed
-produce byte-identical outputs; wall-clock metadata only ever lands in
-report sidecars.  Each command loads only the modules it runs, and OpenBLAS
-runs one thread unless OPENBLAS_NUM_THREADS is set before start-up.
+that cannot be opened included; one that is empty, a directory or in a
+missing directory before any work), 3 regime violation (before any draw
+in an experiment), 4 budget exceeded (a failed allocation included).
+Reruns with the same arguments and seed produce byte-identical outputs;
+wall-clock metadata only ever lands in report sidecars.  Each command
+loads only the modules it runs, and OpenBLAS runs one thread unless
+OPENBLAS_NUM_THREADS is set before start-up.
 """
 
 from __future__ import annotations
@@ -49,31 +51,29 @@ def build_parser() -> argparse.ArgumentParser:
         model.add_argument(f"--{f.name}", type=float, default=getattr(REFERENCE_PARAMS, f.name))
     model.add_argument("--rho", type=float, default=1.0)
 
+    with_n = argparse.ArgumentParser(add_help=False, parents=[model])
+    with_n.add_argument("--n", type=int, required=True)
+    with_l = argparse.ArgumentParser(add_help=False, parents=[with_n])
+    with_l.add_argument("--l", type=int, default=None,
+                        help="attribute count (default: L_n from the scaling)")
+
     p = sub.add_parser("generate", help="sample one graph and write its edge list",
-                       parents=[model])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=None,
-                   help="attribute count (default: L_n from the scaling)")
+                       parents=[with_l])
     p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.add_argument("--attributes-out", type=str, default=None,
                    help="also dump attribute rows ('0'/'1' lines) to this path")
 
-    p = sub.add_parser("degrees", help="draw node degrees and write them as CSV", parents=[model])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=None)
+    p = sub.add_parser("degrees", help="draw node degrees and write them as CSV", parents=[with_l])
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--method", choices=[m.value for m in SampleMethod],
                    default=SampleMethod.DIRECT.value)
 
-    p = sub.add_parser("pmf", help="exact degree pmf/cdf table as CSV", parents=[model])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, default=None)
+    p = sub.add_parser("pmf", help="exact degree pmf/cdf table as CSV", parents=[with_l])
     p.add_argument("--d-max", type=int, default=None)
 
     sub.add_parser("regime", help="criticality and derived constants as JSON", parents=[model])
 
-    p = sub.add_parser("approx", help="exact vs log-normal cdf sweep as CSV", parents=[model])
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("approx", help="exact vs log-normal cdf sweep as CSV", parents=[with_n])
     p.add_argument("--d-max", type=int, default=None)
 
     p = sub.add_parser("bound", help="Berry-Esseen certificates as CSV or JSON", parents=[model])
@@ -100,13 +100,17 @@ def _seed(args: argparse.Namespace) -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _scaling(args: argparse.Namespace) -> Scaling:
-    return Scaling(rho=args.rho)
-
-
 def _attr_count(args: argparse.Namespace) -> int:
-    scaling = _scaling(args)  # checks --rho also where --l overrides it
+    scaling = Scaling(args.rho)  # checks --rho also where --l overrides it
     return args.l if args.l is not None else scaling.attr_count(args.n)
+
+
+def _check_dest(path: str | None) -> None:
+    """Refuse, before any work, an output path that is empty, names a
+    directory or lies in a missing one; other open failures surface later."""
+    if path is not None and (not path or os.path.isdir(path)
+                             or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise InvalidParamsError(f"output path {path!r} is not a file in an existing directory")
 
 
 def _target(args: argparse.Namespace):
@@ -114,35 +118,29 @@ def _target(args: argparse.Namespace):
     return sys.stdout if args.out is None else args.out
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> None:
     from .sampler import sample_graph, write_attributes, write_edge_list
     graph = sample_graph(_params(args), args.n, _attr_count(args), _seed(args),
                          pair_budget=args.pair_budget)
     write_edge_list(graph, _target(args))
     if args.attributes_out is not None:
         write_attributes(graph, args.attributes_out)
-    return 0
 
 
-def _cmd_degrees(args: argparse.Namespace) -> int:
+def _cmd_degrees(args: argparse.Namespace) -> None:
     from .sampler import sample_degrees_direct, sample_degrees_fullgraph, write_degrees_csv
-    sampler = (
-        sample_degrees_direct
-        if args.method == SampleMethod.DIRECT.value
-        else sample_degrees_fullgraph
-    )
+    sampler = (sample_degrees_direct if args.method == SampleMethod.DIRECT.value
+               else sample_degrees_fullgraph)
     samples = sampler(_params(args), args.n, _attr_count(args), args.count, _seed(args))
     write_degrees_csv(samples, _target(args))
-    return 0
 
 
-def _cmd_pmf(args: argparse.Namespace) -> int:
+def _cmd_pmf(args: argparse.Namespace) -> None:
     from .degree_dist import write_pmf_csv
     write_pmf_csv(_target(args), _params(args), args.n, _attr_count(args), d_max=args.d_max)
-    return 0
 
 
-def _cmd_regime(args: argparse.Namespace) -> int:
+def _cmd_regime(args: argparse.Namespace) -> None:
     params = _params(args)
     res = classify_regime(params, args.rho)
     c = derive_constants(params)
@@ -159,14 +157,13 @@ def _cmd_regime(args: argparse.Namespace) -> int:
         "log_gamma_bar": c.log_gamma_bar,
     }
     _write_out(_target(args), [json.dumps(payload, indent=2, sort_keys=True)])
-    return 0
 
 
-def _cmd_approx(args: argparse.Namespace) -> int:
+def _cmd_approx(args: argparse.Namespace) -> None:
     from .degree_dist import _pmf_rows
     from .limits import cdf_approx
     params = _params(args)
-    scaling = _scaling(args)
+    scaling = Scaling(args.rho)
     n = args.n
     rows = _pmf_rows(params, n, scaling.attr_count(n), args.d_max, 0.999)
     # cdf_exact is the pmf command's cdf column: the running sum of the pmf
@@ -174,21 +171,17 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     _write_out(_target(args), itertools.chain(["n,t,cdf_exact,cdf_approx,abs_err"], (
         f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}"
         for t, exact, approx in blocks for ti, ei, ai in zip(t, exact, approx))))
-    return 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> None:
     from .bounds import C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
     params = _params(args)
-    scaling = _scaling(args)
-    certs = []
-    for n in args.n:
-        if args.delta is not None:
-            certs.append(berry_esseen_bound(params, n, scaling, args.delta, eta=args.eta))
-        else:
-            if args.eta is not None:
-                raise InvalidParamsError("--eta needs --delta (or drop both to optimize)")
-            certs.append(optimize_bound(params, n, scaling))
+    scaling = Scaling(args.rho)
+    if args.delta is None and args.eta is not None:
+        raise InvalidParamsError("--eta needs --delta (or drop both to optimize)")
+    certs = [optimize_bound(params, n, scaling) if args.delta is None
+             else berry_esseen_bound(params, n, scaling, args.delta, eta=args.eta)
+             for n in args.n]
     if args.format == "csv":
         write_bound_csv(_target(args), certs)
     else:
@@ -197,12 +190,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             for c in certs
         ]
         _write_out(_target(args), [json.dumps(payload, indent=2, sort_keys=True)])
-    return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> None:
     from .experiments import config_hash, parse_config, run_experiment
     config = parse_config(args.config)
+    if args.out is None:  # an --out was checked in main
+        _check_dest(config.out)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config)
@@ -215,7 +209,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"report written to {out} (config {config_hash(config)[:12]}, "
             f"{'all checks passed' if report.all_passed() else 'SOME CHECKS FAILED'})\n"
         )
-    return 0
 
 
 _COMMANDS = {
@@ -239,7 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_int("seed", _seed(args), 0, 2 ** 64 - 1)
         _check_int("threads", args.threads, 1)
-        return _COMMANDS[args.command](args)
+        for path in (args.out, vars(args).get("attributes_out")):
+            _check_dest(path)
+        _COMMANDS[args.command](args)
     except RegimeError as exc:
         print(f"magnet: regime violation: {exc}", file=sys.stderr)
         return 3
@@ -249,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # OSError: an --out path that cannot be opened
         print(f"magnet: invalid configuration: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ class DegreePmfTable:
         # each band widened to a power of two: at most seven widths to loop over
         band = 2.0 ** np.ceil(np.log2(_band(mean)))
         comp = np.empty((d_arr.size, p.size))
-        for k in np.unique(band):
+        for k in sorted(set(band.tolist())):
             at = np.flatnonzero(band == k)
             if k <= _BAND_CAP:
                 comp[:, at] = _band_cdf(self.n - 1, p[at], mean[at], int(k), d_arr)

@@ -377,6 +377,8 @@ def _run_degree_fit(config: ExperimentConfig) -> list[ReportRow]:
 def _run_lognormal_ks(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     deltas: list[SupDelta] = []
+    for n in config.n_grid:  # decide the limit at every n before the first draw
+        _lognormal_limit(config.params, n, config.scaling, "the log-normal KS statistic")
     for n in config.n_grid:
         sd = empirical_sup_delta(_direct_draws(config, n), config.scaling)
         deltas.append(sd)
@@ -437,6 +439,8 @@ def _run_zero_one_law(config: ExperimentConfig) -> list[ReportRow]:
 
 def _run_lambda_probe(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
+    for n in config.n_grid:  # decide the limit at every n before the first draw
+        _lognormal_limit(config.params, n, config.scaling, "the two-point ratio limit")
     for n in config.n_grid:
         samples = _direct_draws(config, n)
         for t in (0.1, 1.0, 10.0):
@@ -495,18 +499,18 @@ def _run_kl_reconcile(config: ExperimentConfig) -> list[ReportRow]:
             m_direct = (1.0 + rho_n * c.log_gamma_bar) * log_n \
                 + 0.5 * (c.sigma ** 2) * rho_n * log_n
             mean_resid = max(mean_resid, abs(kp.m - m_direct) / max(abs(kp.m), 1e-300))
-            if (
-                classify_regime(p, config.scaling.rho).regime is Regime.SUPERCRITICAL
-                and c.sigma != 0.0
-            ):
-                law = kl_reconciled_law(p, n, config.scaling)
-                sd = math.sqrt(law.sigma2)
-                for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
-                    t = math.exp(law.m + z * sd)
-                    cdf_resid = max(
-                        cdf_resid,
-                        abs(lognormal_cdf(t, law) - cdf_approx(t, n, config.scaling, p)),
-                    )
+            try:
+                _lognormal_limit(p, n, config.scaling, "the KL cdf residual")
+            except RegimeError:  # no log-normal limit to compare against
+                continue
+            law = kl_reconciled_law(p, n, config.scaling)
+            sd = math.sqrt(law.sigma2)
+            for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
+                t = math.exp(law.m + z * sd)
+                cdf_resid = max(
+                    cdf_resid,
+                    abs(lognormal_cdf(t, law) - cdf_approx(t, n, config.scaling, p)),
+                )
         rows.extend([
             ReportRow(n, "kl_var_resid_max", var_resid, exact=True,
                       passed=var_resid <= KL_VAR_TOL),

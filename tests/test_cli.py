@@ -205,6 +205,29 @@ def test_exit_code_3_on_degenerate_sigma(tmp_path, capsys):
     assert "sigma = 0" in capsys.readouterr().err
 
 
+def test_output_in_a_missing_directory_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                                   capsys):
+    import magnet.experiments
+    import magnet.sampler
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled before the output path was checked")
+
+    monkeypatch.setattr(magnet.sampler, "sample_graph", no_work)
+    monkeypatch.setattr(magnet.experiments, "sample_degrees_direct", no_work)
+    missing = str(tmp_path / "missing" / "x")
+    assert main(["generate", "--n", "20000", "--out", missing]) == 2
+    assert main(["generate", "--n", "20000", "--attributes-out", missing]) == 2
+    assert main(["generate", "--n", "20000", "--out", str(tmp_path)]) == 2  # a directory
+    assert main(["generate", "--n", "20000", "--out", ""]) == 2
+    ini = tmp_path / "ks.ini"
+    ini.write_text(INI.replace("kind = kl_reconcile", "kind = lognormal_ks")
+                   + f"out = {missing}\n")
+    assert main(["experiment", str(ini)]) == 2
+    assert main(["experiment", str(ini), "--out", missing]) == 2
+    assert capsys.readouterr().err.count("is not a file in an existing directory") == 6
+
+
 def test_exit_code_4_on_budget_exceeded(capsys):
     assert main(["generate", "--n", "2000000", "--l", "2"]) == 4
     err = capsys.readouterr().err
@@ -462,7 +485,7 @@ else:
     assert rc == 0, sys.argv
 print(json.dumps([m for m in %r if m in sys.modules]))
 """
-_WATCHED = ("numpy", "scipy", "scipy.special", "scipy.stats", "magnet.sampler",
+_WATCHED = ("numpy", "numpy.ma", "scipy", "scipy.special", "scipy.stats", "magnet.sampler",
             "magnet.experiments")
 
 

@@ -25,6 +25,7 @@ from magnet import (
     sample_degrees_direct,
     sample_degrees_fullgraph,
 )
+from magnet import experiments
 from magnet.degree_dist import DegreePmfTable
 from magnet.experiments import _EXPERIMENT_FIELDS
 from magnet.stats import tv_limit, tv_to_exact, two_sample_ks
@@ -267,6 +268,21 @@ def test_boundary_scaling_is_refused():
         kind=ExperimentKind.ZERO_ONE_LAW, n_grid=(100, 1000), draws=100, seed=1,
     )
     with pytest.raises(RegimeError):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("kind", [ExperimentKind.LOGNORMAL_KS, ExperimentKind.LAMBDA_PROBE])
+@pytest.mark.parametrize("rho,needle", [(1.0, "sigma = 0"), (2.0, "supercritical")])
+def test_log_normal_limit_is_decided_before_any_draw(kind, rho, needle, monkeypatch):
+    # q11 = q10 = q00 gives gamma0 = gamma1, so sigma = 0 (at rho = 2 the set
+    # is also subcritical): the grid is refused before 4e5 draws at n = 1e6
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew degrees before deciding the log-normal limit")
+
+    monkeypatch.setattr(experiments, "sample_degrees_direct", no_draw)
+    cfg = ExperimentConfig(params=ModelParams(0.4, 0.4, 0.4, 0.6), scaling=Scaling(rho=rho),
+                           kind=kind, n_grid=(10**6, 10**7), draws=400000, seed=1)
+    with pytest.raises(RegimeError, match=needle):
         run_experiment(cfg)
 
 
