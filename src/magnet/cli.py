@@ -26,7 +26,7 @@ from ._version import __version__
 from .errors import BudgetError, InvalidParamsError, RegimeError
 from .model import (
     DEFAULT_PAIR_BUDGET, REFERENCE_PARAMS, ModelParams, SampleMethod, Scaling,
-    classify_regime, derive_constants, _check_int, _write_out,
+    classify_regime, derive_constants, _check_int, _lognormal_limit, _rows, _write_out,
 )
 
 __all__ = ["main", "build_parser"]
@@ -165,12 +165,13 @@ def _cmd_approx(args: argparse.Namespace) -> None:
     params = _params(args)
     scaling = Scaling(args.rho)
     n = args.n
-    rows = _pmf_rows(params, n, scaling.attr_count(n), args.d_max, 0.999)
+    l, _, _ = _lognormal_limit(params, n, scaling, "the log-normal degree limit")
+    rows = _pmf_rows(params, n, l, args.d_max, 0.999)
     # cdf_exact is the pmf command's cdf column: the running sum of the pmf
     blocks = ((t, exact, cdf_approx(t, n, scaling, params)) for t, _, exact in rows)
     _write_out(_target(args), itertools.chain(["n,t,cdf_exact,cdf_approx,abs_err"], (
-        f"{n},{int(ti)},{ei:.17g},{ai:.17g},{abs(ei - ai):.17g}"
-        for t, exact, approx in blocks for ti, ei, ai in zip(t, exact, approx))))
+        text for t, exact, approx in blocks
+        for text in _rows(f"{n},%d,%.17g,%.17g,%.17g", t, exact, approx, abs(exact - approx)))))
 
 
 def _cmd_bound(args: argparse.Namespace) -> None:

@@ -31,13 +31,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterator
 
 import numpy as np
 
 from .errors import InvalidParamsError
 from .model import (
-    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _check_int, _check_real, _write_out,
+    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _check_int, _check_real, _rows,
+    _write_out,
 )
 
 __all__ = [
@@ -191,8 +192,9 @@ class DegreePmfTable:
         return float(out[0]) if scalar else out
 
     def pmf(self, d) -> np.ndarray | float:
-        out = self.log_pmf(d)
-        return math.exp(out) if isinstance(out, float) else np.exp(out)
+        """P(D = d); a scalar ``d`` takes the array path's ``np.exp``, to the bit."""
+        out = np.exp(np.atleast_1d(self.log_pmf(d)))
+        return float(out[0]) if np.isscalar(d) else out
 
     def cdf(self, d) -> np.ndarray | float:
         """P(D <= d) as the w_s-weighted sum of each component's band sum
@@ -288,22 +290,25 @@ def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
 
 
 def _pmf_rows(params: ModelParams, n: int, l: int, d_max: int | None,
-              q: float) -> Iterable[tuple[np.ndarray, ...]]:
+              q: float) -> Iterator[tuple[np.ndarray, ...]]:
     """(d, pmf, cdf) of the exact law in blocks of ``_WRITE_BLOCK`` rows for
-    d = 0..d_max, checked before the law's table is built, or to its ``q``
-    quantile when d_max is None; cdf is the running sum of pmf, capped at 1."""
+    d = 0..d_max, or to its ``q`` quantile when d_max is None, with cdf the
+    capped running sum of pmf; checked, and its table built, on the call."""
     _check_int("n", n, 2, EXACT_MAX)
     if d_max is not None:
         _check_int("d_max", d_max, 0, n - 1)
     table = DegreePmfTable.from_model(params, n, l)
     d_end = table.quantile(q) if d_max is None else d_max
-    total = 0.0
-    for lo in range(0, d_end + 1, _WRITE_BLOCK):
-        d = np.arange(lo, min(lo + _WRITE_BLOCK, d_end + 1))
-        pmf = table.pmf(d)
-        running = np.cumsum(np.concatenate(([total], pmf)))[1:]
-        total = running[-1]
-        yield d, pmf, np.minimum(running, 1.0)
+
+    def blocks():
+        total = 0.0
+        for lo in range(0, d_end + 1, _WRITE_BLOCK):
+            d = np.arange(lo, min(lo + _WRITE_BLOCK, d_end + 1))
+            pmf = table.pmf(d)
+            running = np.cumsum(np.concatenate(([total], pmf)))[1:]
+            total = running[-1]
+            yield d, pmf, np.minimum(running, 1.0)
+    return blocks()
 
 
 def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
@@ -315,5 +320,4 @@ def write_pmf_csv(target: str | IO[str], params: ModelParams, n: int, l: int,
     """
     rows = _pmf_rows(params, n, l, d_max, 1.0 - 1e-9)
     _write_out(target, itertools.chain(["d,pmf,cdf"], (
-        f"{int(di)},{pi:.17g},{ci:.17g}"
-        for d, pmf, cdf in rows for di, pi, ci in zip(d, pmf, cdf))))
+        text for block in rows for text in _rows("%d,%.17g,%.17g", *block))))

@@ -101,7 +101,8 @@ def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling) -> SupDelta:
 
     Zero degrees are excluded from the KS part and reported (and folded in)
     through the zero atom; the stderr proxy is :func:`dkw_proxy` of the
-    nonzero sample size.
+    nonzero sample size.  When every draw is 0, ``ks_nonzero`` reads 0,
+    ``sup_delta`` the zero fraction 1, and the proxy is that of all draws.
     """
     params = samples.params
     n = samples.n
@@ -110,16 +111,16 @@ def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling) -> SupDelta:
     d = samples.degrees
     zero_fraction = float((d == 0).mean())
     nonzero = d[d > 0]
-    if len(nonzero) == 0:
-        raise InvalidParamsError("all draws are zero; KS statistic undefined")
-    w = transform_degree(nonzero.astype(np.float64), n, scaling, params)
-    spec = LogNormalSpec(m=0.0, sigma2=sigma ** 2)
-    ks = ks_statistic(w, lambda x: lognormal_cdf(x, spec))
+    ks = 0.0
+    if len(nonzero):
+        w = transform_degree(nonzero.astype(np.float64), n, scaling, params)
+        spec = LogNormalSpec(m=0.0, sigma2=sigma ** 2)
+        ks = ks_statistic(w, lambda x: lognormal_cdf(x, spec))
     return SupDelta(
         sup_delta=max(zero_fraction, ks),
         ks_nonzero=ks,
         zero_fraction=zero_fraction,
-        proxy=dkw_proxy(len(nonzero)),
+        proxy=dkw_proxy(len(nonzero) or len(d)),
         n_total=len(d),
         n_nonzero=len(nonzero),
     )

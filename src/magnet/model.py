@@ -38,7 +38,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import InvalidParamsError, RegimeError
 
@@ -62,8 +62,7 @@ BOUNDARY_TOL = 1e-12
 #: asymptotic layers (limits, bounds) take any n.
 EXACT_MAX = 2 ** 53
 
-#: Lines formed and written at a time by the text writer, and rows
-#: converted to Python objects at a time by the table writers.
+#: Table rows formed as one text, by one ``%``, in ``_rows``.
 _WRITE_BLOCK = 1 << 14
 
 DEFAULT_PAIR_BUDGET = 10 ** 9
@@ -97,23 +96,31 @@ def _check_real(name: str, value, lo: float, hi: float = math.inf) -> None:
         raise InvalidParamsError(f"{name} must be a finite real in ({lo}, {hi}), got {value!r}")
 
 
-def _write_out(target: str | IO[str], lines: Iterable[str]) -> None:
-    """Write ``lines``, each ended by a newline, to a path or an open text
-    stream, ``_WRITE_BLOCK`` lines at a time; the package's one text writer.
-    A path is opened once the first block is formed and, if a later block
-    fails, removed when it names a regular file (never a device or a link),
-    so that a failed call leaves no truncated file."""
-    lines = iter(lines)
-    blocks = iter(lambda: list(itertools.islice(lines, _WRITE_BLOCK)), [])
-    texts = ("\n".join(block) + "\n" for block in blocks)
+def _rows(fmt: str, *columns) -> Iterator[str]:
+    """Rows ``fmt % (c[i] for c in columns)`` of equal-length arrays, as one
+    newline-separated text per block of at most ``_WRITE_BLOCK`` rows, each
+    formed by one ``%``; the package's one table row formatter."""
+    for lo in range(0, len(columns[0]), _WRITE_BLOCK):
+        rows = list(zip(*(c[lo:lo + _WRITE_BLOCK].tolist() for c in columns)))
+        yield "\n".join([fmt] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
+def _write_out(target: str | IO[str], texts: Iterable[str]) -> None:
+    """Write each of ``texts`` (a line, or a block of table rows formatted by
+    one ``%`` per 2**14 rows in ``_rows``) and a newline to a path or an open
+    text stream; the package's one text writer.  A path is opened once the
+    first text is formed and, if a later one fails, removed when it names a
+    regular file (never a device or a link), so that a failed call leaves no
+    truncated file."""
+    lines = (text + "\n" for text in texts)
     if not isinstance(target, str):
-        target.writelines(texts)
+        target.writelines(lines)
         return
-    first = next(texts, "")
+    first = next(lines, "")
     fh = open(target, "w", encoding="utf-8")
     try:
         with fh:
-            fh.writelines(itertools.chain([first], texts))
+            fh.writelines(itertools.chain([first], lines))
     except BaseException:
         if stat.S_ISREG(os.lstat(target).st_mode):
             os.remove(target)

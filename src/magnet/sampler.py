@@ -48,8 +48,7 @@ import numpy as np
 from . import _rng
 from .errors import BudgetError
 from .model import (
-    DEFAULT_PAIR_BUDGET, EXACT_MAX, _WRITE_BLOCK, ModelParams, SampleMethod, _check_int,
-    _write_out,
+    DEFAULT_PAIR_BUDGET, EXACT_MAX, ModelParams, SampleMethod, _check_int, _rows, _write_out,
 )
 from .degree_dist import DegreePmfTable, _binomial_log_pmf
 
@@ -428,20 +427,11 @@ def _header_lines(params: ModelParams, n: int, l: int, seed: int, kind: str) -> 
     ]
 
 
-def _tolist_blocks(rows: np.ndarray):
-    """Python ints (or lists of them) from ``rows``, one ``tolist`` per
-    block: as fast as one ``tolist`` of all rows, without holding a
-    full-size list of Python objects."""
-    for k in range(0, len(rows), _WRITE_BLOCK):
-        yield from rows[k:k + _WRITE_BLOCK].tolist()
-
-
 def write_edge_list(graph: MagGraph, target: str | IO[str]) -> None:
     """Edge list: '#' header lines, then one ``u<TAB>v`` row per edge with
     u < v, sorted lexicographically."""
     header = _header_lines(graph.params, graph.n, graph.l, graph.seed, "edge list")
-    rows = (f"{u}\t{v}" for u, v in _tolist_blocks(graph.edges))
-    _write_out(target, itertools.chain(header, rows))
+    _write_out(target, itertools.chain(header, _rows("%d\t%d", *graph.edges.T)))
 
 
 def write_attributes(graph: MagGraph, target: str | IO[str]) -> None:
@@ -455,4 +445,4 @@ def write_degrees_csv(samples: DegreeSampleSet, target: str | IO[str]) -> None:
     header = _header_lines(samples.params, samples.n, samples.l, samples.seed,
                            f"degrees method={samples.method.value} count={samples.count}")
     header.append("degree")
-    _write_out(target, itertools.chain(header, map(str, _tolist_blocks(samples.degrees))))
+    _write_out(target, itertools.chain(header, _rows("%d", samples.degrees)))

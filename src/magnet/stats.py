@@ -141,7 +141,7 @@ def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> tuple[fl
 
     A bin past the given prefix holds the exact tail mass; bins are then
     merged by :func:`_merge_bins` to at least 5 expected counts each.
-    Returns (statistic, p-value, dof).
+    Returns (statistic, p-value, dof); one merged bin fits exactly, (0, 1, 0).
     """
     values = np.asarray(values, dtype=np.int64)
     n = len(values)
@@ -152,17 +152,18 @@ def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> tuple[fl
     exp[k] = max(0.0, 1.0 - float(np.sum(exact_pmf_prefix))) * n
 
     obs_b, exp_b = _merge_bins(obs, exp)
-    if len(obs_b) < 2:
-        raise InvalidParamsError("chi-square needs at least two bins with mass")
+    if len(obs_b) == 0:
+        raise InvalidParamsError("chi-square needs a bin with mass")
     # Rescale residual normalization mismatch (regularity, not correction).
     exp_b *= obs_b.sum() / exp_b.sum()
-    stat = float(np.sum((obs_b - exp_b) ** 2 / exp_b))
     dof = len(obs_b) - 1
+    stat = float(np.sum((obs_b - exp_b) ** 2 / exp_b)) if dof else 0.0
     return stat, _chi2_sf(stat, dof), dof
 
 
 def _chi2_sf(x: float, dof: int) -> float:
-    """P(X > x) for X ~ chi-square(dof), integer dof >= 1.
+    """P(X > x) for X ~ chi-square(dof), integer dof >= 1, and 1 at x = 0
+    (so also for a one-bin fit's dof = 0).
 
     This is Q(dof/2, y), y = x/2, which has a closed form at integer and
     half-integer shape.  With h = (dof mod 2)/2,

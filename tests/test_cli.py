@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from magnet.cli import main
+from magnet.degree_dist import DegreePmfTable
 
 from conftest import CHILD_ENV
 
@@ -190,6 +191,17 @@ def test_exit_code_3_on_regime_violation(capsys):
     assert main(["bound", "--n", "100", "--rho", "2.0", "--delta", "0.5"]) == 3
     err = capsys.readouterr().err
     assert "regime" in err
+
+
+def test_approx_decides_the_limit_before_building_the_table(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the exact law's table was built")
+
+    monkeypatch.setattr(DegreePmfTable, "from_model", refuse)
+    flat = ["--q11", "0.99", "--q10", "0.99", "--q00", "0.99", "--mu1", "0.5"]  # sigma = 0
+    assert main(["approx", "--n", str(2 ** 53), *flat]) == 3
+    assert main(["approx", "--n", "100", "--rho", "2.0"]) == 3  # subcritical
+    assert capsys.readouterr().err.count("regime violation") == 2
 
 
 def test_exit_code_3_on_degenerate_sigma(tmp_path, capsys):

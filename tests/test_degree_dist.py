@@ -182,6 +182,20 @@ def test_prob_zero_equals_pmf_at_zero():
         assert table.prob_zero() == pytest.approx(table.pmf(0), rel=1e-12)
 
 
+def test_scalar_pmf_equals_the_array_path_to_the_bit():
+    # a scalar degree once took math.exp and differed in the last bit from
+    # the array's np.exp in about 4% of such cases
+    rng = np.random.default_rng(621)
+    for _ in range(100):
+        q11, q10, q00, mu1 = rng.uniform(0.05, 0.95, size=4)
+        params = ModelParams(q11=q11, q10=q10, q00=q00, mu1=mu1)
+        n = int(rng.integers(2, 10**9))
+        table = DegreePmfTable.from_model(params, n, int(rng.integers(1, 30)))
+        for d in rng.integers(0, min(n - 1, 300), size=3, endpoint=True).tolist():
+            assert table.pmf(d) == table.pmf(np.array([d]))[0], (params, n, d)
+        assert table.prob_zero() == table.pmf(np.array([0]))[0]
+
+
 def test_mixture_collapses_to_single_binomial_when_gammas_match():
     # q11 = q10 = q00 = q makes every mixture component Binomial(n-1, q^l)
     q, n, l = 0.35, 25, 4

@@ -330,6 +330,27 @@ def test_sup_delta_rejects_degenerate_samples():
         empirical_sup_delta(samples, Scaling(rho=2.0))
 
 
+def test_degree_fit_finishes_when_its_chi_square_has_one_bin():
+    # rho = 4 is deep in the subcritical regime: nearly every draw is 0, so
+    # one merged bin holds them all and fits them exactly
+    cfg = ExperimentConfig(params=P, scaling=Scaling(rho=4.0), kind=ExperimentKind.DEGREE_FIT,
+                           n_grid=(100, 200), draws=400, seed=3)
+    chi_p = [r.value for r in run_experiment(cfg).rows if r.statistic == "chisq_p_direct"]
+    assert chi_p == [1.0, 1.0]
+
+
+def test_lognormal_ks_finishes_when_every_draw_is_zero():
+    cfg = ExperimentConfig(params=ModelParams(q11=0.02, q10=0.01, q00=0.01, mu1=0.5),
+                           scaling=Scaling(rho=0.1), kind=ExperimentKind.LOGNORMAL_KS,
+                           n_grid=(2, 3), draws=100, seed=3)
+    rows = {(r.n, r.statistic): r for r in run_experiment(cfg).rows}
+    assert rows[2, "zero_fraction"].value == 1.0
+    # the limit puts no mass at 0: the distance is the zero atom, exactly 1
+    assert rows[2, "sup_delta"].value == 1.0
+    assert rows[2, "ks_nonzero"].value == 0.0
+    assert rows[2, "sup_delta"].stderr == math.sqrt(math.log(2 / 0.05) / (2 * 100))
+
+
 def test_degree_fit_experiment_passes_at_desk_scale():
     # The TV limits derived from these draw counts are 0.0099 (direct) and
     # 0.020 (full graph); this seed's exact samplers read 0.0027 and 0.0036.

@@ -36,7 +36,7 @@ from magnet import (
     sample_degrees_direct,
     transform_degree,
 )
-from magnet.model import _write_out
+from magnet.model import _rows, _write_out
 
 # 40-digit recomputation, rounded to nearest float64:
 SIGMA = 0.21863513604494742
@@ -268,8 +268,25 @@ def test_classify_regime_rejects_bad_rho():
         classify_regime(REFERENCE_PARAMS, float("nan"))
 
 
-def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(model, "_WRITE_BLOCK", 3)
+@pytest.mark.parametrize("block", [3, 7])
+def test_rows_match_per_row_formatting_in_blocks(monkeypatch, block):
+    monkeypatch.setattr(model, "_WRITE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
+    for size in (0, 1, block - 1, block, block + 1, 2 * block + 1, 3 * block + len(special)):
+        bits = rng.integers(0, 2 ** 64, size=(2, size), dtype=np.uint64, endpoint=False)
+        x = np.where(np.isfinite(bits.view(np.float64)), bits.view(np.float64), 0.5)
+        x.reshape(-1)[:len(special)] = special[:x.size]
+        ints = rng.integers(-2 ** 53, 2 ** 53, size=size, endpoint=True)
+        ints[:1] = 2 ** 53
+        texts = list(_rows("7,%d,%.17g\t%.17g", ints, x[0], x[1]))
+        assert [t.count("\n") + 1 for t in texts] == [
+            min(block, size - lo) for lo in range(0, size, block)]
+        want = [f"7,{i},{a:.17g}\t{b:.17g}" for i, a, b in zip(ints.tolist(), *x.tolist())]
+        assert "\n".join(texts) == "\n".join(want)
+
+
+def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path):
     writes = []
 
     class Stream(io.StringIO):
@@ -277,7 +294,7 @@ def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path, monkeypa
             writes.append(text)
             return super().write(text)
 
-    _write_out(Stream(), (str(i) for i in range(7)))
+    _write_out(Stream(), ["0\n1\n2", "3\n4\n5", "6"])  # each text as given, plus a newline
     assert writes == ["0\n1\n2\n", "3\n4\n5\n", "6\n"]
 
     def failing(after):
@@ -286,14 +303,14 @@ def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path, monkeypa
 
     path = tmp_path / "out.csv"
     path.write_text("kept\n")
-    with pytest.raises(MemoryError):  # inside the first block: the file is never opened
-        _write_out(str(path), failing(2))
+    with pytest.raises(MemoryError):  # before the first text: the file is never opened
+        _write_out(str(path), failing(0))
     assert path.read_text() == "kept\n"
     link = tmp_path / "link.csv"
     link.symlink_to(path)
     with pytest.raises(MemoryError):  # a link (or a device) is written but never removed
-        _write_out(str(link), failing(5))
+        _write_out(str(link), failing(3))
     assert link.is_symlink() and path.read_text() == "0\n1\n2\n"
-    with pytest.raises(MemoryError):  # after a written block: the file is removed
-        _write_out(str(path), failing(5))
+    with pytest.raises(MemoryError):  # after a written text: the file is removed
+        _write_out(str(path), failing(3))
     assert not path.exists()

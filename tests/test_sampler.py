@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import magnet.model as model
 import magnet.sampler as sampler
 from magnet import (
     BudgetError,
@@ -617,8 +618,8 @@ def test_direct_sampler_validation():
 # ------------------------------------------------------------------- writers
 
 def test_edge_list_format(monkeypatch):
-    # rows are converted in blocks; 7 puts block boundaries inside the rows
-    monkeypatch.setattr(sampler, "_WRITE_BLOCK", 7)
+    # rows are formatted in blocks; 7 puts block boundaries inside the rows
+    monkeypatch.setattr(model, "_WRITE_BLOCK", 7)
     g = sample_graph(P, 20, 3, seed=5)
     assert len(g.edges) > 7
     buf = io.StringIO()
@@ -635,7 +636,7 @@ def test_edge_list_format(monkeypatch):
 
 
 def test_degrees_csv_format(monkeypatch):
-    monkeypatch.setattr(sampler, "_WRITE_BLOCK", 7)
+    monkeypatch.setattr(model, "_WRITE_BLOCK", 7)
     s = sample_degrees_direct(P, 100, 4, 50, seed=9)
     buf = io.StringIO()
     write_degrees_csv(s, buf)

@@ -274,6 +274,9 @@ def test_merge_bins_sweeps_up_and_folds_the_remainder():
     assert obs.tolist() == [6.0, 12.0]
 
 
-def test_chi_square_gof_needs_two_bins():
+def test_chi_square_gof_fits_one_bin_and_needs_a_bin():
+    # every draw in one merged bin: observed equals expected, 0 dof, p = 1
+    assert chi_square_gof(np.zeros(10, dtype=np.int64), np.array([1.0])) == (0.0, 1.0, 0)
+    # a bin closes at 5 expected counts: 4 draws form none
     with pytest.raises(InvalidParamsError):
-        chi_square_gof(np.zeros(10, dtype=np.int64), np.array([1.0]))
+        chi_square_gof(np.zeros(4, dtype=np.int64), np.array([1.0]))
