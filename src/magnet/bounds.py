@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
 from .model import (
-    EXACT_MAX, ModelParams, Scaling, derive_constants, _check_int, _check_real,
+    EXACT_MAX, ModelParams, Scaling, derive_constants, _as_reals, _check_int, _check_real,
     _lognormal_limit, _write_out,
 )
 
@@ -63,11 +62,10 @@ def _xp(x):
 
 
 def psi(x):
-    """Psi(x) = (x+1) ln(x+1) - x for x > -1; Psi(0) = 0, Psi >= x^2/(2(1+x))."""
-    if not np.isscalar(x):
-        x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= -1.0):
-        raise InvalidParamsError(f"psi needs x > -1, got {x}")
+    """Psi(x) = (x+1) ln(x+1) - x for finite real x > -1, a scalar (through
+    libm) or an array; Psi(0) = 0, Psi >= x^2/(2(1+x))."""
+    a, scalar = _as_reals("psi's x", x, math.nextafter(-1.0, 0.0))
+    x = float(a[0]) if scalar else a
     return (x + 1.0) * _xp(x).log1p(x) - x
 
 

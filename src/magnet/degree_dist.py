@@ -35,10 +35,9 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import InvalidParamsError
 from .model import (
-    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _check_int, _check_real, _rows,
-    _write_out,
+    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _as_reals, _check_int, _check_real,
+    _rows, _write_out,
 )
 
 __all__ = [
@@ -183,7 +182,7 @@ class DegreePmfTable:
     def log_pmf(self, d) -> np.ndarray | float:
         """ln P(D = d) for scalar or array ``d`` in [0, n - 1], in blocks of
         rows of at most ``_CHUNK`` terms (one row at least)."""
-        d_arr, scalar = _as_degree_array(d, self.n)
+        d_arr, scalar = _as_reals("degrees", d, 0, self.n - 1, integer=True)
         p, log_w = self.p, self.log_w
         step = max(1, _CHUNK // p.size)
         out = np.concatenate([
@@ -194,13 +193,13 @@ class DegreePmfTable:
     def pmf(self, d) -> np.ndarray | float:
         """P(D = d); a scalar ``d`` takes the array path's ``np.exp``, to the bit."""
         out = np.exp(np.atleast_1d(self.log_pmf(d)))
-        return float(out[0]) if np.isscalar(d) else out
+        return float(out[0]) if np.ndim(d) == 0 else out
 
     def cdf(self, d) -> np.ndarray | float:
         """P(D <= d) as the w_s-weighted sum of each component's band sum
         (module docstring); a component whose band exceeds ``_BAND_CAP``
         takes its upper incomplete beta betaincc(d+1, n-1-d, p) instead."""
-        d_arr, scalar = _as_degree_array(d, self.n)
+        d_arr, scalar = _as_reals("degrees", d, 0, self.n - 1, integer=True)
         p, mean = self.p, (self.n - 1) * self.p
         # each band widened to a power of two: at most seven widths to loop over
         band = 2.0 ** np.ceil(np.log2(_band(mean)))
@@ -274,19 +273,6 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     count = at_top.sum(axis=1, keepdims=True, dtype=np.float64)
     rest = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=1, keepdims=True)
     return (np.log1p(rest / count) + np.log(count) + top)[:, 0]
-
-
-def _as_degree_array(d, n: int) -> tuple[np.ndarray, bool]:
-    scalar = np.isscalar(d)
-    d_arr = np.atleast_1d(np.asarray(d))
-    if d_arr.size == 0:
-        raise InvalidParamsError("degree argument must be nonempty")
-    # str, bytes, None and ints past uint64 take other dtypes: refused as nan
-    numeric = d_arr.dtype.kind in "biuf"
-    d_arr = d_arr.astype(np.float64, copy=False) if numeric else np.array([math.nan])
-    if np.any(d_arr != np.floor(d_arr)) or np.any(d_arr < 0) or np.any(d_arr > n - 1):
-        raise InvalidParamsError(f"degrees must be integers in [0, {n - 1}]")
-    return d_arr, scalar
 
 
 def _pmf_rows(params: ModelParams, n: int, l: int, d_max: int | None,

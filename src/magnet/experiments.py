@@ -42,6 +42,8 @@ from .limits import (
     _check_sample_l,
 )
 from .model import (
+    DEFAULT_PAIR_BUDGET,
+    EXACT_MAX,
     ModelParams,
     Regime,
     Scaling,
@@ -51,7 +53,9 @@ from .model import (
     _lognormal_limit,
     _write_out,
 )
-from .sampler import DegreeSampleSet, sample_degrees_direct, sample_degrees_fullgraph
+from .sampler import (
+    DegreeSampleSet, sample_degrees_direct, sample_degrees_fullgraph, _check_pair_budget,
+)
 from .stats import (
     FIT_ALPHA, chi_square_gof, dkw_proxy, ks_statistic, tv_limit, tv_to_exact, two_sample_ks,
 )
@@ -113,7 +117,7 @@ def empirical_sup_delta(samples: DegreeSampleSet, scaling: Scaling) -> SupDelta:
     nonzero = d[d > 0]
     ks = 0.0
     if len(nonzero):
-        w = transform_degree(nonzero.astype(np.float64), n, scaling, params)
+        w = transform_degree(nonzero, n, scaling, params)
         spec = LogNormalSpec(m=0.0, sigma2=sigma ** 2)
         ks = ks_statistic(w, lambda x: lognormal_cdf(x, spec))
     return SupDelta(
@@ -313,8 +317,30 @@ def _direct_draws(config: ExperimentConfig, n: int) -> DegreeSampleSet:
                                  config.draws, seed)
 
 
+def _fullgraph_count(config: ExperimentConfig) -> int:
+    """degree_fit's fullgraph draws at each n: a quarter of the direct ones."""
+    return max(100, config.draws // 4)
+
+
+def _check_grid(config: ExperimentConfig) -> None:
+    """Refuse, before any work, a grid that the runner cannot run: past the
+    exact range (exit 2), without the log-normal limit it reads (3) or over
+    degree_fit's pair budget (4).  Each bound grows with n, so the largest n
+    covers the grid."""
+    kind, n = config.kind, config.n_grid[-1]
+    if kind in (ExperimentKind.BOUND_CHECK, ExperimentKind.KL_RECONCILE):
+        return  # no draw and no exact law: any n >= 2
+    _check_int("each n_grid entry", n, 2, EXACT_MAX)
+    _check_int("L_n", config.scaling.attr_count(n), 1, EXACT_MAX)
+    if kind in (ExperimentKind.LOGNORMAL_KS, ExperimentKind.LAMBDA_PROBE):
+        _lognormal_limit(config.params, n, config.scaling, f"the {kind.value} experiment")
+    if kind is ExperimentKind.DEGREE_FIT:
+        _check_pair_budget(_fullgraph_count(config) * (n - 1), DEFAULT_PAIR_BUDGET)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the experiment described by ``config`` and build its report."""
+    _check_grid(config)
     runner = {
         ExperimentKind.DEGREE_FIT: _run_degree_fit,
         ExperimentKind.LOGNORMAL_KS: _run_lognormal_ks,
@@ -352,11 +378,11 @@ def _run_degree_fit(config: ExperimentConfig) -> list[ReportRow]:
         l = config.scaling.attr_count(n)
         direct = _direct_draws(config, n)
         graph_seed = _rng.word_at(_rng.stream_key(config.seed, _rng.TAG_GRID_GRAPH), n)
-        graph = sample_degrees_fullgraph(config.params, n, l, max(100, config.draws // 4),
+        graph = sample_degrees_fullgraph(config.params, n, l, _fullgraph_count(config),
                                          graph_seed)
         table = DegreePmfTable.from_model(config.params, n, l)
         d_hi = int(max(direct.degrees.max(), graph.degrees.max()))
-        exact = np.asarray(table.pmf(np.arange(d_hi + 1)))
+        exact = table.pmf(np.arange(d_hi + 1))
 
         tv_d = tv_to_exact(direct.degrees, exact)
         tv_g = tv_to_exact(graph.degrees, exact)
@@ -378,8 +404,6 @@ def _run_degree_fit(config: ExperimentConfig) -> list[ReportRow]:
 def _run_lognormal_ks(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
     deltas: list[SupDelta] = []
-    for n in config.n_grid:  # decide the limit at every n before the first draw
-        _lognormal_limit(config.params, n, config.scaling, "the log-normal KS statistic")
     for n in config.n_grid:
         sd = empirical_sup_delta(_direct_draws(config, n), config.scaling)
         deltas.append(sd)
@@ -440,8 +464,6 @@ def _run_zero_one_law(config: ExperimentConfig) -> list[ReportRow]:
 
 def _run_lambda_probe(config: ExperimentConfig) -> list[ReportRow]:
     rows: list[ReportRow] = []
-    for n in config.n_grid:  # decide the limit at every n before the first draw
-        _lognormal_limit(config.params, n, config.scaling, "the two-point ratio limit")
     for n in config.n_grid:
         samples = _direct_draws(config, n)
         for t in (0.1, 1.0, 10.0):

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ModelParams, Scaling, derive_constants, _check_real, _lognormal_limit
+from .model import ModelParams, Scaling, derive_constants, _as_reals, _check_real, _lognormal_limit
 if TYPE_CHECKING:  # annotations only: approx needs no sampler
     from .sampler import DegreeSampleSet
 
@@ -57,14 +57,17 @@ __all__ = [
 ]
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def std_normal_cdf(z):
-    """Phi(z) = erfc(-z / sqrt(2)) / 2 for scalars or arrays, with the
-    standard library's erfc elementwise."""
-    erfc = _erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0))
-    return 0.5 * np.asarray(erfc, dtype=np.float64)
+    """Phi(z) = erfc(-z / sqrt(2)) / 2, with the standard library's erfc, for
+    finite real z: a scalar (returned as a float) or an array."""
+    z, scalar = _as_reals("z", z, -math.inf)
+    out = _phi(z)
+    return float(out[0]) if scalar else out
+
+
+def _phi(z: np.ndarray) -> np.ndarray:
+    """Phi of a float64 array, +-inf included, with erfc elementwise; unchecked."""
+    return 0.5 * np.frompyfunc(math.erfc, 1, 1)(-z / math.sqrt(2.0)).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -83,27 +86,23 @@ class LogNormalSpec:
             _check_real("sigma2", self.sigma2, 0)
 
 
-def _on_log_scale(x, f, what=None):
-    """f(ln x) where x > 0 and 0 where x = 0, for a scalar (returned as a
-    float) or an array.  Negative x is refused when ``what`` names it and
-    mapped to 0 otherwise."""
-    if what is not None and np.any(np.asarray(x) < 0):
-        raise InvalidParamsError(f"{what} must be >= 0")
-    if np.isscalar(x):
-        return float(f(math.log(x))) if x > 0 else 0.0
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros(x.shape, dtype=np.float64)
+def _on_log_scale(name: str, x, lo: float, f):
+    """f(ln x) where x > 0 and 0 elsewhere, for finite real x >= lo, checked by
+    ``model._as_reals``: a scalar (returned as a float) or an array, both
+    through the same numpy path, to the bit."""
+    x, scalar = _as_reals(name, x, lo)
+    out = np.zeros(x.shape)
     pos = x > 0.0
     out[pos] = f(np.log(x[pos]))
-    return out
+    return float(out[0]) if scalar else out
 
 
 def lognormal_cdf(x, spec: LogNormalSpec):
-    """P(exp(N(m, sigma2)) <= x); zero for x <= 0."""
+    """P(exp(N(m, sigma2)) <= x) for finite real x; zero for x <= 0."""
     sd = math.sqrt(spec.sigma2)
     if sd == 0.0:
-        return _on_log_scale(x, lambda u: u >= spec.m)
-    return _on_log_scale(x, lambda u: std_normal_cdf((u - spec.m) / sd))
+        return _on_log_scale("x", x, -math.inf, lambda u: u >= spec.m)
+    return _on_log_scale("x", x, -math.inf, lambda u: _phi((u - spec.m) / sd))
 
 
 # ---------------------------------------------------------------------
@@ -113,19 +112,19 @@ def lognormal_cdf(x, spec: LogNormalSpec):
 def transform_degree(d, n: int, scaling: Scaling, params: ModelParams):
     """Map degrees onto the log-normal scale.
 
-    W(d) = exp( (ln d - (1 + rho_n * lgbar) * ln n) / sqrt(L_n) ) for d >= 1;
+    W(d) = exp( (ln d - (1 + rho_n * lgbar) * ln n) / sqrt(L_n) ) for finite d > 0;
     d = 0 maps to 0 by convention (the zero atom is handled by callers).
     """
     l, shift, _ = _lognormal_limit(params, n, scaling, "the log-normal degree limit")
     sq = math.sqrt(l)
-    return _on_log_scale(d, lambda u: np.exp((u - shift) / sq), "degree")
+    return _on_log_scale("degree", d, 0, lambda u: np.exp((u - shift) / sq))
 
 
 def cdf_approx(t, n: int, scaling: Scaling, params: ModelParams):
-    """Log-normal approximation of P(D <= t): Phi(ln x_n(t) / |sigma|)."""
+    """Log-normal approximation of P(D <= t): Phi(ln x_n(t) / |sigma|), t >= 0."""
     l, shift, sd = _lognormal_limit(params, n, scaling, "the log-normal degree limit")
     scale = math.sqrt(l) * sd
-    return _on_log_scale(t, lambda u: std_normal_cdf((u - shift) / scale), "t")
+    return _on_log_scale("t", t, 0, lambda u: _phi((u - shift) / scale))
 
 
 # ---------------------------------------------------------------------

@@ -78,7 +78,7 @@ class SampleMethod(enum.Enum):
 def _check_int(name: str, value, lo: int, hi: float = math.inf) -> None:
     """Raise :class:`InvalidParamsError` unless ``value`` is an integer in
     [lo, hi]; the package's one range check for integer inputs."""
-    if not (isinstance(value, int) and lo <= value <= hi):
+    if not (isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi):
         raise InvalidParamsError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
@@ -94,6 +94,25 @@ def _check_real(name: str, value, lo: float, hi: float = math.inf) -> None:
         x = math.nan
     if not lo < x < hi:
         raise InvalidParamsError(f"{name} must be a finite real in ({lo}, {hi}), got {value!r}")
+
+
+def _as_reals(name: str, x, lo: float, hi: float = math.inf, integer: bool = False):
+    """(``x`` as a float64 array of at least one dimension, whether ``x`` is a
+    scalar); raise :class:`InvalidParamsError` unless ``x`` is a bool, int or
+    float scalar or a nonempty array of those, all finite, in [lo, hi] and, with
+    ``integer``, whole; the package's one range check for array-or-scalar inputs."""
+    import numpy as np  # on the first call: ``import magnet`` stays numpy-free
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting: refused as empty
+        a = np.array([])
+    # str, bytes, None, objects and ints past uint64 take other dtypes: refused as empty
+    a = a.astype(np.float64, copy=False) if a.dtype.kind in "biuf" else np.array([])
+    if not (a.size and (np.isfinite(a) & (a >= lo) & (a <= hi)
+                        & (not integer or a == np.floor(a))).all()):
+        raise InvalidParamsError(f"{name} must be {'integers' if integer else 'finite reals'}"
+                                 f" in [{lo}, {hi}], as a scalar or a nonempty array")
+    return np.atleast_1d(a), a.ndim == 0
 
 
 def _rows(fmt: str, *columns) -> Iterator[str]:

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import _check_int
+from .model import EXACT_MAX, _as_reals, _check_int
 
 __all__ = [
     "empirical_pmf",
@@ -25,23 +25,21 @@ FIT_ALPHA = 1e-3
 
 
 def empirical_pmf(values: np.ndarray, support: int) -> np.ndarray:
-    """Normalized counts of integer draws over 0..support-1."""
-    if len(values) == 0:
-        raise InvalidParamsError("empirical pmf needs at least one draw")
-    counts = np.bincount(np.asarray(values, dtype=np.int64), minlength=support)
-    if len(counts) > support:
-        raise InvalidParamsError("draw exceeds the stated support")
-    return counts / float(len(values))
+    """Normalized counts over 0..support-1 of draws, integers in that range."""
+    values, _ = _as_reals("draws", values, 0, support - 1, integer=True)
+    return np.bincount(values.astype(np.int64), minlength=support) / float(len(values))
 
 
 def tv_to_exact(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> float:
-    """TV between integer draws and an exact law given by its pmf on
-    0..K-1; the exact tail mass beyond K-1 enters as unmatched mass."""
-    k = len(exact_pmf_prefix)
-    emp = empirical_pmf(values, max(k, int(np.max(values)) + 1))
+    """TV between draws (integers >= 0) and an exact law given by its pmf on
+    0..K-1 (reals in [0, 1]); the tail mass beyond K-1 enters as unmatched mass."""
+    values, _ = _as_reals("draws", values, 0, integer=True)
+    p, _ = _as_reals("pmf prefix", exact_pmf_prefix, 0, 1)
+    k = len(p)
+    emp = empirical_pmf(values, max(k, int(values.max()) + 1))
     exact = np.zeros(len(emp))
-    exact[:k] = exact_pmf_prefix
-    tail = max(0.0, 1.0 - float(np.sum(exact_pmf_prefix)))
+    exact[:k] = p
+    tail = max(0.0, 1.0 - float(np.sum(p)))
     return 0.5 * (float(np.abs(emp - exact).sum()) + tail)
 
 
@@ -50,21 +48,20 @@ def tv_limit(exact_pmf_prefix: np.ndarray, n: int) -> float:
     the law with pmf ``exact_pmf_prefix`` on 0..K-1.  E[TV] is at most the
     tail beyond K - 1 plus sum_d sqrt(p_d (1 - p_d) / n) / 2 (Jensen), and
     one draw moves TV by at most 1/n (McDiarmid)."""
-    p = np.asarray(exact_pmf_prefix, dtype=np.float64)
+    _check_int("draw count", n, 1, EXACT_MAX)
+    p, _ = _as_reals("pmf prefix", exact_pmf_prefix, 0, 1)
     mean_max = 0.5 * float(np.sqrt(p * (1.0 - p) / n).sum()) + max(0.0, 1.0 - float(p.sum()))
     return mean_max + math.sqrt(math.log(1.0 / FIT_ALPHA) / (2.0 * n))
 
 
 def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """One-sample Kolmogorov statistic against a cdf callable, tie-aware.
+    """One-sample Kolmogorov statistic of finite reals against a cdf, tie-aware.
 
     For each distinct sample value x with cumulative count c(x) and
     preceding count c^-(x), the deviation is max(|F(x) - c(x)/N|,
     |F(x) - c^-(x)/N|); the statistic is the maximum over x.
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    if len(x) == 0:
-        raise InvalidParamsError("KS statistic needs at least one sample")
+    x = np.sort(_as_reals("samples", samples, -math.inf)[0])
     n = len(x)
     uniq, counts = np.unique(x, return_counts=True)
     hi = np.cumsum(counts) / n
@@ -76,12 +73,12 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
 def dkw_proxy(n: int) -> float:
     """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n))
     at level alpha = 0.05."""
-    _check_int("sample size", n, 1)
+    _check_int("sample size", n, 1, EXACT_MAX)
     return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 
 def two_sample_ks(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Two-sample KS statistic D and its exact two-sided p-value P(D' >= D).
+    """Two-sample KS statistic D of finite reals and its exact p-value P(D' >= D).
 
     D is max |F_x - F_y| over the pooled data, tie-aware, rounded to the
     lattice 1/lcm(m, n) that every attainable value lies on.
@@ -89,11 +86,9 @@ def two_sample_ks(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     and is exact at every sample size.  It costs m + n numpy steps over
     about 2 D m n cells in all.
     """
-    x = np.sort(np.asarray(x))
-    y = np.sort(np.asarray(y))
+    x = np.sort(_as_reals("x", x, -math.inf)[0])
+    y = np.sort(_as_reals("y", y, -math.inf)[0])
     m, n = len(x), len(y)
-    if min(m, n) == 0:
-        raise InvalidParamsError("two-sample KS needs at least one draw in each sample")
     pooled = np.concatenate([x, y])
     diff = (np.searchsorted(x, pooled, side="right") / m
             - np.searchsorted(y, pooled, side="right") / n)
@@ -137,19 +132,19 @@ def _ks_outside_prob(m: int, n: int, h: int) -> float:
 
 
 def chi_square_gof(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> tuple[float, float, int]:
-    """Chi-square goodness of fit of integer draws against an exact pmf.
+    """Chi-square goodness of fit of draws (integers >= 0) against an exact pmf.
 
     A bin past the given prefix holds the exact tail mass; bins are then
     merged by :func:`_merge_bins` to at least 5 expected counts each.
     Returns (statistic, p-value, dof); one merged bin fits exactly, (0, 1, 0).
     """
-    values = np.asarray(values, dtype=np.int64)
-    n = len(values)
-    k = len(exact_pmf_prefix)
-    obs = np.bincount(np.clip(values, 0, k), minlength=k + 1).astype(np.float64)
+    values, _ = _as_reals("draws", values, 0, integer=True)
+    p, _ = _as_reals("pmf prefix", exact_pmf_prefix, 0, 1)
+    n, k = len(values), len(p)
+    obs = np.bincount(np.minimum(values, k).astype(np.int64), minlength=k + 1).astype(np.float64)
     exp = np.zeros(k + 1)
-    exp[:k] = np.asarray(exact_pmf_prefix, dtype=np.float64) * n
-    exp[k] = max(0.0, 1.0 - float(np.sum(exact_pmf_prefix))) * n
+    exp[:k] = p * n
+    exp[k] = max(0.0, 1.0 - float(np.sum(p))) * n
 
     obs_b, exp_b = _merge_bins(obs, exp)
     if len(obs_b) == 0:

@@ -4,7 +4,9 @@ Most invocations go through main() in-process for speed; the installed
 entry point itself is exercised once via a real subprocess.
 """
 
+import ast
 import importlib
+import itertools
 import json
 import random
 import subprocess
@@ -238,6 +240,34 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(tmp_path, monk
     assert main(["experiment", str(ini)]) == 2
     assert main(["experiment", str(ini), "--out", missing]) == 2
     assert capsys.readouterr().err.count("is not a file in an existing directory") == 6
+
+
+@pytest.mark.parametrize("kind, grid, draws, want", [
+    *((kind, "1000000 100000000000000000000", 4000000, 2)
+      for kind in ("lognormal_ks", "lambda_probe", "degree_fit", "zero_one_law")),
+    ("degree_fit", "2000 200000", 40000, 4),  # 1999990000 fullgraph pairs at n = 200000
+], ids=["lognormal_ks", "lambda_probe", "degree_fit", "zero_one_law", "pair_budget"])
+def test_experiment_grid_is_refused_before_any_work(tmp_path, monkeypatch, capsys, kind, grid,
+                                                    draws, want):
+    # n = 1e20 is past the exact range of every sampler and of the exact law;
+    # each exit comes from one check of the whole grid, not from the runner
+    # at its first n
+    import magnet.experiments
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or built the exact law before the grid was checked")
+
+    for name in ("sample_degrees_direct", "sample_degrees_fullgraph"):
+        monkeypatch.setattr(magnet.experiments, name, no_work)
+    monkeypatch.setattr(DegreePmfTable, "from_model", classmethod(no_work))
+    ini = tmp_path / f"{kind}.ini"
+    ini.write_text(INI.replace("kl_reconcile", kind)
+                   .replace("n_grid = 1000 1000000", f"n_grid = {grid}")
+                   .replace("draws = 100", f"draws = {draws}"))
+    assert main(["experiment", str(ini)]) == want
+    err = capsys.readouterr().err
+    assert ("n_grid entry must be an integer in [2, 9007199254740992]" if want == 2
+            else "1999990000 node pairs exceed the pair budget") in err
 
 
 def test_exit_code_4_on_budget_exceeded(capsys):
@@ -675,6 +705,42 @@ def test_bench_tracer_hooks_resolve_in_the_package(tmp_path, monkeypatch):
     assert isinstance(REFERENCE_PARAMS, ModelParams)
     assert GridSpec().n_delta * GridSpec().n_eta > 0
     assert INVERSION_MEAN_MAX > 0
+
+
+def test_every_bench_command_parses_and_every_bench_hook_resolves(tmp_path, monkeypatch):
+    # the benchmark runs src through its three workloads' argvs and INIs, wraps
+    # functions by name in bench/tracing.py and imports names in bench/run.py:
+    # a flag, key or name that src drops must fail here, not in a bench run
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    workloads = importlib.import_module("workloads")
+    tracing = importlib.import_module("tracing")
+    from magnet.cli import build_parser
+    from magnet.experiments import parse_config
+
+    parser = build_parser()
+    commands = {w: workloads.build(w, 1) for w in workloads.WORKLOADS}
+    assert all(commands.values())
+    for cmd in itertools.chain.from_iterable(commands.values()):
+        args = parser.parse_args(cmd.argv(str(tmp_path)))
+        if cmd.config is not None:
+            ini = Path(cmd.config_path(str(tmp_path)))
+            ini.write_text(cmd.config)
+            assert args.config == str(ini)
+            parse_config(str(ini))
+    for layer in tracing.LAYERS:
+        module = importlib.import_module(f"magnet.{layer}")
+        for name in tracing._EXTRA.get(layer, ()):
+            assert callable(getattr(module, name)), (layer, name)
+    assert all(m in DegreePmfTable.__dict__ for m in tracing._TABLE_METHODS)
+    imported = [(node.module, alias.name)
+                for node in ast.walk(ast.parse((bench / "run.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("magnet")
+                for alias in node.names]
+    assert ("magnet.sampler", "INVERSION_MEAN_MAX") in imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (module, name)
 
 
 def test_installed_entry_point_runs():

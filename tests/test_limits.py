@@ -108,12 +108,22 @@ def test_cdf_approx_frozen_probe_and_shape():
     assert cdf_approx(1e9, 10**6, SC, P) > 0.999
 
 
+def _log_uniform_with_libm_splits(rng: np.random.Generator) -> np.ndarray:
+    """200 log-uniform doubles on [1e-3, 1e12] and every one of 3e5 more where
+    math.log and np.log differ in the last bit."""
+    scan = 10.0 ** rng.uniform(-3, 12, 300_000)
+    split = scan[np.array([math.log(v) for v in scan.tolist()]) != np.log(scan)]
+    assert split.size > 10  # 83 at this seed: the scalar path is really probed there
+    return np.concatenate([10.0 ** rng.uniform(-3, 12, 200), split])
+
+
 @pytest.mark.parametrize("name", ["lognormal_cdf", "lognormal_cdf_step",
                                   "transform_degree", "cdf_approx"])
 def test_scalar_and_array_forms_agree(name):
-    # one dispatch serves both forms: a scalar call returns a float equal
-    # to the matching array element, and 0 and negative inputs are treated
-    # alike in both forms
+    # one numpy path serves both forms: a scalar call returns a float equal
+    # to the matching array element to the bit, also where libm's log would
+    # round the other way, and 0 and negative inputs are treated alike in
+    # both forms
     f = {
         "lognormal_cdf": lambda x: lognormal_cdf(x, LogNormalSpec(m=0.3, sigma2=SIGMA**2)),
         "lognormal_cdf_step": lambda x: lognormal_cdf(x, LogNormalSpec(m=math.log(3.0),
@@ -121,12 +131,12 @@ def test_scalar_and_array_forms_agree(name):
         "transform_degree": lambda x: transform_degree(x, 10**6, SC, P),
         "cdf_approx": lambda x: cdf_approx(x, 10**6, SC, P),
     }[name]
-    xs = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 17.0, 1e3, 1e9]
-    arr = f(np.array(xs))
-    for x, want in zip(xs, arr):
-        got = f(x)
-        assert type(got) is float
-        assert got == pytest.approx(want, abs=1e-15, rel=1e-15)
+    xs = np.concatenate([[0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 17.0, 1e3, 1e9],
+                         _log_uniform_with_libm_splits(np.random.default_rng(0))])
+    arr = f(xs)
+    got = [f(x) for x in xs.tolist()]
+    assert all(type(g) is float for g in got)
+    assert np.array_equal(got, arr)
     assert f(0.0) == f(0) == arr[0] == 0.0
     if name.startswith("lognormal_cdf"):
         assert f(-2.0) == 0.0

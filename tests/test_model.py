@@ -31,12 +31,18 @@ from magnet import (
     derive_constants,
     empirical_sup_delta,
     lambda_limit_probe,
+    lognormal_cdf,
     optimize_bound,
+    psi,
     ratio_concentration_bound,
     sample_degrees_direct,
+    std_normal_cdf,
     transform_degree,
 )
 from magnet.model import _rows, _write_out
+from magnet.stats import (
+    chi_square_gof, empirical_pmf, ks_statistic, tv_limit, tv_to_exact, two_sample_ks,
+)
 
 # 40-digit recomputation, rounded to nearest float64:
 SIGMA = 0.21863513604494742
@@ -151,10 +157,10 @@ def _table() -> DegreePmfTable:
     return DegreePmfTable.from_model(REFERENCE_PARAMS, 1000, 7)  # L_n = 7 at rho = 1
 
 
-#: Every scalar input of the library with a range: a call passing v as that
-#: input (all other arguments valid), the values at or past the ends of its
-#: range, and values inside it; np.float64 and np.float32 copies of the first
-#: inside value are tried too.
+#: Every input of the library with a range, scalar or array-or-scalar: a call
+#: passing v as that input (all other arguments valid), the values at or past
+#: the ends of its range, and values inside it; np.float64 and np.float32
+#: copies of the first inside value are tried too, unless it is an int.
 _RANGED_INPUTS = {
     **{f"ModelParams.{f}": (
         lambda v, f=f: dataclasses.replace(REFERENCE_PARAMS, **{f: v}), [0, 1, -1.0], [0.5])
@@ -181,18 +187,49 @@ _RANGED_INPUTS = {
     "LogNormalSpec.m": (lambda v: LogNormalSpec(v, 1.0), [], [-1.0]),
     "LogNormalSpec.sigma2": (lambda v: LogNormalSpec(0.0, v), [-1.0], [1.0, 0.0]),
     **{f"DegreePmfTable.{m}.d": (
-        lambda v, m=m: getattr(_table(), m)(v), [-1, 1000, 0.5, "3", ["2"]], [3.0])
+        lambda v, m=m: getattr(_table(), m)(v), [-1, 1000, 0.5, "3", ["2"]],
+        [3.0, 0, 999, [0, 999]])
        for m in ("pmf", "log_pmf", "cdf")},
+    # the array-or-scalar inputs below, checked by model._as_reals: finite
+    # values in a closed range, nonempty arrays of bool, int or float dtype
+    "transform_degree.d": (lambda v: transform_degree(v, 1000, Scaling(1.0), REFERENCE_PARAMS),
+                           [-1.0, -5e-324, [1.0, -1.0]], [5.0, 0, 1e300, [0, 5]]),
+    "cdf_approx.t": (lambda v: cdf_approx(v, 1000, Scaling(1.0), REFERENCE_PARAMS),
+                     [-1.0, -5e-324, [1.0, -1.0]], [5.0, 0, 1e300, [0, 5]]),
+    "lognormal_cdf.x": (lambda v: lognormal_cdf(v, LogNormalSpec(0.0, 1.0)),
+                        [], [2.0, -1.0, 0, [-1e300, 1e300]]),
+    "std_normal_cdf.z": (std_normal_cdf, [], [0.5, -40.0, [-1e300, 1e300]]),
+    "psi.x": (psi, [-1, -1.5, [0.5, -1.0]], [0.5, math.nextafter(-1.0, 0.0), [0, 1e300]]),
+    **{f"{name}.draws": (call, [-1, 2.5, *ends], [[0, 1, 2] * 7, *inside])
+       for name, call, ends, inside in (
+        ("empirical_pmf", lambda v: empirical_pmf(v, 5), [5, [0, 5]], [4, [0, 4]]),
+        ("tv_to_exact", lambda v: tv_to_exact(v, [0.5, 0.5]), [[0, -1]], [7, [0, 3]]),
+        ("chi_square_gof", lambda v: chi_square_gof(v, [0.5, 0.5]), [-5, [0, -1]], []),
+    )},
+    **{f"{name}.pmf_prefix": (call, [-0.1, 1.5, [0.5, 1.5]], [[0.3, 0.3, 0.4], 0.5, [0, 1]])
+       for name, call in (
+        ("tv_to_exact", lambda v: tv_to_exact([0, 1, 2] * 7, v)),
+        ("tv_limit", lambda v: tv_limit(v, 100)),
+        ("chi_square_gof", lambda v: chi_square_gof([0, 1, 2] * 7, v)),
+    )},
+    "tv_limit.n": (lambda v: tv_limit([0.5, 0.5], v), [0, -5, 2.5, True, 2**53 + 1], [100, 1]),
+    "ks_statistic.samples": (
+        lambda v: ks_statistic(v, lambda x: lognormal_cdf(x, LogNormalSpec(0.0, 1.0))),
+        [], [[0.5, 2.0], -3.0, [5e-324]]),
+    "two_sample_ks.x": (lambda v: two_sample_ks(v, [1.0, 2.0]), [], [[0.5, 3.0], 2]),
+    "two_sample_ks.y": (lambda v: two_sample_ks([1.0, 2.0], v), [], [[0.5, 3.0], 2]),
 }
 
 
 @pytest.mark.parametrize("name", _RANGED_INPUTS)
 def test_every_ranged_scalar_input_refuses_what_its_range_excludes(name):
-    # non-numbers, nan, +-inf, an int past the double range and the ends all
-    # raise InvalidParamsError, never OverflowError or TypeError; numpy
-    # floats inside the range pass
+    # non-numbers, nan, +-inf, an int past the double range, arrays with a
+    # nan, of no element, of objects or of strings, and the ends all raise
+    # InvalidParamsError, never OverflowError, TypeError or numpy's errors;
+    # numpy floats inside the range pass
     call, ends, inside = _RANGED_INPUTS[name]
-    bad = [math.nan, math.inf, -math.inf, 10**400, "0.5", *ends]
+    bad = [math.nan, math.inf, -math.inf, 10**400, "0.5", [1, math.nan], [],
+           np.array([0.5], dtype=object), ["3"], *ends]
     escaped = []
     for v in bad + ([] if None in inside else [None]):
         try:
@@ -204,7 +241,8 @@ def test_every_ranged_scalar_input_refuses_what_its_range_excludes(name):
         else:
             escaped.append((v, "accepted"))
     assert escaped == []
-    for v in [*inside, np.float64(inside[0]), np.float32(inside[0])]:
+    copies = [] if isinstance(inside[0], int) else [np.float64(inside[0]), np.float32(inside[0])]
+    for v in [*inside, *copies]:
         call(v)
 
 
