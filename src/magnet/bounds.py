@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    EXACT_MAX, ModelParams, Scaling, derive_constants, _as_reals, _check_int, _check_real,
+    EXACT_MAX, ModelParams, Scaling, derive_constants, _as_reals, _check,
     _lognormal_limit, _write_out,
 )
 
@@ -135,11 +135,10 @@ def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta):
 def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
                        delta: float, eta: float | None = None) -> BoundCertificate:
     """Evaluate the four-term certificate at (n, delta, eta)."""
+    n = _check("n", n, 2, integer=True)
     l, _, _ = _lognormal_limit(params, n, scaling, "the Berry-Esseen certificate")
-    if eta is None:
-        eta = default_eta(params)
-    _check_real("delta", delta, 0, 1)
-    _check_real("eta", eta, 0, params.mu1)
+    delta = _check("delta", delta, 0, 1)
+    eta = _check("eta", default_eta(params) if eta is None else eta, 0, params.mu1)
     clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta)
     return BoundCertificate(
         n=n, l=l, delta=delta, eta=eta,
@@ -171,6 +170,7 @@ def optimize_bound(params: ModelParams, n: int, scaling: Scaling) -> BoundCertif
     Ties break toward the smaller delta, then the smaller eta, which the
     ascending row-major scan realizes as "first minimum wins".
     """
+    n = _check("n", n, 2, integer=True)
     l, _, _ = _lognormal_limit(params, n, scaling, "the Berry-Esseen certificate")
     grid = GridSpec()
     deltas = grid.deltas()
@@ -179,7 +179,7 @@ def optimize_bound(params: ModelParams, n: int, scaling: Scaling) -> BoundCertif
     total = t_clt + t_be + t_hoef + t_chern
     flat = int(np.argmin(total))  # first minimum: smallest delta, then eta
     i, j = divmod(flat, len(etas))
-    return berry_esseen_bound(params, n, scaling, float(deltas[i]), float(etas[j]))
+    return berry_esseen_bound(params, n, scaling, deltas[i], etas[j])
 
 
 def ratio_concentration_bound(params: ModelParams, n: int, l: int,
@@ -190,10 +190,10 @@ def ratio_concentration_bound(params: ModelParams, n: int, l: int,
 
     Valid in every regime; delta may be any positive real.
     """
-    _check_int("n", n, 2)
-    _check_int("l", l, 1, EXACT_MAX)
-    _check_real("delta", delta, 0)
-    _check_real("eta", eta, 0, params.mu1)
+    n = _check("n", n, 2, integer=True)
+    l = _check("l", l, 1, EXACT_MAX, integer=True)
+    delta = _check("delta", delta, 0)
+    eta = _check("eta", eta, 0, params.mu1)
     hoeffding, chernoff = _tail_terms(params, n, l, delta, eta)
     return hoeffding + chernoff
 

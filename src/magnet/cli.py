@@ -4,9 +4,9 @@ Subcommands: generate, degrees, pmf, regime, approx, bound, experiment.
 Common flags: --seed <u64>, --out <path>, --threads <k> (accepted and
 checked to be at least 1, but it changes nothing: every command runs on one
 thread).  Exit codes: 0 success, 2 invalid configuration (an output path
-that cannot be opened included; one that is empty, a directory or in a
-missing directory before any work), 3 regime violation (before any draw
-in an experiment), 4 budget exceeded (a failed allocation included).
+that cannot be opened included, and before any work one that is empty, a
+directory, in a missing directory or shared), 3 regime violation (before
+any draw in an experiment), 4 budget exceeded (a failed allocation included).
 Reruns with the same arguments and seed produce byte-identical outputs;
 wall-clock metadata only ever lands in report sidecars.  Each command
 loads only the modules it runs, and OpenBLAS runs one thread unless
@@ -26,7 +26,7 @@ from ._version import __version__
 from .errors import BudgetError, InvalidParamsError, RegimeError
 from .model import (
     DEFAULT_PAIR_BUDGET, REFERENCE_PARAMS, ModelParams, SampleMethod, Scaling,
-    classify_regime, derive_constants, _check_int, _lognormal_limit, _rows, _write_out,
+    classify_regime, derive_constants, _check, _lognormal_limit, _rows, _write_out,
 )
 
 __all__ = ["main", "build_parser"]
@@ -105,12 +105,15 @@ def _attr_count(args: argparse.Namespace) -> int:
     return args.l if args.l is not None else scaling.attr_count(args.n)
 
 
-def _check_dest(path: str | None) -> None:
-    """Refuse, before any work, an output path that is empty, names a
-    directory or lies in a missing one; other open failures surface later."""
-    if path is not None and (not path or os.path.isdir(path)
-                             or not os.path.isdir(os.path.dirname(path) or ".")):
-        raise InvalidParamsError(f"output path {path!r} is not a file in an existing directory")
+def _check_dest(*paths: str | None) -> None:
+    """Refuse, before any work, output paths that are empty, name a directory,
+    lie in a missing one or share a file; other open failures surface later."""
+    given = [p for p in paths if p is not None]
+    for p in given:
+        if not p or os.path.isdir(p) or not os.path.isdir(os.path.dirname(p) or "."):
+            raise InvalidParamsError(f"output path {p!r} is not a file in an existing directory")
+    if len({os.path.realpath(p) for p in given}) < len(given):
+        raise InvalidParamsError(f"output paths {given!r} name one file")
 
 
 def _target(args: argparse.Namespace):
@@ -231,10 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_int("seed", _seed(args), 0, 2 ** 64 - 1)
-        _check_int("threads", args.threads, 1)
-        for path in (args.out, vars(args).get("attributes_out")):
-            _check_dest(path)
+        _check("seed", _seed(args), 0, 2 ** 64 - 1, integer=True)
+        _check("threads", args.threads, 1, integer=True)
+        _check_dest(args.out, vars(args).get("attributes_out"))
         _COMMANDS[args.command](args)
     except RegimeError as exc:
         print(f"magnet: regime violation: {exc}", file=sys.stderr)

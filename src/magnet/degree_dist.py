@@ -36,7 +36,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .model import (
-    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _as_reals, _check_int, _check_real,
+    EXACT_MAX, _WRITE_BLOCK, ModelParams, derive_constants, _as_reals, _check,
     _rows, _write_out,
 )
 
@@ -164,8 +164,8 @@ class DegreePmfTable:
 
     @classmethod
     def from_model(cls, params: ModelParams, n: int, l: int) -> "DegreePmfTable":
-        _check_int("n", n, 2, EXACT_MAX)
-        _check_int("l", l, 1, EXACT_MAX)
+        n = _check("n", n, 2, EXACT_MAX, integer=True)
+        l = _check("l", l, 1, EXACT_MAX, integer=True)
         c = derive_constants(params)
         s = _attribute_window(l, params.mu1)
         p = np.maximum(np.exp(s * c.log_gamma1 + (l - s) * c.log_gamma0),
@@ -225,7 +225,7 @@ class DegreePmfTable:
         inside [-1, hi], hi = min(n - 1, max_s(mu_s + K_s)), above which
         every component holds less than 1e-20; hi itself when the computed
         cdf stays below q up to it."""
-        _check_real("q", q, 0, 1)
+        q = _check("q", q, 0, 1)
         mean = (self.n - 1) * self.p
         hi = min(self.n - 1, math.ceil(np.max(mean + _band(mean))))
         return _bisect(-1, hi, lambda d: self.cdf(d) >= q)
@@ -280,9 +280,9 @@ def _pmf_rows(params: ModelParams, n: int, l: int, d_max: int | None,
     """(d, pmf, cdf) of the exact law in blocks of ``_WRITE_BLOCK`` rows for
     d = 0..d_max, or to its ``q`` quantile when d_max is None, with cdf the
     capped running sum of pmf; checked, and its table built, on the call."""
-    _check_int("n", n, 2, EXACT_MAX)
+    n = _check("n", n, 2, EXACT_MAX, integer=True)
     if d_max is not None:
-        _check_int("d_max", d_max, 0, n - 1)
+        d_max = _check("d_max", d_max, 0, n - 1, integer=True)
     table = DegreePmfTable.from_model(params, n, l)
     d_end = table.quantile(q) if d_max is None else d_max
 

@@ -49,7 +49,7 @@ from .model import (
     Scaling,
     classify_regime,
     derive_constants,
-    _check_int,
+    _check,
     _lognormal_limit,
     _write_out,
 )
@@ -157,14 +157,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         try:
-            if not self.n_grid:
+            n_grid = tuple(_check("each n_grid entry", n, 2, integer=True) for n in self.n_grid)
+            if not n_grid:
                 raise InvalidParamsError("n_grid must be nonempty")
-            for n in self.n_grid:
-                _check_int("each n_grid entry", n, 2)
-            if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
                 raise InvalidParamsError("n_grid must be strictly increasing")
-            _check_int("draws", self.draws, 100)
-            _check_int("seed", self.seed, 0, 2 ** 64 - 1)
+            object.__setattr__(self, "n_grid", n_grid)
+            object.__setattr__(self, "draws", _check("draws", self.draws, 100, integer=True))
+            object.__setattr__(self, "seed", _check("seed", self.seed, 0, 2 ** 64 - 1,
+                                                    integer=True))
         except InvalidParamsError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -330,8 +331,8 @@ def _check_grid(config: ExperimentConfig) -> None:
     kind, n = config.kind, config.n_grid[-1]
     if kind in (ExperimentKind.BOUND_CHECK, ExperimentKind.KL_RECONCILE):
         return  # no draw and no exact law: any n >= 2
-    _check_int("each n_grid entry", n, 2, EXACT_MAX)
-    _check_int("L_n", config.scaling.attr_count(n), 1, EXACT_MAX)
+    n = _check("each n_grid entry", n, 2, EXACT_MAX, integer=True)
+    _check("L_n", config.scaling.attr_count(n), 1, EXACT_MAX, integer=True)
     if kind in (ExperimentKind.LOGNORMAL_KS, ExperimentKind.LAMBDA_PROBE):
         _lognormal_limit(config.params, n, config.scaling, f"the {kind.value} experiment")
     if kind is ExperimentKind.DEGREE_FIT:

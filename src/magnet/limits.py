@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import ModelParams, Scaling, derive_constants, _as_reals, _check_real, _lognormal_limit
+from .model import ModelParams, Scaling, derive_constants, _as_reals, _check, _lognormal_limit
 if TYPE_CHECKING:  # annotations only: approx needs no sampler
     from .sampler import DegreeSampleSet
 
@@ -81,9 +81,9 @@ class LogNormalSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        _check_real("m", self.m, -math.inf)
-        if self.sigma2 != 0:
-            _check_real("sigma2", self.sigma2, 0)
+        object.__setattr__(self, "m", _check("m", self.m, -math.inf))
+        sigma2 = _check("sigma2", self.sigma2, 0) if self.sigma2 != 0 else 0.0
+        object.__setattr__(self, "sigma2", sigma2)
 
 
 def _on_log_scale(name: str, x, lo: float, f):
@@ -171,11 +171,11 @@ def lambda_limit_probe(t: float, samples: DegreeSampleSet, scaling: Scaling) -> 
     so the fraction tends to 1/2 for every fixed t > 0 as n grows; t must
     be a finite real > 0.
     """
-    _check_real("t", t, 0)
+    t = _check("t", t, 0)
     n = samples.n
     l, shift, _ = _lognormal_limit(samples.params, n, scaling, "the two-point ratio limit")
     _check_sample_l(samples, l)
-    threshold = float(t) * math.exp(shift)
+    threshold = t * math.exp(shift)
     return float((samples.degrees <= threshold).mean())
 
 

@@ -75,32 +75,11 @@ class SampleMethod(enum.Enum):
     DIRECT = "direct"
 
 
-def _check_int(name: str, value, lo: int, hi: float = math.inf) -> None:
-    """Raise :class:`InvalidParamsError` unless ``value`` is an integer in
-    [lo, hi]; the package's one range check for integer inputs."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi):
-        raise InvalidParamsError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-
-
-def _check_real(name: str, value, lo: float, hi: float = math.inf) -> None:
-    """Raise :class:`InvalidParamsError` unless ``value`` is an int, a float
-    or a numpy integer or float scalar whose double is finite and strictly
-    inside (lo, hi); the package's one range check for real inputs."""
-    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
-    kinds = (int, float) if np is None else (int, float, np.integer, np.floating)
-    try:
-        x = float(value) if isinstance(value, kinds) else math.nan
-    except OverflowError:  # an int past the double range
-        x = math.nan
-    if not lo < x < hi:
-        raise InvalidParamsError(f"{name} must be a finite real in ({lo}, {hi}), got {value!r}")
-
-
 def _as_reals(name: str, x, lo: float, hi: float = math.inf, integer: bool = False):
     """(``x`` as a float64 array of at least one dimension, whether ``x`` is a
     scalar); raise :class:`InvalidParamsError` unless ``x`` is a bool, int or
     float scalar or a nonempty array of those, all finite, in [lo, hi] and, with
-    ``integer``, whole; the package's one range check for array-or-scalar inputs."""
+    ``integer``, whole.  It checks every array-or-scalar numeric input."""
     import numpy as np  # on the first call: ``import magnet`` stays numpy-free
     try:
         a = np.asarray(x)
@@ -113,6 +92,27 @@ def _as_reals(name: str, x, lo: float, hi: float = math.inf, integer: bool = Fal
         raise InvalidParamsError(f"{name} must be {'integers' if integer else 'finite reals'}"
                                  f" in [{lo}, {hi}], as a scalar or a nonempty array")
     return np.atleast_1d(a), a.ndim == 0
+
+
+def _check(name: str, value, lo: float, hi: float = math.inf, integer: bool = False):
+    """``value`` as an int in [lo, hi] with ``integer``, else as a float in
+    (lo, hi); raise :class:`InvalidParamsError` unless it is an int or numpy
+    integer scalar (not a bool) or, without ``integer``, one of those or a float
+    or numpy float scalar, with a finite double.  It checks every scalar input."""
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    ints, reals = ((int,), (float,)) if np is None else ((int, np.integer), (float, np.floating))
+    if integer:
+        x = int(value) if isinstance(value, ints) and not isinstance(value, bool) else math.nan
+        if not lo <= x <= hi:
+            raise InvalidParamsError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+        return x
+    try:
+        x = float(value) if isinstance(value, ints + reals) else math.nan
+    except OverflowError:  # an int past the double range
+        x = math.nan
+    if not lo < x < hi:
+        raise InvalidParamsError(f"{name} must be a finite real in ({lo}, {hi}), got {value!r}")
+    return x
 
 
 def _rows(fmt: str, *columns) -> Iterator[str]:
@@ -161,7 +161,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("q11", "q10", "q00", "mu1"):
-            _check_real(name, getattr(self, name), 0, 1)
+            object.__setattr__(self, name, _check(name, getattr(self, name), 0, 1))
 
     @property
     def mu0(self) -> float:
@@ -223,11 +223,11 @@ class Scaling:
     rho: float
 
     def __post_init__(self) -> None:
-        _check_real("rho", self.rho, 0)
+        object.__setattr__(self, "rho", _check("rho", self.rho, 0))
 
     def attr_count(self, n: int) -> int:
         """L_n: the integerized attribute count at node count ``n`` (>= 2)."""
-        _check_int("n", n, 2)
+        n = _check("n", n, 2, integer=True)
         x = self.rho * math.log(n)
         if not math.isfinite(x):
             raise InvalidParamsError(f"rho * ln n overflows at rho = {self.rho!r}, n = {n}")
@@ -263,7 +263,7 @@ def classify_regime(params: ModelParams, rho: float) -> RegimeResult:
     -BOUNDARY_TOL, boundary otherwise.  Boundary classifications are
     rejected by the limit-theory and bound operations downstream.
     """
-    _check_real("rho", rho, 0)
+    rho = _check("rho", rho, 0)
     kappa = 1.0 + rho * derive_constants(params).log_gamma_bar
     if kappa > BOUNDARY_TOL:
         regime = Regime.SUPERCRITICAL

@@ -48,7 +48,7 @@ import numpy as np
 from . import _rng
 from .errors import BudgetError
 from .model import (
-    DEFAULT_PAIR_BUDGET, EXACT_MAX, ModelParams, SampleMethod, _check_int, _rows, _write_out,
+    DEFAULT_PAIR_BUDGET, EXACT_MAX, ModelParams, SampleMethod, _check, _rows, _write_out,
 )
 from .degree_dist import DegreePmfTable, _binomial_log_pmf
 
@@ -181,9 +181,9 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
 
     Raises :class:`BudgetError` when n(n-1)/2 exceeds ``pair_budget``.
     """
-    _check_int("n", n, 2, EXACT_MAX)
-    _check_int("l", l, 1, EXACT_MAX)
-    _check_int("seed", seed, 0, 2 ** 64 - 1)
+    n = _check("n", n, 2, EXACT_MAX, integer=True)
+    l = _check("l", l, 1, EXACT_MAX, integer=True)
+    seed = _check("seed", seed, 0, 2 ** 64 - 1, integer=True)
     _check_pair_budget(n * (n - 1) // 2, pair_budget)
 
     words = _attr_rows(_rng.stream_key(seed, _rng.TAG_ATTR_BITS), np.arange(n), l, params.mu1)
@@ -272,10 +272,10 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
     Raises :class:`BudgetError` when the count (n-1) pairs it evaluates
     exceed ``pair_budget``.
     """
-    _check_int("n", n, 2, EXACT_MAX)
-    _check_int("l", l, 1, EXACT_MAX)
-    _check_int("seed", seed, 0, 2 ** 64 - 1)
-    _check_int("count", count, 1, EXACT_MAX)
+    n = _check("n", n, 2, EXACT_MAX, integer=True)
+    l = _check("l", l, 1, EXACT_MAX, integer=True)
+    seed = _check("seed", seed, 0, 2 ** 64 - 1, integer=True)
+    count = _check("count", count, 1, EXACT_MAX, integer=True)
     _check_pair_budget(count * (n - 1), pair_budget)
 
     out = np.empty(count, dtype=np.int64)
@@ -297,8 +297,10 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int,
                           seed: int) -> DegreeSampleSet:
     """``count`` exact draws of D: a component p of the exact law's
     :class:`DegreePmfTable` by its weight, then D ~ Bin(n-1, p)."""
-    _check_int("seed", seed, 0, 2 ** 64 - 1)
-    _check_int("count", count, 1, EXACT_MAX)
+    n = _check("n", n, 2, EXACT_MAX, integer=True)
+    l = _check("l", l, 1, EXACT_MAX, integer=True)
+    seed = _check("seed", seed, 0, 2 ** 64 - 1, integer=True)
+    count = _check("count", count, 1, EXACT_MAX, integer=True)
     table = DegreePmfTable.from_model(params, n, l)
     # P(D's component is at most j); a draw's j is how many its uniform reaches
     cdf_w = np.cumsum(np.exp(table.log_w[:-1]))
@@ -408,11 +410,9 @@ def _spans(count: int, item_elems: int) -> list[tuple[int, int]]:
 
 
 def _check_pair_budget(pairs: int, pair_budget: int) -> None:
-    _check_int("pair_budget", pair_budget, 1)
+    pair_budget = _check("pair_budget", pair_budget, 1, integer=True)
     if pairs > pair_budget:
-        raise BudgetError(
-            f"{pairs} node pairs exceed the pair budget of {pair_budget}"
-        )
+        raise BudgetError(f"{pairs} node pairs exceed the pair budget of {pair_budget}")
 
 
 # =====================================================================

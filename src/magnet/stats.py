@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParamsError
-from .model import EXACT_MAX, _as_reals, _check_int
+from .model import EXACT_MAX, _as_reals, _check
 
 __all__ = [
     "empirical_pmf",
@@ -36,11 +36,8 @@ def tv_to_exact(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> float:
     values, _ = _as_reals("draws", values, 0, integer=True)
     p, _ = _as_reals("pmf prefix", exact_pmf_prefix, 0, 1)
     k = len(p)
-    emp = empirical_pmf(values, max(k, int(values.max()) + 1))
-    exact = np.zeros(len(emp))
-    exact[:k] = p
-    tail = max(0.0, 1.0 - float(np.sum(p)))
-    return 0.5 * (float(np.abs(emp - exact).sum()) + tail)
+    emp = np.bincount(np.minimum(values, k).astype(np.int64), minlength=k + 1) / len(values)
+    return float(0.5 * (np.abs(emp[:k] - p).sum() + emp[k] + max(0.0, 1.0 - p.sum())))
 
 
 def tv_limit(exact_pmf_prefix: np.ndarray, n: int) -> float:
@@ -48,7 +45,7 @@ def tv_limit(exact_pmf_prefix: np.ndarray, n: int) -> float:
     the law with pmf ``exact_pmf_prefix`` on 0..K-1.  E[TV] is at most the
     tail beyond K - 1 plus sum_d sqrt(p_d (1 - p_d) / n) / 2 (Jensen), and
     one draw moves TV by at most 1/n (McDiarmid)."""
-    _check_int("draw count", n, 1, EXACT_MAX)
+    n = _check("draw count", n, 1, EXACT_MAX, integer=True)
     p, _ = _as_reals("pmf prefix", exact_pmf_prefix, 0, 1)
     mean_max = 0.5 * float(np.sqrt(p * (1.0 - p) / n).sum()) + max(0.0, 1.0 - float(p.sum()))
     return mean_max + math.sqrt(math.log(1.0 / FIT_ALPHA) / (2.0 * n))
@@ -73,7 +70,7 @@ def ks_statistic(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -
 def dkw_proxy(n: int) -> float:
     """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n))
     at level alpha = 0.05."""
-    _check_int("sample size", n, 1, EXACT_MAX)
+    n = _check("sample size", n, 1, EXACT_MAX, integer=True)
     return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 

@@ -234,12 +234,20 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(tmp_path, monk
     assert main(["generate", "--n", "20000", "--attributes-out", missing]) == 2
     assert main(["generate", "--n", "20000", "--out", str(tmp_path)]) == 2  # a directory
     assert main(["generate", "--n", "20000", "--out", ""]) == 2
+    # both outputs in one file would leave only the attribute rows in it
+    same = tmp_path / "x"
+    for alias in (same, tmp_path / "." / "x"):
+        assert main(["generate", "--n", "20000", "--out", str(same),
+                     "--attributes-out", str(alias)]) == 2
+    assert not same.exists()
     ini = tmp_path / "ks.ini"
     ini.write_text(INI.replace("kind = kl_reconcile", "kind = lognormal_ks")
                    + f"out = {missing}\n")
     assert main(["experiment", str(ini)]) == 2
     assert main(["experiment", str(ini), "--out", missing]) == 2
-    assert capsys.readouterr().err.count("is not a file in an existing directory") == 6
+    err = capsys.readouterr().err
+    assert err.count("is not a file in an existing directory") == 6
+    assert err.count("name one file") == 2
 
 
 @pytest.mark.parametrize("kind, grid, draws, want", [

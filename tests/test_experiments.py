@@ -166,6 +166,18 @@ def test_config_hash_ignores_output_path_but_tracks_substance(tmp_path):
     )
 
 
+def test_a_config_built_in_python_hashes_as_its_ini(tmp_path):
+    # numpy scalars, an int rho and a list n_grid are stored as the INI
+    # parser stores them: Python ints and floats, and a tuple
+    built = ExperimentConfig(
+        params=ModelParams(np.float64(0.7), 0.2, np.float32(0.5), 0.6), scaling=Scaling(1),
+        kind=ExperimentKind.KL_RECONCILE, n_grid=[1000, np.int64(1000000)],
+        draws=np.int64(100), seed=np.uint64(17))
+    assert built.n_grid == (1000, 1000000) and type(built.n_grid) is tuple
+    assert canonical_text(built) == canonical_text(parse_config(_write(tmp_path, GOOD_INI)))
+    assert config_hash(built) == config_hash(parse_config(_write(tmp_path, GOOD_INI)))
+
+
 def test_report_bytes_are_deterministic(tmp_path):
     cfg = parse_config(_write(tmp_path, GOOD_INI))
     a = run_experiment(cfg).lines()

@@ -8,6 +8,7 @@ q00=0.5, mu1=0.6.
 import dataclasses
 import functools
 import io
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,10 @@ import magnet.model as model
 from magnet import (
     BOUNDARY_TOL,
     REFERENCE_PARAMS,
+    BudgetError,
     DegreePmfTable,
+    ExperimentConfig,
+    ExperimentKind,
     InvalidParamsError,
     LogNormalSpec,
     ModelParams,
@@ -36,12 +40,18 @@ from magnet import (
     psi,
     ratio_concentration_bound,
     sample_degrees_direct,
+    sample_degrees_fullgraph,
+    sample_graph,
     std_normal_cdf,
     transform_degree,
+    write_degrees_csv,
+    write_edge_list,
+    write_pmf_csv,
 )
 from magnet.model import _rows, _write_out
 from magnet.stats import (
-    chi_square_gof, empirical_pmf, ks_statistic, tv_limit, tv_to_exact, two_sample_ks,
+    chi_square_gof, dkw_proxy, empirical_pmf, ks_statistic, tv_limit, tv_to_exact,
+    two_sample_ks,
 )
 
 # 40-digit recomputation, rounded to nearest float64:
@@ -157,10 +167,21 @@ def _table() -> DegreePmfTable:
     return DegreePmfTable.from_model(REFERENCE_PARAMS, 1000, 7)  # L_n = 7 at rho = 1
 
 
+def _config(**fields) -> ExperimentConfig:
+    return ExperimentConfig(**{"params": REFERENCE_PARAMS, "scaling": Scaling(1.0),
+                               "kind": ExperimentKind.KL_RECONCILE, "n_grid": (1000,),
+                               "draws": 100, "seed": 0, **fields})
+
+
+#: Values that no integer input takes, whatever its range.
+_NOT_INTS = [True, 2.5, "3"]
+
 #: Every input of the library with a range, scalar or array-or-scalar: a call
 #: passing v as that input (all other arguments valid), the values at or past
-#: the ends of its range, and values inside it; np.float64 and np.float32
-#: copies of the first inside value are tried too, unless it is an int.
+#: the ends of its range, and values inside it; np.int64, np.int32 and
+#: np.uint64 copies of the first inside value are tried too when it is an int,
+#: np.float64 and np.float32 copies otherwise.  A range with no upper end
+#: lists 10**400 inside it.
 _RANGED_INPUTS = {
     **{f"ModelParams.{f}": (
         lambda v, f=f: dataclasses.replace(REFERENCE_PARAMS, **{f: v}), [0, 1, -1.0], [0.5])
@@ -213,6 +234,45 @@ _RANGED_INPUTS = {
         ("chi_square_gof", lambda v: chi_square_gof([0, 1, 2] * 7, v)),
     )},
     "tv_limit.n": (lambda v: tv_limit([0.5, 0.5], v), [0, -5, 2.5, True, 2**53 + 1], [100, 1]),
+    # the integer inputs below: ints or numpy integers, never bools, in a
+    # closed range
+    "Scaling.attr_count.n": (lambda v: Scaling(1.0).attr_count(v), [1, *_NOT_INTS],
+                             [1000, 2, 10**400]),
+    "DegreePmfTable.from_model.n": (lambda v: DegreePmfTable.from_model(REFERENCE_PARAMS, v, 7),
+                                    [1, 2**53 + 1, *_NOT_INTS], [1000]),
+    "DegreePmfTable.from_model.l": (
+        lambda v: DegreePmfTable.from_model(REFERENCE_PARAMS, 1000, v),
+        [0, 2**53 + 1, *_NOT_INTS], [7]),
+    "write_pmf_csv.d_max": (lambda v: write_pmf_csv(io.StringIO(), REFERENCE_PARAMS, 1000, 7, v),
+                            [-1, 1000, *_NOT_INTS], [5, 0, 999, None]),  # None: the default
+    "sample_graph.n": (lambda v: sample_graph(REFERENCE_PARAMS, v, 4, 0),
+                       [1, 2**53 + 1, *_NOT_INTS], [30]),
+    "sample_graph.l": (lambda v: sample_graph(REFERENCE_PARAMS, 30, v, 0),
+                       [0, 2**53 + 1, *_NOT_INTS], [4]),
+    "sample_graph.seed": (lambda v: sample_graph(REFERENCE_PARAMS, 30, 4, v),
+                          [-1, 2**64, *_NOT_INTS], [7, 2**64 - 1]),
+    "sample_graph.pair_budget": (lambda v: sample_graph(REFERENCE_PARAMS, 30, 4, 0, v),
+                                 [0, -1, *_NOT_INTS], [435, 10**400]),  # 435 pairs at n = 30
+    "sample_degrees_fullgraph.count": (
+        lambda v: sample_degrees_fullgraph(REFERENCE_PARAMS, 30, 4, v, 0),
+        [0, 2**53 + 1, *_NOT_INTS], [3]),
+    "sample_degrees_direct.count": (
+        lambda v: sample_degrees_direct(REFERENCE_PARAMS, 1000, 7, v, 0),
+        [0, 2**53 + 1, *_NOT_INTS], [10]),
+    "sample_degrees_direct.seed": (
+        lambda v: sample_degrees_direct(REFERENCE_PARAMS, 1000, 7, 10, v),
+        [-1, 2**64, *_NOT_INTS], [7, 2**64 - 1]),
+    "ratio_concentration_bound.n": (
+        lambda v: ratio_concentration_bound(REFERENCE_PARAMS, v, 7, 0.5, 0.1),
+        [1, *_NOT_INTS], [1000, 10**400]),
+    "ratio_concentration_bound.l": (
+        lambda v: ratio_concentration_bound(REFERENCE_PARAMS, 1000, v, 0.5, 0.1),
+        [0, 2**53 + 1, *_NOT_INTS], [7]),
+    "dkw_proxy.n": (dkw_proxy, [0, 2**53 + 1, *_NOT_INTS], [100]),
+    "ExperimentConfig.draws": (lambda v: _config(draws=v), [99, *_NOT_INTS], [100, 10**400]),
+    "ExperimentConfig.seed": (lambda v: _config(seed=v), [-1, 2**64, *_NOT_INTS], [0, 2**64 - 1]),
+    "ExperimentConfig.n_grid": (lambda v: _config(n_grid=[v]), [1, *_NOT_INTS],
+                                [1000, 10**400]),
     "ks_statistic.samples": (
         lambda v: ks_statistic(v, lambda x: lognormal_cdf(x, LogNormalSpec(0.0, 1.0))),
         [], [[0.5, 2.0], -3.0, [5e-324]]),
@@ -226,12 +286,12 @@ def test_every_ranged_scalar_input_refuses_what_its_range_excludes(name):
     # non-numbers, nan, +-inf, an int past the double range, arrays with a
     # nan, of no element, of objects or of strings, and the ends all raise
     # InvalidParamsError, never OverflowError, TypeError or numpy's errors;
-    # numpy floats inside the range pass
+    # numpy scalars inside the range pass
     call, ends, inside = _RANGED_INPUTS[name]
-    bad = [math.nan, math.inf, -math.inf, 10**400, "0.5", [1, math.nan], [],
+    bad = [math.nan, math.inf, -math.inf, "0.5", [1, math.nan], [],
            np.array([0.5], dtype=object), ["3"], *ends]
     escaped = []
-    for v in bad + ([] if None in inside else [None]):
+    for v in bad + [v for v in (10**400, None) if v not in inside]:
         try:
             call(v)
         except InvalidParamsError:
@@ -241,9 +301,42 @@ def test_every_ranged_scalar_input_refuses_what_its_range_excludes(name):
         else:
             escaped.append((v, "accepted"))
     assert escaped == []
-    copies = [] if isinstance(inside[0], int) else [np.float64(inside[0]), np.float32(inside[0])]
-    for v in [*inside, *copies]:
+    ints = isinstance(inside[0], int)
+    kinds = (np.int64, np.int32, np.uint64) if ints else (np.float64, np.float32)
+    for v in [*inside, *(kind(inside[0]) for kind in kinds)]:
         call(v)
+
+
+def test_a_numpy_node_count_meets_the_pair_budget_as_a_python_int():
+    # in int64, n (n - 1) // 2 wraps to -4294967296 at n = 2**33
+    with pytest.raises(BudgetError, match="^36893488143124135936 node pairs exceed"):
+        sample_graph(REFERENCE_PARAMS, np.int64(2**33), 4, 0)
+
+
+def test_numpy_scalars_are_kept_as_python_ints_and_floats():
+    values = (0.7, 0.2, 0.5, 0.6)
+    as_f64 = ModelParams(*map(np.float64, values))
+    assert all(type(x) is float for x in dataclasses.astuple(as_f64))
+    for write, sample in (
+            (write_edge_list, lambda p: sample_graph(p, 30, 4, np.uint64(5))),
+            (write_degrees_csv, lambda p: sample_degrees_direct(p, 1000, 7, 10, np.int64(5)))):
+        texts = []
+        for params in (REFERENCE_PARAMS, as_f64):
+            buf = io.StringIO()
+            write(sample(params), buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
+        assert "# q11=0.7 q10=0.2 q00=0.5 mu1=0.6\n# n=" in texts[0]
+    # float32 parameters are widened before any arithmetic
+    as_f32 = ModelParams(*map(np.float32, values))
+    widened = ModelParams(*(float(np.float32(v)) for v in values))
+    assert ([float.hex(x) for x in dataclasses.astuple(derive_constants(as_f32))]
+            == [float.hex(x) for x in dataclasses.astuple(derive_constants(widened))])
+    cert = berry_esseen_bound(REFERENCE_PARAMS, np.int64(1000), Scaling(np.float32(1.0)),
+                              np.float32(0.5))
+    json.dumps(dataclasses.asdict(cert))
+    assert (type(cert.n), type(cert.delta), type(cert.eta)) == (int, float, float)
+    assert Scaling(1).rho == 1.0 and repr(classify_regime(REFERENCE_PARAMS, 2).rho) == "2.0"
 
 
 def test_scaling_attr_count_examples():

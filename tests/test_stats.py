@@ -3,6 +3,8 @@ and the exact two-sample KS p-value."""
 
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 from scipy import special, stats
 
 import magnet.stats as mstats
+from conftest import CHILD_ENV
 from magnet.errors import InvalidParamsError
 from magnet.stats import (
     _chi2_sf,
@@ -72,6 +75,22 @@ def test_tv_to_exact_includes_tail_mass():
     rng = np.random.default_rng(0)
     big = rng.integers(0, 2, size=200000)
     assert tv_to_exact(big, np.array([0.5, 0.5])) < 0.01
+
+
+def test_tv_to_exact_counts_draws_past_the_prefix_in_bounded_memory():
+    # a draw past the prefix is unmatched mass whatever its value: counting
+    # draws up to the largest one would take 7.45 GiB at 10**9 and 7.11 PiB
+    # at 10**15, so the child runs under a 2 GiB address-space limit
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from magnet.stats import tv_to_exact
+print([tv_to_exact([0, far], [0.5, 0.5]) for far in (10**9, 10**15)])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0.5, 0.5]\n"
 
 
 def test_dkw_proxy_frozen_value():
