@@ -15,7 +15,8 @@ nothing; they are returned flagged as vacuous rather than rejected, since
 the terms decay only on astronomical scales for typical parameters.
 Both evaluators take L_n from the one log-normal gate
 ``model._lognormal_limit``, which refuses all but the supercritical regime
-with sigma != 0.
+with sigma != 0.  Printed certificates are evaluated with libm (``math``),
+and the optimiser's (delta, eta) grid with numpy.
 
 The same Psi drives a standalone concentration bound for the ratio of a
 degree to its conditional mean.
@@ -52,21 +53,12 @@ C_STAR = 0.4748
 _EXP_MAX = 700.0
 
 
-def _xp(x):
-    """``math`` for a scalar, ``numpy`` for an array.
-
-    The two disagree in the last bit on some inputs; scalars go through
-    libm so that printed values keep their bytes.
-    """
-    return math if np.isscalar(x) else np
-
-
 def psi(x):
     """Psi(x) = (x+1) ln(x+1) - x for finite real x > -1, a scalar (through
     libm) or an array; Psi(0) = 0, Psi >= x^2/(2(1+x))."""
     a, scalar = _as_reals("psi's x", x, math.nextafter(-1.0, 0.0))
-    x = float(a[0]) if scalar else a
-    return (x + 1.0) * _xp(x).log1p(x) - x
+    x, xp = (float(a[0]), math) if scalar else (a, np)
+    return (x + 1.0) * xp.log1p(x) - x
 
 
 @dataclass(frozen=True)
@@ -104,32 +96,33 @@ def _log_n_over_n_minus_1(n: int) -> float:
         return 0.0
 
 
-def _tail_terms(params: ModelParams, n: int, l: int, delta, eta):
-    """(term_hoeffding, term_chernoff) at (delta, eta); arrays broadcast.
+def _tail_terms(params: ModelParams, n: int, l: int, delta, eta, xp):
+    """(term_hoeffding, term_chernoff) at (delta, eta), through ``xp``
+    (``math`` for floats, ``numpy`` for arrays, which broadcast).
 
     The Chernoff term collapses to 0 once its inner exponent passes
     ``_EXP_MAX``.
     """
     c = derive_constants(params)
-    xp = _xp(eta)
     hoeffding = 4.0 * xp.exp(-2.0 * l * eta ** 2)
     ln_inner = math.log(n - 1) + l * (
         (params.mu1 + eta) * c.log_gamma1 + (params.mu0 + eta) * c.log_gamma0
     )
     inner = xp.exp(np.minimum(ln_inner, _EXP_MAX))
-    chernoff = 2.0 * _xp(delta).exp(-psi(delta) * inner) * (ln_inner <= _EXP_MAX)
+    chernoff = 2.0 * xp.exp(-psi(delta) * inner) * (ln_inner <= _EXP_MAX)
     return hoeffding, chernoff
 
 
-def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta):
-    """(term_clt, term_be, term_hoeffding, term_chernoff); arrays broadcast."""
+def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta, xp):
+    """(term_clt, term_be, term_hoeffding, term_chernoff), through ``xp`` as in
+    :func:`_tail_terms`."""
     c = derive_constants(params)
     mu1, mu0 = params.mu1, params.mu0
     clt = (
-        _xp(delta).log((1.0 + delta) / (1.0 - delta)) + _log_n_over_n_minus_1(n)
+        xp.log((1.0 + delta) / (1.0 - delta)) + _log_n_over_n_minus_1(n)
     ) / math.sqrt(2.0 * math.pi * c.sigma ** 2 * l)
     be = (3.0 * C_STAR / math.sqrt(l)) * (mu1 ** 2 + mu0 ** 2) / math.sqrt(mu1 * mu0)
-    return (clt, be, *_tail_terms(params, n, l, delta, eta))
+    return (clt, be, *_tail_terms(params, n, l, delta, eta, xp))
 
 
 def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
@@ -139,7 +132,9 @@ def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
     l, _, _ = _lognormal_limit(params, n, scaling, "the Berry-Esseen certificate")
     delta = _check("delta", delta, 0, 1)
     eta = _check("eta", default_eta(params) if eta is None else eta, 0, params.mu1)
-    clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta)
+    # libm, not numpy: the two disagree in the last bit on some inputs, and
+    # printed certificates keep their bytes
+    clt, be, hoeffding, chernoff = _certificate_terms(params, n, l, delta, eta, math)
     return BoundCertificate(
         n=n, l=l, delta=delta, eta=eta,
         term_clt=clt, term_be=be, term_hoeffding=hoeffding, term_chernoff=chernoff,
@@ -175,7 +170,7 @@ def optimize_bound(params: ModelParams, n: int, scaling: Scaling) -> BoundCertif
     grid = GridSpec()
     deltas = grid.deltas()
     etas = grid.etas(params.mu1)
-    t_clt, t_be, t_hoef, t_chern = _certificate_terms(params, n, l, deltas[:, None], etas)
+    t_clt, t_be, t_hoef, t_chern = _certificate_terms(params, n, l, deltas[:, None], etas, np)
     total = t_clt + t_be + t_hoef + t_chern
     flat = int(np.argmin(total))  # first minimum: smallest delta, then eta
     i, j = divmod(flat, len(etas))
@@ -194,7 +189,7 @@ def ratio_concentration_bound(params: ModelParams, n: int, l: int,
     l = _check("l", l, 1, EXACT_MAX, integer=True)
     delta = _check("delta", delta, 0)
     eta = _check("eta", eta, 0, params.mu1)
-    hoeffding, chernoff = _tail_terms(params, n, l, delta, eta)
+    hoeffding, chernoff = _tail_terms(params, n, l, delta, eta, math)  # libm, as above
     return hoeffding + chernoff
 
 

@@ -92,17 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _params(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(q11=args.q11, q10=args.q10, q00=args.q00, mu1=args.mu1)
-
-
 def _seed(args: argparse.Namespace) -> int:
     return 0 if args.seed is None else args.seed
-
-
-def _attr_count(args: argparse.Namespace) -> int:
-    scaling = Scaling(args.rho)  # checks --rho also where --l overrides it
-    return args.l if args.l is not None else scaling.attr_count(args.n)
 
 
 def _check_dest(*paths: str | None) -> None:
@@ -123,8 +114,7 @@ def _target(args: argparse.Namespace):
 
 def _cmd_generate(args: argparse.Namespace) -> None:
     from .sampler import sample_graph, write_attributes, write_edge_list
-    graph = sample_graph(_params(args), args.n, _attr_count(args), _seed(args),
-                         pair_budget=args.pair_budget)
+    graph = sample_graph(args.params, args.n, args.l, _seed(args), pair_budget=args.pair_budget)
     write_edge_list(graph, _target(args))
     if args.attributes_out is not None:
         write_attributes(graph, args.attributes_out)
@@ -134,19 +124,18 @@ def _cmd_degrees(args: argparse.Namespace) -> None:
     from .sampler import sample_degrees_direct, sample_degrees_fullgraph, write_degrees_csv
     sampler = (sample_degrees_direct if args.method == SampleMethod.DIRECT.value
                else sample_degrees_fullgraph)
-    samples = sampler(_params(args), args.n, _attr_count(args), args.count, _seed(args))
+    samples = sampler(args.params, args.n, args.l, args.count, _seed(args))
     write_degrees_csv(samples, _target(args))
 
 
 def _cmd_pmf(args: argparse.Namespace) -> None:
     from .degree_dist import write_pmf_csv
-    write_pmf_csv(_target(args), _params(args), args.n, _attr_count(args), d_max=args.d_max)
+    write_pmf_csv(_target(args), args.params, args.n, args.l, d_max=args.d_max)
 
 
 def _cmd_regime(args: argparse.Namespace) -> None:
-    params = _params(args)
-    res = classify_regime(params, args.rho)
-    c = derive_constants(params)
+    res = classify_regime(args.params, args.rho)
+    c = derive_constants(args.params)
     payload = {
         "rho": args.rho,
         "kappa": res.kappa,
@@ -165,9 +154,7 @@ def _cmd_regime(args: argparse.Namespace) -> None:
 def _cmd_approx(args: argparse.Namespace) -> None:
     from .degree_dist import _pmf_rows
     from .limits import cdf_approx
-    params = _params(args)
-    scaling = Scaling(args.rho)
-    n = args.n
+    params, scaling, n = args.params, args.scaling, args.n
     l, _, _ = _lognormal_limit(params, n, scaling, "the log-normal degree limit")
     rows = _pmf_rows(params, n, l, args.d_max, 0.999)
     # cdf_exact is the pmf command's cdf column: the running sum of the pmf
@@ -179,10 +166,9 @@ def _cmd_approx(args: argparse.Namespace) -> None:
 
 def _cmd_bound(args: argparse.Namespace) -> None:
     from .bounds import C_STAR, berry_esseen_bound, optimize_bound, write_bound_csv
-    params = _params(args)
-    scaling = Scaling(args.rho)
     if args.delta is None and args.eta is not None:
         raise InvalidParamsError("--eta needs --delta (or drop both to optimize)")
+    params, scaling = args.params, args.scaling
     certs = [optimize_bound(params, n, scaling) if args.delta is None
              else berry_esseen_bound(params, n, scaling, args.delta, eta=args.eta)
              for n in args.n]
@@ -199,12 +185,11 @@ def _cmd_bound(args: argparse.Namespace) -> None:
 def _cmd_experiment(args: argparse.Namespace) -> None:
     from .experiments import config_hash, parse_config, run_experiment
     config = parse_config(args.config)
-    if args.out is None:  # an --out was checked in main
-        _check_dest(config.out)
+    out = args.out if args.out is not None else config.out
+    _check_dest(out)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config)
-    out = args.out if args.out is not None else config.out
     if out is None:
         _write_out(sys.stdout, report.lines())
     else:
@@ -237,6 +222,11 @@ def main(argv: list[str] | None = None) -> int:
         _check("seed", _seed(args), 0, 2 ** 64 - 1, integer=True)
         _check("threads", args.threads, 1, integer=True)
         _check_dest(args.out, vars(args).get("attributes_out"))
+        if "rho" in args:  # the model flags: one parameter set, scaling and L_n
+            args.params = ModelParams(q11=args.q11, q10=args.q10, q00=args.q00, mu1=args.mu1)
+            args.scaling = Scaling(args.rho)
+            if "l" in args and args.l is None:
+                args.l = args.scaling.attr_count(args.n)
         _COMMANDS[args.command](args)
     except RegimeError as exc:
         print(f"magnet: regime violation: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +158,17 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         try:
+            for name, cls in (("params", ModelParams), ("scaling", Scaling)):
+                if not isinstance(getattr(self, name), cls):
+                    raise InvalidParamsError(
+                        f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+            try:
+                object.__setattr__(self, "kind", ExperimentKind(self.kind))
+            except ValueError:
+                raise InvalidParamsError(f"unknown experiment kind {self.kind!r}") from None
+            if not isinstance(self.n_grid, Sequence):
+                raise InvalidParamsError(
+                    f"n_grid must be a sequence of integers, got {self.n_grid!r}")
             n_grid = tuple(_check("each n_grid entry", n, 2, integer=True) for n in self.n_grid)
             if not n_grid:
                 raise InvalidParamsError("n_grid must be nonempty")

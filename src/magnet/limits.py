@@ -82,8 +82,8 @@ class LogNormalSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check("m", self.m, -math.inf))
-        sigma2 = _check("sigma2", self.sigma2, 0) if self.sigma2 != 0 else 0.0
-        object.__setattr__(self, "sigma2", sigma2)
+        sigma2 = _check("sigma2", self.sigma2, -math.inf)  # a real before it is compared
+        object.__setattr__(self, "sigma2", _check("sigma2", sigma2, 0) if sigma2 != 0 else 0.0)
 
 
 def _on_log_scale(name: str, x, lo: float, f):

@@ -11,7 +11,6 @@ from .errors import InvalidParamsError
 from .model import EXACT_MAX, _as_reals, _check
 
 __all__ = [
-    "empirical_pmf",
     "tv_to_exact",
     "tv_limit",
     "ks_statistic",
@@ -22,12 +21,6 @@ __all__ = [
 
 #: False-alarm level of each of degree_fit's tests of a sampler.
 FIT_ALPHA = 1e-3
-
-
-def empirical_pmf(values: np.ndarray, support: int) -> np.ndarray:
-    """Normalized counts over 0..support-1 of draws, integers in that range."""
-    values, _ = _as_reals("draws", values, 0, support - 1, integer=True)
-    return np.bincount(values.astype(np.int64), minlength=support) / float(len(values))
 
 
 def tv_to_exact(values: np.ndarray, exact_pmf_prefix: np.ndarray) -> float:

@@ -751,6 +751,28 @@ def test_every_bench_command_parses_and_every_bench_hook_resolves(tmp_path, monk
         assert hasattr(importlib.import_module(module), name), (module, name)
 
 
+def test_every_bench_command_passes_the_bench_output_checks(tmp_path, monkeypatch):
+    # one reduced pass of each workload, at the bench self-test's scale: an
+    # output the benchmark would refuse as incorrect must fail here first
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+
+    for w in workloads.WORKLOADS:
+        out_dir = tmp_path / w
+        out_dir.mkdir()
+        outputs = {}
+        for cmd in workloads.build(w, 1, scale=0.05):
+            if cmd.config is not None:
+                Path(cmd.config_path(str(out_dir))).write_text(cmd.config)
+            assert main(cmd.argv(str(out_dir))) == 0, cmd.key
+            outputs[cmd.key] = Path(cmd.out_path(str(out_dir))).read_bytes()
+            assert checks.check(cmd, outputs[cmd.key]) == [], cmd.key
+            if cmd.twin is not None:
+                assert outputs[cmd.key] == outputs[cmd.twin], (cmd.key, cmd.twin)
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "magnet", "regime", "--rho", "1.0"],

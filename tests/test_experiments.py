@@ -178,6 +178,36 @@ def test_a_config_built_in_python_hashes_as_its_ini(tmp_path):
     assert config_hash(built) == config_hash(parse_config(_write(tmp_path, GOOD_INI)))
 
 
+def _built(**fields) -> ExperimentConfig:
+    """GOOD_INI's config built in Python, with ``fields`` replaced."""
+    return ExperimentConfig(**{"params": P, "scaling": SC, "kind": ExperimentKind.KL_RECONCILE,
+                               "n_grid": (1000, 1000000), "draws": 100, "seed": 17, **fields})
+
+
+def test_a_config_refuses_an_n_grid_that_is_not_a_sequence():
+    for n_grid in (5, None, {1000, 1000000}):
+        with pytest.raises(ConfigError, match="n_grid must be a sequence of integers"):
+            _built(n_grid=n_grid)
+
+
+def test_a_config_stores_its_kind_as_an_experiment_kind(tmp_path):
+    # a kind given by its INI text runs and hashes as the INI-built config
+    built = _built(kind="kl_reconcile")
+    assert built.kind is ExperimentKind.KL_RECONCILE
+    assert canonical_text(built) == canonical_text(parse_config(_write(tmp_path, GOOD_INI)))
+    assert run_experiment(built).kind is ExperimentKind.KL_RECONCILE
+    for kind in ("zero_one", None, 3):
+        with pytest.raises(ConfigError, match="unknown experiment kind"):
+            _built(kind=kind)
+
+
+def test_a_config_refuses_params_and_scaling_of_other_types():
+    for fields in ({"params": None}, {"params": (0.7, 0.2, 0.5, 0.6)}, {"scaling": 1.0},
+                   {"scaling": None}, {"params": SC, "scaling": P}):
+        with pytest.raises(ConfigError, match="must be a (ModelParams|Scaling), got"):
+            _built(**fields)
+
+
 def test_report_bytes_are_deterministic(tmp_path):
     cfg = parse_config(_write(tmp_path, GOOD_INI))
     a = run_experiment(cfg).lines()

@@ -50,8 +50,7 @@ from magnet import (
 )
 from magnet.model import _rows, _write_out
 from magnet.stats import (
-    chi_square_gof, dkw_proxy, empirical_pmf, ks_statistic, tv_limit, tv_to_exact,
-    two_sample_ks,
+    chi_square_gof, dkw_proxy, ks_statistic, tv_limit, tv_to_exact, two_sample_ks,
 )
 
 # 40-digit recomputation, rounded to nearest float64:
@@ -206,7 +205,8 @@ _RANGED_INPUTS = {
             v, sample_degrees_direct(REFERENCE_PARAMS, 1000, 7, 10, 0), Scaling(1.0)),
         [0, -1.0], [0.5]),
     "LogNormalSpec.m": (lambda v: LogNormalSpec(v, 1.0), [], [-1.0]),
-    "LogNormalSpec.sigma2": (lambda v: LogNormalSpec(0.0, v), [-1.0], [1.0, 0.0]),
+    "LogNormalSpec.sigma2": (lambda v: LogNormalSpec(0.0, v), [-1.0, np.array([1.0, 2.0])],
+                             [1.0, 0.0]),
     **{f"DegreePmfTable.{m}.d": (
         lambda v, m=m: getattr(_table(), m)(v), [-1, 1000, 0.5, "3", ["2"]],
         [3.0, 0, 999, [0, 999]])
@@ -223,7 +223,6 @@ _RANGED_INPUTS = {
     "psi.x": (psi, [-1, -1.5, [0.5, -1.0]], [0.5, math.nextafter(-1.0, 0.0), [0, 1e300]]),
     **{f"{name}.draws": (call, [-1, 2.5, *ends], [[0, 1, 2] * 7, *inside])
        for name, call, ends, inside in (
-        ("empirical_pmf", lambda v: empirical_pmf(v, 5), [5, [0, 5]], [4, [0, 4]]),
         ("tv_to_exact", lambda v: tv_to_exact(v, [0.5, 0.5]), [[0, -1]], [7, [0, 3]]),
         ("chi_square_gof", lambda v: chi_square_gof(v, [0.5, 0.5]), [-5, [0, -1]], []),
     )},

@@ -21,7 +21,6 @@ from magnet.stats import (
     _ks_outside_prob,
     chi_square_gof,
     dkw_proxy,
-    empirical_pmf,
     ks_statistic,
     tv_to_exact,
     two_sample_ks,
@@ -57,12 +56,6 @@ def test_ks_statistic_null_distribution_self_test():
 def test_ks_statistic_rejects_empty():
     with pytest.raises(InvalidParamsError):
         ks_statistic(np.array([]), lambda v: v)
-
-
-def test_empirical_pmf_counts():
-    pm = empirical_pmf(np.array([0, 1, 1, 3]), 5)
-    np.testing.assert_allclose(pm, [0.25, 0.5, 0.0, 0.25, 0.0])
-    assert pm.sum() == pytest.approx(1.0)
 
 
 def test_tv_to_exact_includes_tail_mass():
