@@ -16,7 +16,9 @@ the terms decay only on astronomical scales for typical parameters.
 Both evaluators take L_n from the one log-normal gate
 ``model._lognormal_limit``, which refuses all but the supercritical regime
 with sigma != 0.  Printed certificates are evaluated with libm (``math``),
-and the optimiser's (delta, eta) grid with numpy.
+and the optimiser's (delta, eta) grid with numpy.  That grid is fixed:
+``GridSpec`` takes no arguments and holds 200 log-uniform delta in
+[1e-4, 1 - 1e-4] by 200 log-uniform eta in mu1 * [1e-4, 1 - 1e-4].
 
 The same Psi drives a standalone concentration bound for the ratio of a
 degree to its conditional mean.
@@ -88,14 +90,6 @@ def default_eta(params: ModelParams) -> float:
     return min(params.mu1, params.mu0) / 4.0
 
 
-def _log_n_over_n_minus_1(n: int) -> float:
-    """ln(n / (n-1)); collapses to 0.0 once n-1 exceeds the float range."""
-    try:
-        return math.log1p(1.0 / (n - 1))
-    except OverflowError:
-        return 0.0
-
-
 def _tail_terms(params: ModelParams, n: int, l: int, delta, eta, xp):
     """(term_hoeffding, term_chernoff) at (delta, eta), through ``xp``
     (``math`` for floats, ``numpy`` for arrays, which broadcast).
@@ -115,11 +109,11 @@ def _tail_terms(params: ModelParams, n: int, l: int, delta, eta, xp):
 
 def _certificate_terms(params: ModelParams, n: int, l: int, delta, eta, xp):
     """(term_clt, term_be, term_hoeffding, term_chernoff), through ``xp`` as in
-    :func:`_tail_terms`."""
+    :func:`_tail_terms`; 1 / (n - 1) on ints is correctly rounded, 0.0 past floats."""
     c = derive_constants(params)
     mu1, mu0 = params.mu1, params.mu0
     clt = (
-        xp.log((1.0 + delta) / (1.0 - delta)) + _log_n_over_n_minus_1(n)
+        xp.log((1.0 + delta) / (1.0 - delta)) + math.log1p(1 / (n - 1))
     ) / math.sqrt(2.0 * math.pi * c.sigma ** 2 * l)
     be = (3.0 * C_STAR / math.sqrt(l)) * (mu1 ** 2 + mu0 ** 2) / math.sqrt(mu1 * mu0)
     return (clt, be, *_tail_terms(params, n, l, delta, eta, xp))
@@ -141,16 +135,15 @@ def berry_esseen_bound(params: ModelParams, n: int, scaling: Scaling,
     )
 
 
-@dataclass(frozen=True)
 class GridSpec:
-    """Log-uniform search grid over (delta, eta)."""
+    """The fixed (delta, eta) grid of ``optimize_bound`` (module docstring)."""
 
-    n_delta: int = 200
-    n_eta: int = 200
-    delta_lo: float = 1e-4
-    delta_hi: float = 1.0 - 1e-4
-    eta_lo_frac: float = 1e-4
-    eta_hi_frac: float = 1.0 - 1e-4
+    n_delta = 200
+    n_eta = 200
+    delta_lo = 1e-4
+    delta_hi = 1.0 - 1e-4
+    eta_lo_frac = 1e-4
+    eta_hi_frac = 1.0 - 1e-4
 
     def deltas(self) -> np.ndarray:
         return np.geomspace(self.delta_lo, self.delta_hi, self.n_delta)

@@ -97,14 +97,14 @@ def _seed(args: argparse.Namespace) -> int:
 
 
 def _check_dest(*paths: str | None) -> None:
-    """Refuse, before any work, output paths that are empty, name a directory,
-    lie in a missing one or share a file; other open failures surface later."""
+    """Refuse, before any work, paths (outputs, and an input they must spare)
+    that are empty, name a directory, lie in a missing one or share a file."""
     given = [p for p in paths if p is not None]
     for p in given:
         if not p or os.path.isdir(p) or not os.path.isdir(os.path.dirname(p) or "."):
             raise InvalidParamsError(f"output path {p!r} is not a file in an existing directory")
     if len({os.path.realpath(p) for p in given}) < len(given):
-        raise InvalidParamsError(f"output paths {given!r} name one file")
+        raise InvalidParamsError(f"paths {given!r} name one file")
 
 
 def _target(args: argparse.Namespace):
@@ -186,7 +186,8 @@ def _cmd_experiment(args: argparse.Namespace) -> None:
     from .experiments import config_hash, parse_config, run_experiment
     config = parse_config(args.config)
     out = args.out if args.out is not None else config.out
-    _check_dest(out)
+    if out is not None:  # the config, the report and its sidecar: three files
+        _check_dest(args.config, out, out + ".meta.json")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config)

@@ -134,17 +134,22 @@ def _binomial_log_pmf(m: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
 # The compound-binomial law
 # =====================================================================
 
-def _attribute_window(l: int, mu1: float) -> np.ndarray:
+def _attribute_window(l: int, mu1: float) -> tuple[np.ndarray, np.ndarray]:
     """The s of S ~ Bin(l, mu1) whose weight times l + 1 is at least 2**-1074,
-    as doubles: ln P(S = s) is unimodal and at least -ln(l + 1) at the mode,
-    so an end of 0..l below that floor is a bisection between it and the mode."""
+    as doubles, and their ln P(S = s): that is unimodal and at least -ln(l + 1)
+    at the mode, so an end of 0..l below the floor is a bisection between it
+    and the mode.  A subnormal mu1, below ``_binomial_log_pmf``'s domain, takes
+    the law at p = 2**-1022 times the likelihood ratio (a factor 1 otherwise)."""
     floor = -1074 * math.log(2.0) - math.log(l + 1)
     mode = min(l, math.floor((l + 1) * mu1))
-    log_w = lambda s: _binomial_log_pmf(l, mu1, s)
+    p = max(mu1, np.finfo(np.float64).tiny)
+    log_w = lambda s: (_binomial_log_pmf(l, p, s) + s * (math.log(mu1) - math.log(p))
+                       + (l - s) * (math.log1p(-mu1) - math.log1p(-p)))
     lo_in, hi_in = log_w(np.array([0.0, l])) >= floor
     lo = 0 if lo_in else _bisect(0, mode, lambda s: log_w(s) >= floor)
     end = l + 1 if hi_in else _bisect(mode, l, lambda s: log_w(s) < floor)
-    return np.arange(lo, end, dtype=np.float64)
+    s = np.arange(lo, end, dtype=np.float64)
+    return s, log_w(s)
 
 
 @dataclass(frozen=True)
@@ -167,14 +172,14 @@ class DegreePmfTable:
         n = _check("n", n, 2, EXACT_MAX, integer=True)
         l = _check("l", l, 1, EXACT_MAX, integer=True)
         c = derive_constants(params)
-        s = _attribute_window(l, params.mu1)
+        s, log_w_s = _attribute_window(l, params.mu1)
         p = np.maximum(np.exp(s * c.log_gamma1 + (l - s) * c.log_gamma0),
                        np.finfo(np.float64).tiny)
         _, first, which = np.unique(p, return_index=True, return_inverse=True)
         key = first[which]  # each s's first s with the same p_s
         order = np.argsort(key, kind="stable")
         start = np.flatnonzero(np.diff(key[order], prepend=-1))
-        log_w = np.logaddexp.reduceat(_binomial_log_pmf(l, params.mu1, s)[order], start)
+        log_w = np.logaddexp.reduceat(log_w_s[order], start)
         return cls(n=n, p=p[order[start]], log_w=log_w)
 
     # -- evaluation ----------------------------------------------------

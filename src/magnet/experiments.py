@@ -202,7 +202,7 @@ def parse_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment INI file."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc

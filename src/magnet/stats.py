@@ -82,7 +82,7 @@ def two_sample_ks(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     pooled = np.concatenate([x, y])
     diff = (np.searchsorted(x, pooled, side="right") / m
             - np.searchsorted(y, pooled, side="right") / n)
-    d = max(diff.max(), np.clip(-diff.min(), 0, 1))
+    d = max(diff.max(), -diff.min())
     lcm = m // math.gcd(m, n) * n
     h = int(np.round(d * lcm))
     return h / lcm, (_ks_outside_prob(m, n, h) if h else 1.0)

@@ -19,6 +19,7 @@ from magnet import (
     Scaling,
     berry_esseen_bound,
     default_eta,
+    derive_constants,
     optimize_bound,
     psi,
     ratio_concentration_bound,
@@ -118,6 +119,25 @@ def test_optimizer_beats_hand_picked_witnesses():
     g = GridSpec()
     assert g.delta_lo <= opt.delta <= g.delta_hi
     assert g.eta_lo_frac * 0.6 <= opt.eta <= g.eta_hi_frac * 0.6
+
+
+def test_the_search_grid_is_fixed():
+    # optimize_bound builds its own grid, so it takes no settings
+    with pytest.raises(TypeError):
+        GridSpec(n_delta=5)
+    g = GridSpec()
+    assert (g.n_delta, g.n_eta, g.delta_lo, g.delta_hi, g.eta_lo_frac, g.eta_hi_frac) == (
+        200, 200, 1e-4, 1.0 - 1e-4, 1e-4, 1.0 - 1e-4)
+    assert np.array_equal(g.deltas(), np.geomspace(1e-4, 1.0 - 1e-4, 200))
+    assert np.array_equal(g.etas(0.6), 0.6 * np.geomspace(1e-4, 1.0 - 1e-4, 200))
+
+
+def test_the_n_over_n_minus_1_sliver_vanishes_past_the_double_range():
+    # 1 / (n - 1) on ints is correctly rounded and 0.0 for n - 1 past the
+    # double range, so the clt term keeps only its delta part there
+    cert = berry_esseen_bound(P, 10**400, SC, delta=0.5, eta=0.1)
+    sigma = derive_constants(P).sigma
+    assert cert.term_clt == math.log(1.5 / 0.5) / math.sqrt(2.0 * math.pi * sigma ** 2 * cert.l)
 
 
 def test_optimized_total_decreases_from_desk_to_astronomical_n():

@@ -8,10 +8,12 @@ import ast
 import importlib
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +252,37 @@ def test_output_in_a_missing_directory_is_refused_before_any_work(tmp_path, monk
     assert err.count("name one file") == 2
 
 
+def test_experiment_report_never_overwrites_its_config(tmp_path, monkeypatch, capsys):
+    # a report or sidecar path naming the config (by --out, an alias, a link or
+    # the out key), or a sidecar path that is a directory, is refused before
+    # any work, and every file is left as it was
+    import magnet.experiments
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran the experiment before its report paths were checked")
+
+    monkeypatch.setattr(magnet.experiments, "run_experiment", no_work)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(INI)
+    (tmp_path / "link.ini").symlink_to(ini)
+    for out in (ini, tmp_path / "." / "exp.ini", tmp_path / "link.ini"):
+        assert main(["experiment", str(ini), "--out", str(out)]) == 2
+    keyed = tmp_path / "keyed.ini"
+    keyed.write_text(INI + f"out = {keyed}\n")
+    assert main(["experiment", str(keyed)]) == 2
+    sidecar = tmp_path / "r.meta.json"
+    sidecar.write_text(INI)
+    assert main(["experiment", str(sidecar), "--out", str(tmp_path / "r")]) == 2
+    (tmp_path / "d.meta.json").mkdir()
+    assert main(["experiment", str(ini), "--out", str(tmp_path / "d")]) == 2
+    assert ini.read_text() == sidecar.read_text() == INI
+    assert keyed.read_text() == INI + f"out = {keyed}\n"
+    assert not (tmp_path / "d").exists() and not (tmp_path / "r").exists()
+    err = capsys.readouterr().err
+    assert err.count("name one file") == 5
+    assert err.count("is not a file in an existing directory") == 1
+
+
 @pytest.mark.parametrize("kind, grid, draws, want", [
     *((kind, "1000000 100000000000000000000", 4000000, 2)
       for kind in ("lognormal_ks", "lambda_probe", "degree_fit", "zero_one_law")),
@@ -360,7 +393,7 @@ sys.exit(main(sys.argv[1:]))
 # 2**64) or not numbers at all.
 _HUGE = [str(2 ** 53 + 1), str(2 ** 64), str(10 ** 30)]
 _JUNK = ["x", "1e3", "", "0x10"]
-_REAL = (["0.3", "0.6", "0.9"], ["0", "1", "-0.2", "1e300", "nan", "inf", "x"])
+_REAL = (["0.3", "0.6", "0.9", "5e-324"], ["0", "1", "-0.2", "1e300", "nan", "inf", "x"])
 _SWEEP_VALUES = {
     "--n": (["2", "3", "30", "300"], ["1", "0", "-5", str(2 ** 53), *_HUGE, *_JUNK]),
     "--l": (["1", "3", "8"], ["0", "-1", str(2 ** 53), *_HUGE, *_JUNK]),
@@ -452,6 +485,21 @@ def test_argument_sweep_exits_0_2_3_or_4_without_traceback(tmp_path):
     for argv, code, err in results:
         assert code in (0, 2, 3, 4), (argv, code)
         assert "Traceback" not in err, (argv, err)
+        assert code != 0 or "Warning" not in err, (argv, err)
+
+
+def test_subnormal_mu1_warns_nothing(capsys):
+    # mu1 = 5e-324 is a valid mu1 below the smallest normal double; the
+    # attribute law is still evaluated without a floating-point warning, and
+    # keeps P(S = 1) = l mu1 (1 - mu1)**(l - 1) rather than 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["degrees", "--count", "5"], ["pmf"], ["approx"]):
+            assert main([*argv, "--n", "1000", "--mu1", "5e-324"]) == 0, argv
+    assert capsys.readouterr().err == ""
+    from magnet import ModelParams
+    table = DegreePmfTable.from_model(ModelParams(0.7, 0.2, 0.5, 5e-324), 1000, 7)
+    assert table.log_w[1] == pytest.approx(math.log(7) + math.log(5e-324), rel=1e-15)
 
 
 def test_approx_rejects_mismatched_l(capsys):

@@ -78,7 +78,7 @@ def _per_s(params, l):
     """(s, p_s, ln P(S = s)) over the attribute-count window, one entry per
     s: neither merged where p_s repeat nor floored."""
     c = derive_constants(params)
-    s = _attribute_window(l, params.mu1)
+    s, _ = _attribute_window(l, params.mu1)
     return (s, np.exp(s * c.log_gamma1 + (l - s) * c.log_gamma0),
             _binomial_log_pmf(l, params.mu1, s))
 
@@ -305,7 +305,7 @@ def test_components_sharing_a_floored_p_are_summed_once(l):
     # at n = 1000 every p_s of the window is below the smallest normal
     # double: one component carries all the weight, and the pmf still sums to 1
     table = DegreePmfTable.from_model(P, 1000, l)
-    assert len(_attribute_window(l, P.mu1)) > 30000
+    assert len(_attribute_window(l, P.mu1)[0]) > 30000
     assert table.p.tolist() == [np.finfo(np.float64).tiny]
     assert abs(table.log_w[0]) <= 1e-15
     assert abs(math.fsum(table.pmf(np.arange(1000))) - 1.0) <= 1e-12
@@ -369,7 +369,7 @@ def test_attribute_count_window_drops_less_than_the_smallest_double(l, mu1, wind
     # a 40-digit ln P(S = s); the ends themselves are kept
     params = ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=mu1)
     table = DegreePmfTable.from_model(params, 1000, l)
-    kept = _attribute_window(l, mu1)
+    kept, _ = _attribute_window(l, mu1)
     s_lo, s_hi = int(kept[0]), int(kept[-1])
     assert (s_lo, s_hi) == window
     assert np.array_equal(kept, np.arange(s_lo, s_hi + 1.0))
@@ -404,7 +404,7 @@ def test_whole_range_window_costs_no_bisection(monkeypatch):
     table = DegreePmfTable.from_model(P, 10**6, 14)
     assert len(calls) <= 2
     assert len(table.log_w) == 15
-    assert _attribute_window(14, P.mu1).tolist() == list(range(15))
+    assert _attribute_window(14, P.mu1)[0].tolist() == list(range(15))
 
 
 def test_degree_argument_validation():

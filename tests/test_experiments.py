@@ -133,6 +133,14 @@ def test_parse_config_rejections(tmp_path, mutate, needle):
     assert needle.lower() in str(err.value).lower()
 
 
+def test_parse_config_skips_a_byte_order_mark(tmp_path):
+    # editors on some systems save UTF-8 with a leading BOM; it is not part of
+    # the first section header
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + GOOD_INI.encode())
+    assert parse_config(str(bom)) == parse_config(_write(tmp_path, GOOD_INI))
+
+
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("/nonexistent/exp.ini")
