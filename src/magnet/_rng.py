@@ -50,7 +50,7 @@ _BLOCK = 1 << 16
 # Stream tags.  Each independent random purpose gets its own tag so that
 # streams never overlap even under identical seeds.
 TAG_ATTR_BITS = 0xA1  # graph sampler: node attribute bits
-TAG_PAIR_UNIF = 0xA2  # graph sampler: per-pair edge uniforms
+TAG_PAIR_UNIF = 0xA2  # graph samplers: candidate gap and thinning uniforms
 TAG_DIRECT_S = 0xB1  # direct degree sampler: one attribute-count uniform per draw
 TAG_DIRECT_U = 0xB2  # direct degree sampler: inversion uniforms
 TAG_DIRECT_BTRS = 0xB4  # direct degree sampler: per-attempt keys of BTRS draws

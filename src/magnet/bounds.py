@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParamsError
 from .model import (
     EXACT_MAX, ModelParams, Scaling, derive_constants, _as_reals, _check,
     _lognormal_limit, _write_out,
@@ -87,7 +88,11 @@ class BoundCertificate:
 
 def default_eta(params: ModelParams) -> float:
     """Default Hoeffding margin: min(mu1, mu0) / 4."""
-    return min(params.mu1, params.mu0) / 4.0
+    eta = min(params.mu1, params.mu0) / 4.0
+    if eta == 0.0:  # mu0 = 1 - mu1 is at least 2**-53
+        raise InvalidParamsError(f"mu1 = {params.mu1!r} is too small: the default eta, "
+                                 "mu1/4, underflows to 0")
+    return eta
 
 
 def _tail_terms(params: ModelParams, n: int, l: int, delta, eta, xp):
@@ -149,6 +154,9 @@ class GridSpec:
         return np.geomspace(self.delta_lo, self.delta_hi, self.n_delta)
 
     def etas(self, mu1: float) -> np.ndarray:
+        if mu1 * self.eta_lo_frac == 0.0:
+            raise InvalidParamsError(f"mu1 = {mu1!r} is too small: the grid's least eta, "
+                                     f"mu1*{self.eta_lo_frac}, underflows to 0")
         return mu1 * np.geomspace(self.eta_lo_frac, self.eta_hi_frac, self.n_eta)
 
 

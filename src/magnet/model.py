@@ -128,21 +128,27 @@ def _write_out(target: str | IO[str], texts: Iterable[str]) -> None:
     """Write each of ``texts`` (a line, or a block of table rows formatted by
     one ``%`` per 2**14 rows in ``_rows``) and a newline to a path or an open
     text stream; the package's one text writer.  A path is opened once the
-    first text is formed and, if a later one fails, removed when it names a
-    regular file (never a device or a link), so that a failed call leaves no
-    truncated file."""
+    first text is formed.  A regular file, or a path to none yet, is written
+    beside it and moved onto it at the end, so a failed call leaves its old
+    bytes or no file; a link, device or FIFO is written in place."""
     lines = (text + "\n" for text in texts)
     if not isinstance(target, str):
         target.writelines(lines)
         return
     first = next(lines, "")
-    fh = open(target, "w", encoding="utf-8")
+    regular = not os.path.lexists(target) or stat.S_ISREG(os.lstat(target).st_mode)
+    path = f"{target}.{os.getpid()}.tmp" if regular else target
+    fh = open(path, "x" if regular else "w", encoding="utf-8")  # "x": clobbers no other file
     try:
         with fh:
+            if regular and os.path.exists(target):  # the replaced file's permissions
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
             fh.writelines(itertools.chain([first], lines))
+        if regular:
+            os.replace(path, target)
     except BaseException:
-        if stat.S_ISREG(os.lstat(target).st_mode):
-            os.remove(target)
+        if regular:
+            os.remove(path)
         raise
 
 

@@ -3,14 +3,13 @@
 Two routes produce degrees with identical laws:
 
 * ``sample_graph`` materializes the whole graph: attribute rows are
-  bit-packed into uint64 words, each unordered pair (u, v) gets one
-  uniform, and the edge test compares it against
-  ``exp(c11 ln q11 + c10 ln q10 + c00 ln q00)`` where c11/c10 come from
+  bit-packed into uint64 words, and pair (u, v) links with probability
+  ``exp(c11 ln q11 + c10 ln q10 + c00 ln q00)``, where c11/c10 come from
   popcounts of AND/XOR of the packed rows and ``c00 = l - c11 - c10``.
-  No link exceeds ``(max q)^l`` (up to rounding slack), so a pair whose
-  uniform is above that bound is a non-edge.  Spans of consecutive pair
-  indices are read first as bits "uniform at most the bound", and only
-  these candidates have their link evaluated and their uniform re-read.
+  No link exceeds B = ``(max q)^l`` (up to rounding slack), so each pair,
+  in row-major order, is a candidate with probability B, by Geometric(B)
+  gaps (Batagelj & Brandes 2005), and a candidate an edge with probability
+  link / B (thinning): only about n^2 B / 2 links are evaluated.
 
 * ``sample_degrees_direct`` skips the graph and draws from the compound
   binomial directly: a component p_s of the exact law's ``DegreePmfTable``
@@ -30,9 +29,8 @@ uniform u l + j of the attribute stream is below mu1; ``_rng.bits_at``
 decides that on the uniform's 53-bit integer, one byte per bit, with no
 double formed.  Batches run in chunks, in order, on the calling thread.
 
-``sample_degrees_fullgraph`` evaluates node 0's pairs only, with the same
-edge test, and draws attribute rows for node 0 and its candidates alone;
-both samplers read from stream offsets (``_rng.advance``).  Node 0's
+``sample_degrees_fullgraph`` walks node 0's pairs only, the first n - 1,
+and draws attribute rows for node 0 and its candidates alone; node 0's
 degree is the one the whole graph under that seed has.
 """
 
@@ -72,9 +70,8 @@ INVERSION_MEAN_MAX = 30.0
 #: Most array elements per vectorized work chunk (one item at least).
 _CHUNK_ELEMS = 1 << 22
 
-#: Most pair uniforms per row of node 0's pair read in
-#: ``sample_degrees_fullgraph``.
-_BLOCK_PAIRS = 1 << 16
+#: Most candidates per stream that one block of ``_candidate_pairs`` reads.
+_GAP_BLOCK = 1 << 13
 
 # =====================================================================
 # Bit-packed attribute rows
@@ -170,11 +167,6 @@ def _attr_rows(keys, nodes, l: int, mu1: float) -> np.ndarray:
     return pack_rows(bits.view(np.uint8))
 
 
-def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Linear index of pair (u, v), u < v, in row-major upper-triangle order."""
-    return u * n - (u * (u + 1)) // 2 + (v - u - 1)
-
-
 def sample_graph(params: ModelParams, n: int, l: int, seed: int,
                  pair_budget: int = DEFAULT_PAIR_BUDGET) -> MagGraph:
     """Sample one MAG graph at (params, n, l) under ``seed``.
@@ -187,19 +179,15 @@ def sample_graph(params: ModelParams, n: int, l: int, seed: int,
     _check_pair_budget(n * (n - 1) // 2, pair_budget)
 
     words = _attr_rows(_rng.stream_key(seed, _rng.TAG_ATTR_BITS), np.arange(n), l, params.mu1)
-    key_pair = _rng.stream_key(seed, _rng.TAG_PAIR_UNIF)
-    rows = np.arange(n, dtype=np.int64)
-    starts = _pair_index(rows, rows + 1, n)  # row u's first pair; starts[n-1] = n(n-1)/2
-    edges = []
-    # when every pair is a candidate, a pair holds its index, its two nodes,
-    # their rows' words and the AND and XOR of those (W each), its link terms
-    # and its uniform
-    for i0, i1 in _spans(int(starts[-1]), 4 * words.shape[1] + 12):
-        pair = np.flatnonzero(_candidates(_rng.advance(key_pair, i0),
-                                          np.arange(i1 - i0, dtype=np.uint64), l, params)) + i0
-        u = np.searchsorted(starts, pair, side="right") - 1
+    keys = np.array([_rng.stream_key(seed, _rng.TAG_PAIR_UNIF)], np.uint64)
+    # row u's first pair, u n - u (u + 1) / 2; starts[n-1] = n(n-1)/2
+    starts = np.cumsum(np.arange(n, 0, -1, dtype=np.int64)) - n
+    edges = [np.empty((0, 2), np.int64)]
+    for _, pair, level in _candidate_pairs(keys, int(starts[-1]), _link_bound(l, params)):
+        lo, hi = np.searchsorted(starts, pair[[0, -1]], side="right") - 1  # the block's rows
+        u = lo + np.searchsorted(starts[lo + 1:hi + 1], pair, side="right")
         v = pair - starts[u] + u + 1
-        hit = _is_edge(key_pair, pair, words[u], words[v], l, params)
+        hit = level <= np.exp(_log_link(words.take(u, axis=0), words.take(v, axis=0), l, params))
         edges.append(np.stack([u[hit], v[hit]], axis=1))
     return MagGraph(params=params, n=n, l=l, seed=seed, attr_words=words,
                     edges=np.concatenate(edges))
@@ -223,41 +211,50 @@ def _link_bound(l: int, params: ModelParams) -> float:
     return math.exp(min(0.0, l * max(logs) + 2.0 ** -40 * (1.0 + l * -min(logs))))
 
 
-def _candidates(keys, indices: np.ndarray, l: int, params: ModelParams) -> np.ndarray:
-    """Whether the pair uniforms at ``indices`` of the streams ``keys`` are at
-    most ``_link_bound``: a pair with a larger uniform is a non-edge whatever
-    its two rows."""
-    # u <= hi is u < the next double above hi, which bits_at decides
-    return _rng.bits_at(keys, indices, math.nextafter(_link_bound(l, params), math.inf))
-
-
-def _is_edge(keys, indices: np.ndarray, row: np.ndarray, others: np.ndarray, l: int,
-             params: ModelParams) -> np.ndarray:
-    """The edge test of candidate pairs: their uniform, re-read at ``indices``
-    of the streams ``keys``, is at most the link of their packed rows."""
-    return _rng.uniforms_at(keys, indices) <= np.exp(_log_link(row, others, l, params))
+def _candidate_pairs(keys: np.ndarray, pairs: int, bound: float):
+    """Yield, block by block, (i, pair, level) of the candidates among pairs
+    0 .. ``pairs`` - 1 of each pair stream ``keys[i]``.  Candidate j reads
+    uniforms 2j and 2j + 1: its gap, the pairs skipped since candidate j - 1
+    (pair -1 before the first), is floor(ln(1 - U_2j) / ln(1 - ``bound``)),
+    and its level, U_2j+1 ``bound``, is at most its link when it is an edge.
+    Gaps are clamped to the pairs left before the cast, and a block's to a
+    sum of 2^62, so no bound (1, subnormal) or pair count overflows."""
+    if bound == 0.0:  # no pair is a candidate
+        return
+    log_q = math.log1p(-bound) if bound < 1.0 else -math.inf  # every gap is 0 at bound 1
+    mean = pairs * bound  # candidates expected per stream; a block holds 4 sd more
+    width = min(_GAP_BLOCK, pairs, max(1, 2 ** 62 // pairs), math.ceil(mean + 4 * mean ** 0.5) + 8)
+    last = np.full(len(keys), -1, np.int64)  # each stream's last candidate so far
+    live = np.arange(len(keys))
+    j = 0  # the next candidate of every live stream
+    while live.size:
+        u = _rng.uniforms_at(keys[live, None], np.arange(2 * j, 2 * (j + width), dtype=np.uint64))
+        gap = np.negative(u[:, ::2])  # contiguous, which halves the time of what follows
+        np.log1p(gap, out=gap)
+        with np.errstate(over="ignore"):  # past the double range at a subnormal bound
+            gap /= log_q
+        np.minimum(gap, (pairs - 1 - last[live])[:, None], out=gap)
+        pair = np.cumsum(gap.astype(np.int64) + 1, axis=1) + last[live, None]  # casts floor
+        hit = pair < pairs
+        if hit.any():
+            yield np.repeat(live, hit.sum(axis=1)), pair[hit], u[:, 1::2][hit] * bound
+        last[live] = pair[:, -1]
+        live = live[last[live] < pairs - 1]
+        j += width
 
 
 def _node0_degrees(params: ModelParams, n: int, l: int, seeds: np.ndarray) -> np.ndarray:
-    """Node 0's degree in the graph sampled under each of ``seeds``; its
-    arrays are freed on return, before the next span allocates its own.
-
-    Only node 0's row and the rows of its ``_candidates`` are drawn.  Node
-    0's pairs 0..n-2 are read as near-equal rows of at most ``_BLOCK_PAIRS``
-    uniforms, each row under its pair key advanced to the row's first pair.
-    """
-    pair_keys = _rng.stream_key(seeds, _rng.TAG_PAIR_UNIF)
-    blocks = -(-(n - 1) // _BLOCK_PAIRS)
-    width = -(-(n - 1) // blocks)
-    block_keys = _rng.advance(pair_keys[:, None, None],
-                              np.arange(0, blocks * width, width, dtype=np.uint64)[:, None])
-    below = _candidates(block_keys, np.arange(width, dtype=np.uint64), l, params)
-    rep, pair = np.nonzero(below.reshape(len(seeds), -1)[:, :n - 1])
+    """Node 0's degree, from its pairs 0..n-2, in the graph sampled under each
+    of ``seeds``; its arrays are freed on return, before the next span's."""
     attr_keys = _rng.stream_key(seeds, _rng.TAG_ATTR_BITS)
     row0 = _attr_rows(attr_keys, 0, l, params.mu1)  # (R, W)
-    rows = _attr_rows(attr_keys[rep], pair + 1, l, params.mu1)  # pair v - 1 joins node v
-    hit = _is_edge(pair_keys[rep], pair, row0[rep], rows, l, params)
-    return np.bincount(rep[hit], minlength=len(seeds))
+    degrees = np.zeros(len(seeds), np.int64)
+    for rep, pair, level in _candidate_pairs(_rng.stream_key(seeds, _rng.TAG_PAIR_UNIF), n - 1,
+                                             _link_bound(l, params)):
+        rows = _attr_rows(attr_keys[rep], pair + 1, l, params.mu1)  # pair v - 1 joins node v
+        hit = level <= np.exp(_log_link(row0[rep], rows, l, params))
+        degrees += np.bincount(rep[hit], minlength=len(seeds))
+    return degrees
 
 
 def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, seed: int,
@@ -266,11 +263,10 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     Replicate r uses the derived seed ``replicate_seed(seed, r)`` and its
     degree equals ``sample_graph(..., replicate_seed(seed, r)).degrees()[0]``
-    realization for realization; only node 0's uniforms are drawn, and
-    attribute rows only for node 0 and the nodes whose uniform could still
-    make them neighbours, which is what makes batches affordable.
-    Raises :class:`BudgetError` when the count (n-1) pairs it evaluates
-    exceed ``pair_budget``.
+    realization for realization; attribute rows are drawn only for node 0
+    and its candidates, about (n - 1) (max q)^l, which makes batches
+    affordable.  Raises :class:`BudgetError` when the count (n-1) pairs it
+    covers exceed ``pair_budget``.
     """
     n = _check("n", n, 2, EXACT_MAX, integer=True)
     l = _check("l", l, 1, EXACT_MAX, integer=True)
@@ -280,9 +276,9 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     out = np.empty(count, dtype=np.int64)
     rep_key = _rng.stream_key(seed, _rng.TAG_REPLICATE)
-    # when every pair is a candidate, a pair holds its l attribute bits and
-    # about 8 more elements: keys, row words and link terms
-    for i0, i1 in _spans(count, n * (l + 8)):
+    # a pair holds up to 2 l + 16 elements (bits, twice while packed, uniforms,
+    # gap, row and link terms); counting each twice keeps chunks and peak RSS small
+    for i0, i1 in _spans(count, n * (4 * l + 32)):
         seeds = _rng.words_at(rep_key, np.arange(i0, i1, dtype=np.uint64))
         out[i0:i1] = _node0_degrees(params, n, l, seeds)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,

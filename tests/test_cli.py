@@ -19,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import magnet.model as model
+import magnet.sampler as sampler
 from magnet.cli import main
 from magnet.degree_dist import DegreePmfTable
 
@@ -190,6 +192,65 @@ def test_exit_code_2_on_invalid_configuration(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra, eta", [
+    ([], "the grid's least eta, mu1*0.0001"), (["--delta", "0.5"], "the default eta, mu1/4"),
+], ids=["optimized", "fixed-delta"])
+def test_bound_refuses_a_mu1_whose_eta_underflows(capsys, extra, eta):
+    # the optimiser's etas start at mu1 * 1e-4 and the default eta is mu1/4:
+    # both are 0 at mu1 = 5e-324, and the refusal says so in terms of mu1
+    assert main(["bound", "--n", "1000", "--mu1", "5e-324", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err == f"magnet: invalid configuration: mu1 = 5e-324 is too small: {eta}, " \
+                  "underflows to 0\n"
+    assert main(["bound", "--n", "1000", "--mu1", "1e-300", *extra]) == 0  # the smallest normal
+    capsys.readouterr()
+
+
+def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
+    # a writer that fails after its first block of rows: the existing --out
+    # keeps its bytes, a new one is never created, and no temporary file is
+    # left beside either
+    real_rows = sampler._rows
+
+    def first_block_then_fail(*columns):
+        rows = real_rows(*columns)
+        yield next(rows)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model, "_WRITE_BLOCK", 7)
+    monkeypatch.setattr(sampler, "_rows", first_block_then_fail)
+    old, new = tmp_path / "old.tsv", tmp_path / "new.tsv"
+    old.write_bytes(b"old bytes\n")
+    args = ["generate", "--n", "30", "--l", "3", "--seed", "2", "--out"]
+    for out in (old, new):
+        assert main([*args, str(out)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.tsv"]
+        assert old.read_bytes() == b"old bytes\n"
+    # a write that succeeds replaces the file and keeps its permissions
+    monkeypatch.setattr(sampler, "_rows", real_rows)
+    old.chmod(0o640)
+    assert main([*args, str(old)]) == 0
+    assert old.read_text().count("\n") > 10 and old.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.tsv"]
+
+
+def test_an_underflowed_link_bound_writes_no_edge_and_no_warning():
+    # at l = 3000 the link bound (0.7^3000) underflows to 0: no pair is a
+    # candidate, so the edge list is its header and every degree is 0
+    for args, body in [
+        (["generate", "--n", "10", "--l", "3000"], []),
+        (["degrees", "--method", "fullgraph", "--n", "10", "--l", "3000", "--count", "4"],
+         ["degree", "0", "0", "0", "0"]),
+    ]:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "magnet", *args],
+                              capture_output=True, text=True, timeout=60, env=CHILD_ENV)
+        assert (proc.returncode, proc.stderr) == (0, ""), args
+        lines = proc.stdout.splitlines()
+        assert [ln for ln in lines if not ln.startswith("#")] == body
+        assert "# n=10 l=3000 seed=0" in lines
+
+
 def test_exit_code_3_on_regime_violation(capsys):
     assert main(["approx", "--n", "100", "--rho", "2.0"]) == 3
     assert main(["bound", "--n", "100", "--rho", "2.0", "--delta", "0.5"]) == 3
@@ -338,9 +399,9 @@ def test_edge_inputs_exit_cleanly_in_bounded_memory(tmp_path):
     # past the cap (7.45 GiB and 64 PiB of degrees, 22.4 GiB of attribute
     # uniforms, a 10**15-bit attribute row whose link bound's exponent
     # would overflow) must exit 4; fullgraph at n = 1e7 and 999999999 draws
-    # attribute rows only for node 0's candidate neighbours and reads its
-    # pair uniforms under advanced keys, with no array of pair positions,
-    # and fits; never a traceback
+    # attribute rows only for node 0's candidate neighbours and reads their
+    # gaps in bounded blocks, with no array of pair positions, and fits;
+    # never a traceback
     script = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -819,6 +880,30 @@ def test_every_bench_command_passes_the_bench_output_checks(tmp_path, monkeypatc
             assert checks.check(cmd, outputs[cmd.key]) == [], cmd.key
             if cmd.twin is not None:
                 assert outputs[cmd.key] == outputs[cmd.twin], (cmd.key, cmd.twin)
+
+
+def test_graph_bench_commands_at_full_scale_pass_the_bench_output_checks(tmp_path,
+                                                                           monkeypatch):
+    # the graph workload at the sizes the benchmark runs, at three workload
+    # seeds: the `edges` z-check is the only law check `generate` gets there,
+    # and every --threads 2 output must equal its --threads 1 twin
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+
+    for seed in (1, 2, 3):
+        out_dir = tmp_path / str(seed)
+        out_dir.mkdir()
+        outputs = {}
+        for cmd in workloads.build("graph", seed):
+            if cmd.config is not None:
+                Path(cmd.config_path(str(out_dir))).write_text(cmd.config)
+            assert main(cmd.argv(str(out_dir))) == 0, (seed, cmd.key)
+            outputs[cmd.key] = Path(cmd.out_path(str(out_dir))).read_bytes()
+            assert checks.check(cmd, outputs[cmd.key]) == [], (seed, cmd.key)
+            if cmd.twin is not None:
+                assert outputs[cmd.key] == outputs[cmd.twin], (seed, cmd.key, cmd.twin)
 
 
 def test_installed_entry_point_runs():

@@ -441,6 +441,11 @@ def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path):
     with pytest.raises(MemoryError):  # a link (or a device) is written but never removed
         _write_out(str(link), failing(3))
     assert link.is_symlink() and path.read_text() == "0\n1\n2\n"
-    with pytest.raises(MemoryError):  # after a written text: the file is removed
+    # after a written text the temporary file beside the target is removed:
+    # an existing file keeps its bytes, and a new one is never created
+    with pytest.raises(MemoryError):
         _write_out(str(path), failing(3))
-    assert not path.exists()
+    assert path.read_text() == "0\n1\n2\n"
+    with pytest.raises(MemoryError):
+        _write_out(str(tmp_path / "new.csv"), failing(3))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "out.csv"]

@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -36,7 +37,6 @@ from magnet.sampler import (
     INVERSION_MEAN_MAX,
     _binomial_inversion,
     _log_link,
-    _pair_index,
     pack_rows,
     replicate_seed,
     unpack_rows,
@@ -159,7 +159,9 @@ def test_empirical_edge_density_matches_pair_probability():
 def test_realizations_are_frozen():
     # sha256 of sampled bytes: the edge-list text, or the little-endian int64
     # degrees. Any change to a random stream, the edge test or a binomial
-    # draw moves them. At l = 130 each packed row spans 3 words.
+    # draw moves them. At l = 130 each packed row spans 3 words.  The graph
+    # and fullgraph values were re-pinned when the pair stream became
+    # candidate gaps and levels.
     q = ModelParams(q11=0.99, q10=0.97, q00=0.98, mu1=0.5)
 
     def edge_list_digest(graph):
@@ -168,38 +170,38 @@ def test_realizations_are_frozen():
         return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
     wide = sample_graph(q, 300, 130, seed=3)
-    assert wide.edge_count == 2372
+    assert wide.edge_count == 2373
     assert edge_list_digest(wide) == (
-        "86f0668708a039d5a9521a498e0c5c8a6551b2b2ee50ebbab4d1669787715427")
+        "7bfe3c18ef0bbdb840a3bf92060c511f7bfe96de358203b37c29e0a6f889e844")
     narrow = sample_graph(P, 300, 6, seed=3)
-    assert narrow.edge_count == 262
+    assert narrow.edge_count == 286
     assert edge_list_digest(narrow) == (
-        "372182bccaf1e53f9a3eb25906e674516b9d26b63d8c3e5335a630bcd9678290")
+        "fe0a617e54aafc82643ed063b5f627709b30ea279d04d60574b73ae44aa72959")
     def degrees_digest(samples):
         return hashlib.sha256(samples.degrees.astype("<i8").tobytes()).hexdigest()
 
     assert degrees_digest(sample_degrees_fullgraph(q, 500, 70, 64, seed=11)) == (
-        "34d76604b71203c90520664cac1df9e9345659c8f057c2cfb5346981c7bb21bf")
-    # bench scale: several pair spans, 253 distinct attribute rows
+        "7f90d1032b318d635d443b5eb3b926bab6421cdc8a3823d7114a46a8257d9a3e")
+    # bench scale: several gap blocks, 253 distinct attribute rows
     bench = sample_graph(P, 3000, 8, seed=17)
-    assert bench.edge_count == 5201
+    assert bench.edge_count == 5255
     assert edge_list_digest(bench) == (
-        "6276f564f0c8dba057db4d6f68c0aaa3008c91d0892538ab433003c775f4e0f4")
+        "3bc7b645ac41ca54babd98e0e965cc4f35236db7a84b5a538ee574c98039f642")
     # 1561 distinct attribute rows at a link bound of 0.02, a dense graph
-    # (bound 0.923), and every pair a candidate (bound above 1)
+    # (bound 0.923), and every pair a candidate (bound 1)
     for params, n, l, seed, count, digest in [
-        (ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=0.5), 3000, 11, 7, 184,
-         "4dc85bd4f55943d2b97bc3610d86256df752f5023fa6ad657d4345a21cd2835a"),
-        (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 500, 8, 4, 106_280,
-         "b6d1f64f08113802b58035b12a479f2a7b267ea04efce4e5d385eee2b3ffe42b"),
-        (EVERY_PAIR, 300, 1, 5, 27_741,
-         "310ac883764b3dfcb5188cec1750be77c61db3e287e091834c09f0da728a088a"),
+        (ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=0.5), 3000, 11, 7, 170,
+         "7b7be2346df753aac304b20ede9289fab1f6109f795cecb8439b42f421b56e61"),
+        (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 500, 8, 4, 106_330,
+         "78c323cbbd9b8472f42f5458a21288542c81dcd07e48189e236628dfe76599a3"),
+        (EVERY_PAIR, 300, 1, 5, 27_654,
+         "eb8d3f82348be5e62cdd9d52696d2c700aa5d630fe8abab78b30390343228781"),
     ]:
         g = sample_graph(params, n, l, seed)
         assert g.edge_count == count
         assert edge_list_digest(g) == digest
     assert degrees_digest(sample_degrees_fullgraph(P, 2000, 8, 300, seed=19)) == (
-        "55d19c75239e7d06fc657c28adcfd0ed9c8d6e16bfbbf7bf20eeb9b82464cd0b")
+        "c695fb2dc6da10cf65bc397dc0462bfebb910c40f951e0e4eedfb97ebf8618e3")
     # direct route: n = 30, l = 3 takes only the inversion branch, n = 1e6,
     # l = 7 only BTRS.  Re-pinned when S moved from l attribute-count bits
     # per draw to one uniform inverted on the exact law's weights.
@@ -209,36 +211,49 @@ def test_realizations_are_frozen():
         "a75d88cdecd7c00bf25d962ca2e52d3c662c67935e5324ea7f30303cc752b261")
 
 
+def _candidates_by_hand(seed, pairs, bound):
+    """(pair, level) of each candidate among pairs 0..pairs-1 of the pair
+    stream under ``seed``, from one read of 2 ``pairs`` uniforms (never
+    fewer than needed: each candidate moves at least one pair on).  Gap
+    uniforms sit at even positions and levels, times the bound, at odd ones."""
+    u = _rng.uniforms_at(_rng.stream_key(seed, _rng.TAG_PAIR_UNIF),
+                         np.arange(2 * pairs, dtype=np.uint64))
+    with np.errstate(divide="ignore"):  # ln(1 - bound) = -inf at bound 1: gaps of 0
+        gaps = np.floor(np.log1p(-u[0::2]) / np.log1p(-bound))
+    pair = np.cumsum(gaps + 1) - 1
+    keep = pair < pairs
+    return pair[keep].astype(np.int64), u[1::2][keep] * bound
+
+
 def _brute_force_edges(params, n, l, seed):
-    """Every pair on its own: its uniform at ``_pair_index`` against
-    ``exp(_log_link)`` of its two attribute rows, rows drawn from their
-    stream by hand."""
+    """Every pair's row-major index from ``np.triu_indices``, attribute rows
+    drawn from their stream by hand, and each candidate an edge when its
+    level is at most ``exp(_log_link)`` of its two rows."""
     key_attr = _rng.stream_key(seed, _rng.TAG_ATTR_BITS)
     bits = _rng.uniforms_at(key_attr, np.arange(n * l, dtype=np.uint64)) < params.mu1
     words = pack_rows(bits.reshape(n, l))
     u, v = np.triu_indices(n, 1)
-    p = np.exp(_log_link(words[u], words[v], l, params))
-    unif = _rng.uniforms_at(_rng.stream_key(seed, _rng.TAG_PAIR_UNIF), _pair_index(u, v, n))
-    hit = unif <= p
+    pair, level = _candidates_by_hand(seed, len(u), sampler._link_bound(l, params))
+    u, v = u[pair], v[pair]
+    hit = level <= np.exp(_log_link(words[u], words[v], l, params))
     return words, np.stack([u[hit], v[hit]], axis=1)
 
 
-@pytest.mark.parametrize("span_pairs", [None, 1000, 50])
+@pytest.mark.parametrize("block", [None, 1000, 50])
 @pytest.mark.parametrize("params, n, l, shared_rows", [
     (P, 200, 3, True),  # K = 8 distinct attribute rows
     (ModelParams(q11=0.99, q10=0.97, q00=0.98, mu1=0.5), 120, 130, False),  # K = n, 3 words
     (ModelParams(q11=0.9, q10=0.6, q00=0.8, mu1=0.5), 400, 8, True),  # K = 205
-    (EVERY_PAIR, 300, 1, True),  # link bound above 1: every pair is a candidate
+    (EVERY_PAIR, 300, 1, True),  # link bound 1: every pair is a candidate
     (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 500, 8, True),  # bound 0.923
 ])
 def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, shared_rows,
-                                                   span_pairs):
+                                                   block):
     words, edges = _brute_force_edges(params, n, l, seed=8)
-    if span_pairs is not None:  # 50 pairs is shorter than a row
-        # a span gives each pair 4 W + 12 elements, W words per packed row
-        monkeypatch.setattr(sampler, "_CHUNK_ELEMS", span_pairs * (4 * words.shape[1] + 12))
+    if block is not None:  # 50 candidates are fewer than a row holds
+        monkeypatch.setattr(sampler, "_GAP_BLOCK", block)
     if params is EVERY_PAIR:
-        assert sampler._link_bound(l, params) >= 1.0
+        assert sampler._link_bound(l, params) == 1.0
     # the cases cover graphs with repeated attribute rows and with all rows distinct
     assert (len(np.unique(words, axis=0)) < n) is shared_rows
     g = sample_graph(params, n, l, seed=8)
@@ -247,12 +262,114 @@ def test_sample_graph_matches_per_pair_brute_force(monkeypatch, params, n, l, sh
     assert g.edges.dtype == np.int64
     assert np.array_equal(g.edges, edges)
     if n == 400:
-        assert len(edges) == 6096
+        assert len(edges) == 6045
+
+
+# ------------------------------------------------- candidates and thinning
+
+DENSE = ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5)
+
+
+@pytest.mark.parametrize("params, n, l", [
+    (P, 1200, 7),  # link bound 0.082
+    (DENSE, 600, 8),  # link bound 0.923
+    (ModelParams(q11=0.98, q10=0.9, q00=0.95, mu1=0.5), 600, 70),  # two words per row
+], ids=["sparse", "dense", "two-words"])
+def test_edge_count_given_the_rows_is_the_sum_of_their_links(params, n, l):
+    # Given the attribute rows, each pair links on its own with its link p,
+    # so the edge count has mean sum p and variance sum p (1 - p).  Candidates
+    # drawn at rate B and kept at rate p / B must give exactly that, whatever
+    # the stream's bytes.
+    u, v = np.triu_indices(n, 1)
+    edges = mean = var = 0.0
+    for seed in range(8):
+        g = sample_graph(params, n, l, seed)
+        p = np.exp(_log_link(g.attr_words[u], g.attr_words[v], l, params))
+        edges, mean, var = edges + g.edge_count, mean + p.sum(), var + (p * (1 - p)).sum()
+    assert abs(edges - mean) < 4.5 * math.sqrt(var), (edges, mean, var)
+
+
+@pytest.mark.parametrize("bound", [0.02, 0.3, 0.92])
+def test_candidates_among_the_first_pairs_are_binomial(bound):
+    # each pair is a candidate with probability B on its own, so a stream has
+    # Bin(N, B) candidates among its first N pairs
+    pairs, streams = 300, 4000
+    keys = _rng.stream_key(np.arange(streams, dtype=np.uint64), _rng.TAG_PAIR_UNIF)
+    counts = np.zeros(streams, np.int64)
+    for i, pair, level in sampler._candidate_pairs(keys, pairs, bound):
+        assert (pair >= 0).all() and (pair < pairs).all()
+        assert (level >= 0).all() and (level < bound).all()
+        counts += np.bincount(i, minlength=streams)
+    _, pval, dof = chi_square_gof(counts, stats.binom.pmf(np.arange(pairs + 1), pairs, bound))
+    assert pval > 1e-3 and dof >= 5, (pval, dof)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_gap_block_size_changes_no_edge_and_no_degree(monkeypatch, block):
+    # a block of 1 or 7 gaps carries each stream's last candidate across
+    # blocks hundreds of times; None keeps the default
+    if block is not None:
+        monkeypatch.setattr(sampler, "_GAP_BLOCK", block)
+    for params, n, l in [(P, 150, 6), (DENSE, 100, 8)]:
+        assert np.array_equal(sample_graph(params, n, l, 5).edges,
+                              _brute_force_edges(params, n, l, 5)[1])
+        batch = sample_degrees_fullgraph(params, n, l, 6, seed=5)
+        by_hand = [np.count_nonzero(_brute_force_edges(params, n, l, replicate_seed(5, r))[1][:, 0]
+                                    == 0) for r in range(6)]
+        assert batch.degrees.tolist() == by_hand
+
+
+def _all_candidates(keys, pairs, bound):
+    """Every (stream, pair, level) that ``_candidate_pairs`` yields, warnings
+    raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = list(sampler._candidate_pairs(np.asarray(keys, np.uint64), pairs, bound))
+    return [np.concatenate([b[k] for b in blocks] or [np.array([], np.int64)]) for k in range(3)]
+
+
+def test_every_pair_is_a_candidate_at_bound_1():
+    assert sampler._link_bound(1, EVERY_PAIR) == 1.0
+    keys = _rng.stream_key(np.arange(3, dtype=np.uint64), _rng.TAG_PAIR_UNIF)
+    i, pair, _ = _all_candidates(keys, 50, 1.0)
+    assert i.tolist() == np.repeat(np.arange(3), 50).tolist()
+    assert pair.tolist() == list(range(50)) * 3
+
+
+def test_subnormal_and_underflowed_bounds_give_no_candidate_and_no_warning():
+    bound = sampler._link_bound(2050, P)  # e^-731
+    assert 0.0 < bound < np.finfo(np.float64).tiny
+    assert sampler._link_bound(3000, P) == 0.0
+    keys = _rng.stream_key(np.arange(100, dtype=np.uint64), _rng.TAG_PAIR_UNIF)
+    for b in (bound, 5e-324, 0.0):
+        assert len(_all_candidates(keys, 10 ** 6, b)[1]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for l in (2050, 3000):
+            assert sample_graph(P, 60, l, 1).edge_count == 0
+            assert not sample_degrees_fullgraph(P, 60, l, 10, 1).degrees.any()
+
+
+@pytest.mark.parametrize("u, pairs, bound, want", [
+    (0.0, 20, 0.3, 20), (0.0, 20, 5e-324, 20), (0.0, 20, 1.0, 20),  # every gap 0
+    (1 - 2 ** -53, 20, 0.3, 0),  # gaps of 102 pairs
+    (1 - 2 ** -53, 2 ** 40, 5e-324, 0), (1 - 2 ** -53, 2 ** 62, 5e-324, 0),  # infinite gaps
+])
+def test_extreme_gap_uniforms_stay_finite(monkeypatch, u, pairs, bound, want):
+    # a gap uniform of 0 is a gap of 0 (no NaN, whatever the bound); one near
+    # 1 at a subnormal bound is an infinite gap, clamped before the cast, so
+    # no candidate index overflows int64
+    monkeypatch.setattr(_rng, "uniforms_at", lambda keys, at: np.full(
+        np.broadcast_shapes(np.shape(keys), np.shape(at)), u))
+    i, pair, level = _all_candidates([7, 8], pairs, bound)
+    for k in (0, 1):
+        assert pair[i == k].tolist() == list(range(want))
+    assert (level == u * bound).all()
 
 
 def test_sample_graph_memory_stays_bounded():
     # K = 1561 distinct attribute rows at n = 3000, where a K x K link table
-    # would take 18.6 MiB: only the rows and one span of pairs are held.
+    # would take 18.6 MiB: only the rows and one block of candidates are held.
     params = ModelParams(q11=0.7, q10=0.2, q00=0.5, mu1=0.5)
     sample_graph(params, 20, 11, seed=1)  # lazy imports and caches first
     tracemalloc.start()
@@ -272,7 +389,7 @@ def test_sample_graph_memory_stays_bounded():
     (P, 300, 6),  # bound 0.118
     (ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 200, 8),  # bound 0.923
     (ModelParams(q11=0.98, q10=0.9, q00=0.95, mu1=0.5), 200, 70),  # two words per row
-    (EVERY_PAIR, 50, 1),  # bound above 1: every pair is a candidate
+    (EVERY_PAIR, 50, 1),  # bound 1: every pair is a candidate
 ], ids=["small", "sparse", "dense", "two-words", "every-pair"])
 def test_fullgraph_batch_equals_standalone_realizations(params, n, l):
     if params is EVERY_PAIR:
@@ -285,11 +402,11 @@ def test_fullgraph_batch_equals_standalone_realizations(params, n, l):
 
 
 def test_fullgraph_node0_degree_by_hand_past_one_pair_block():
-    # n - 1 = 69999 pairs fill two blocks of node 0's pair read, the second
-    # cut one position short; sample_graph's n(n-1)/2 pairs are over budget
-    # here, so node 0's degree is counted from every row and pair uniform
-    # drawn by hand.  At a link bound of 0.97 nearly every pair is an edge,
-    # so a read past pair n - 2 would show.
+    # node 0's n - 1 = 69999 pairs hold about 67900 candidates at a link
+    # bound of 0.97, which take nine blocks of gaps, the last cut short;
+    # sample_graph's n(n-1)/2 pairs are over budget here, so node 0's degree
+    # is counted from every row and candidate drawn by hand.  Nearly every
+    # pair is a candidate and an edge, so a read past pair n - 2 would show.
     params, n, l = ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5), 70_000, 3
     batch = sample_degrees_fullgraph(params, n, l, 3, seed=12)
     for r, got in enumerate(batch.degrees):
@@ -297,10 +414,10 @@ def test_fullgraph_node0_degree_by_hand_past_one_pair_block():
         bits = _rng.bits_at(_rng.stream_key(seed, _rng.TAG_ATTR_BITS),
                             np.arange(n * l, dtype=np.uint64), params.mu1)
         words = sampler.pack_rows(bits.view(np.uint8).reshape(n, l))
-        p = np.exp(sampler._log_link(words[0], words[1:], l, params))
-        unif = _rng.uniforms_at(_rng.stream_key(seed, _rng.TAG_PAIR_UNIF),
-                                np.arange(n - 1, dtype=np.uint64))
-        assert got == np.count_nonzero(unif <= p)
+        pair, level = _candidates_by_hand(seed, n - 1, sampler._link_bound(l, params))
+        assert len(pair) > sampler._GAP_BLOCK
+        p = np.exp(sampler._log_link(words[0], words[1 + pair], l, params))
+        assert got == np.count_nonzero(level <= p)
 
 
 def _max_links_by_brute_force(l, cases):
@@ -366,7 +483,7 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
     P, ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5),
 ], ids=["sparse", "dense"])
 def test_fullgraph_chunk_memory_stays_bounded(params):
-    # the bench's fullgraph batch: ten chunks of 120 graphs at n = 2000,
+    # the bench's fullgraph batch: 38 chunks of 31 or 32 graphs at n = 2000,
     # l = 8.  Attribute bits come one byte each from the word stream, so
     # no chunk holds a double per attribute (that took the peak to 36.6 MiB),
     # and no chunk's arrays outlive it (holding them into the next chunk
@@ -386,7 +503,8 @@ def test_fullgraph_chunk_memory_stays_bounded(params):
     (200_000, 14, 1),  # bench `inv`
     (200_000, 28, 2),  # bench `mixed`
     (25_000, 7, 1),  # bench `rej`
-    (1200, 2000 * (8 + 8), 10),  # bench `fullgraph`
+    (1200, 2000 * (8 + 8), 10),  # bench `fullgraph` at its old 16 elements a pair
+    (1200, 2000 * (4 * 8 + 32), 38),  # bench `fullgraph`
     (100, 1 << 20, 25), (1, 10 ** 9, 1), (3, 1, 1), (10 ** 6, 16, 4), (10 ** 8, 16, 382),
 ])
 def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
@@ -407,7 +525,8 @@ def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
     (200_000, 14, 1, 1), (200_000, 14, 2, 2),  # bench `inv`
     (200_000, 28, 1, 2), (200_000, 28, 2, 2),  # bench `mixed`
     (25_000, 7, 2, 1),  # bench `rej`
-    (1200, 2000 * (8 + 8), 1, 10), (1200, 2000 * (8 + 8), 2, 10),  # bench `fullgraph`
+    # bench `fullgraph` at its old 16 elements a pair
+    (1200, 2000 * (8 + 8), 1, 10), (1200, 2000 * (8 + 8), 2, 10),
     (100, 1 << 20, 4, 28), (1, 10 ** 9, 4, 1), (3, 1, 8, 1),
 ])
 def test_run_chunks_splits_work_into_equal_spans_per_thread(count, item_elems, threads,
