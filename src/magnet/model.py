@@ -31,6 +31,7 @@ over) and a supercritical regime (kappa > 0, isolated nodes vanish).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import math
@@ -128,27 +129,32 @@ def _write_out(target: str | IO[str], texts: Iterable[str]) -> None:
     """Write each of ``texts`` (a line, or a block of table rows formatted by
     one ``%`` per 2**14 rows in ``_rows``) and a newline to a path or an open
     text stream; the package's one text writer.  A path is opened once the
-    first text is formed.  A regular file, or a path to none yet, is written
-    beside it and moved onto it at the end, so a failed call leaves its old
-    bytes or no file; a link, device or FIFO is written in place."""
+    first text is formed.  A new path, or a regular file of the caller's with
+    one link, is written beside it and moved onto it at the end, so a failed
+    call leaves its old bytes or no file.  Any other path, or one beside which
+    no file can be made, is written in place; a regular one is removed on failure."""
     lines = (text + "\n" for text in texts)
     if not isinstance(target, str):
         target.writelines(lines)
         return
     first = next(lines, "")
-    regular = not os.path.lexists(target) or stat.S_ISREG(os.lstat(target).st_mode)
-    path = f"{target}.{os.getpid()}.tmp" if regular else target
-    fh = open(path, "x" if regular else "w", encoding="utf-8")  # "x": clobbers no other file
+    st, tmp = (os.lstat(target) if os.path.lexists(target) else None), None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                      and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())):
+        name = f"{target}.{os.urandom(6).hex()}.tmp"  # fresh: no file a killed call left blocks it
+        with contextlib.suppress(OSError):  # an unwritable directory, a name too long
+            fh, tmp = open(name, "x", encoding="utf-8"), name
+    fh = open(target, "w", encoding="utf-8") if tmp is None else fh
     try:
         with fh:
-            if regular and os.path.exists(target):  # the replaced file's permissions
-                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            if tmp and st:  # the replaced file's permission bits
+                os.chmod(fh.fileno(), stat.S_IMODE(st.st_mode))
             fh.writelines(itertools.chain([first], lines))
-        if regular:
-            os.replace(path, target)
+        if tmp:
+            os.replace(tmp, target)
     except BaseException:
-        if regular:
-            os.remove(path)
+        if tmp or stat.S_ISREG(os.lstat(target).st_mode):
+            os.remove(tmp or target)
         raise
 
 

@@ -276,9 +276,8 @@ def sample_degrees_fullgraph(params: ModelParams, n: int, l: int, count: int, se
 
     out = np.empty(count, dtype=np.int64)
     rep_key = _rng.stream_key(seed, _rng.TAG_REPLICATE)
-    # a pair holds up to 2 l + 16 elements (bits, twice while packed, uniforms,
-    # gap, row and link terms); counting each twice keeps chunks and peak RSS small
-    for i0, i1 in _spans(count, n * (4 * l + 32)):
+    # a pair holds up to 2 l + 16 elements: bits, twice while packed, uniforms, gap, row, link
+    for i0, i1 in _spans(count, n * (2 * l + 16)):
         seeds = _rng.words_at(rep_key, np.arange(i0, i1, dtype=np.uint64))
         out[i0:i1] = _node0_degrees(params, n, l, seeds)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,

@@ -235,6 +235,40 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.tsv"]
 
 
+def test_out_is_written_past_a_left_temporary_file_and_in_a_read_only_directory(
+        tmp_path, monkeypatch):
+    # a killed run leaves its temporary file behind: it blocks no later run,
+    # even under the very name that run picks, and is left as it is
+    args = ["generate", "--n", "30", "--l", "3", "--seed", "2", "--out"]
+    out = tmp_path / "g.tsv"
+    assert main([*args, str(out)]) == 0
+    want = out.read_bytes()
+    monkeypatch.setattr(model.os, "urandom", bytes)
+    left = tmp_path / f"g.tsv.{bytes(6).hex()}.tmp"
+    left.write_bytes(b"left\n")
+    out.write_bytes(b"old\n")
+    assert main([*args, str(out)]) == 0
+    assert out.read_bytes() == want and left.read_bytes() == b"left\n"
+    # a writable file in a directory no file can be made in is written in place
+    ro = tmp_path / "ro"
+    ro.mkdir()
+    (ro / "g.tsv").write_bytes(b"old\n")
+    ro.chmod(0o555)
+    real_open = open
+
+    def refuse_x(path, mode="r", *a, **kw):  # what the directory does but to a superuser
+        if mode == "x":
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, mode, *a, **kw)
+
+    monkeypatch.setattr(model, "open", refuse_x, raising=False)
+    try:
+        assert main([*args, str(ro / "g.tsv")]) == 0
+    finally:
+        ro.chmod(0o755)
+    assert (ro / "g.tsv").read_bytes() == want and sorted(ro.iterdir()) == [ro / "g.tsv"]
+
+
 def test_an_underflowed_link_bound_writes_no_edge_and_no_warning():
     # at l = 3000 the link bound (0.7^3000) underflows to 0: no pair is a
     # candidate, so the edge list is its header and every degree is 0

@@ -449,3 +449,54 @@ def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path):
     with pytest.raises(MemoryError):
         _write_out(str(tmp_path / "new.csv"), failing(3))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "out.csv"]
+
+
+def test_text_writer_writes_in_place_where_it_cannot_replace(tmp_path, monkeypatch):
+    def in_place(path):
+        ino = path.stat().st_ino
+        _write_out(str(path), ["new"])
+        assert path.read_text() == "new\n" and path.stat().st_ino == ino
+
+    # a file that a killed call left beside the target blocks nothing
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    left = tmp_path / "out.csv.0123456789ab.tmp"
+    left.write_text("left\n")
+    _write_out(str(path), ["new"])
+    assert path.read_text() == "new\n" and left.read_text() == "left\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", left.name]
+    # nor does one under the very name this call picks: it writes in place
+    with monkeypatch.context() as m:
+        m.setattr(model.os, "urandom", bytes)
+        left.rename(tmp_path / f"out.csv.{bytes(6).hex()}.tmp")
+        in_place(path)
+    # a name past NAME_MAX once the suffix is added
+    long = tmp_path / ("x" * 250)
+    long.write_text("old\n")
+    in_place(long)
+    # a second link keeps seeing the file; another owner keeps it
+    link = tmp_path / "link.csv"
+    link.hardlink_to(path)
+    in_place(path)
+    assert link.read_text() == "new\n"
+    link.unlink()
+    with monkeypatch.context() as m:
+        m.setattr(model.os, "geteuid", lambda: path.stat().st_uid + 1)
+        in_place(path)
+    # an unwritable directory
+    def refuse_x(path, mode="r", *args, **kwargs):  # what it does but to a superuser
+        if mode == "x":
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, mode, *args, **kwargs)
+
+    ro = tmp_path / "ro"
+    ro.mkdir()
+    (ro / "out.csv").write_text("old\n")
+    ro.chmod(0o555)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(model, "open", refuse_x, raising=False)
+            in_place(ro / "out.csv")
+    finally:
+        ro.chmod(0o755)
+    assert sorted(p.name for p in ro.iterdir()) == ["out.csv"]

@@ -483,7 +483,7 @@ def test_fullgraph_batch_thread_invariance(monkeypatch):
     P, ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5),
 ], ids=["sparse", "dense"])
 def test_fullgraph_chunk_memory_stays_bounded(params):
-    # the bench's fullgraph batch: 38 chunks of 31 or 32 graphs at n = 2000,
+    # the bench's fullgraph batch: 19 chunks of 63 or 64 graphs at n = 2000,
     # l = 8.  Attribute bits come one byte each from the word stream, so
     # no chunk holds a double per attribute (that took the peak to 36.6 MiB),
     # and no chunk's arrays outlive it (holding them into the next chunk
@@ -504,7 +504,7 @@ def test_fullgraph_chunk_memory_stays_bounded(params):
     (200_000, 28, 2),  # bench `mixed`
     (25_000, 7, 1),  # bench `rej`
     (1200, 2000 * (8 + 8), 10),  # bench `fullgraph` at its old 16 elements a pair
-    (1200, 2000 * (4 * 8 + 32), 38),  # bench `fullgraph`
+    (1200, 2000 * (2 * 8 + 16), 19),  # bench `fullgraph`
     (100, 1 << 20, 25), (1, 10 ** 9, 1), (3, 1, 1), (10 ** 6, 16, 4), (10 ** 8, 16, 382),
 ])
 def test_run_chunks_runs_near_equal_spans_in_order(count, item_elems, n_spans):
