@@ -63,7 +63,8 @@ BOUNDARY_TOL = 1e-12
 #: asymptotic layers (limits, bounds) take any n.
 EXACT_MAX = 2 ** 53
 
-#: Table rows formed as one text, by one ``%``, in ``_rows``.
+#: Table rows formed as one text in ``_rows``: by one ``%``, or, for
+#: integer rows, in one byte buffer decoded once.
 _WRITE_BLOCK = 1 << 14
 
 DEFAULT_PAIR_BUDGET = 10 ** 9
@@ -118,16 +119,73 @@ def _check(name: str, value, lo: float, hi: float = math.inf, integer: bool = Fa
 
 def _rows(fmt: str, *columns) -> Iterator[str]:
     """Rows ``fmt % (c[i] for c in columns)`` of equal-length arrays, as one
-    newline-separated text per block of at most ``_WRITE_BLOCK`` rows, each
-    formed by one ``%``; the package's one table row formatter."""
+    newline-separated text per block of at most ``_WRITE_BLOCK`` rows; the
+    package's one table row formatter.  A format of literal text and ``%d``
+    conversions only, over integer arrays, has its rows formed digit by
+    digit (``_digit_rows``); any other block is formed by one ``%``."""
+    parts = fmt.split("%d")
+    digits = (len(parts) == len(columns) + 1 and "%" not in "".join(parts)
+              and all(c.dtype.kind in "iu" for c in columns))
     for lo in range(0, len(columns[0]), _WRITE_BLOCK):
-        rows = list(zip(*(c[lo:lo + _WRITE_BLOCK].tolist() for c in columns)))
-        yield "\n".join([fmt] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+        block = [c[lo:lo + _WRITE_BLOCK] for c in columns]
+        if digits:
+            yield _digit_rows(parts, block)
+        else:
+            rows = list(zip(*(c.tolist() for c in block)))
+            yield "\n".join([fmt] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
+def _digit_rows(parts: list[str], columns) -> str:
+    """The rows ``"%d".join(parts) % row`` of nonempty integer arrays
+    ``columns``, newline-separated.  Rows are laid out at a fixed width in
+    one uint8 matrix: the literal parts, then per column a '-' and its
+    digits right-aligned, formed by repeated division by 10.  The '-' of a
+    nonnegative value and the leading zeros are masked out, and the kept
+    characters, row by row, are decoded at once."""
+    import numpy as np
+    texts = [part.encode() for part in parts[:-1]] + [parts[-1].encode() + b"\n"]
+    fields = []  # each column's magnitude, digit count and sign (None if unsigned)
+    for column in columns:
+        mag, sign = column.astype(np.uint64), None
+        if column.dtype.kind == "i":  # the magnitude of x < 0 as 2**64 + x, negated
+            sign = column < 0
+            np.negative(mag, out=mag, where=sign)
+        top = mag.max()
+        fields.append((mag.astype(np.min_scalar_type(top)), len(str(top)), sign))
+    width = sum(map(len, texts)) + sum(digits + (sign is not None) for _, digits, sign in fields)
+    chars = np.empty((len(columns[0]), width), np.uint8)
+    keep = np.ones(chars.shape, bool)
+    at = 0
+    for text, field in zip(texts, [*fields, None]):
+        chars[:, at:at + len(text)] = np.frombuffer(text, np.uint8)
+        at += len(text)
+        if field is None:
+            break
+        mag, digits, sign = field
+        if sign is not None:
+            chars[:, at], keep[:, at] = ord("-"), sign
+            at += 1
+        for j in reversed(range(at, at + digits)):
+            np.greater(mag, 0, out=keep[:, j])  # not a leading zero
+            rest = mag // 10  # narrow integers divide fastest
+            chars[:, j] = mag - rest * 10 + ord("0")
+            mag = rest
+        at += digits
+        keep[:, at - 1] = True  # 0 is written as one digit
+    return chars[keep][:-1].tobytes().decode()
+
+
+def _char_rows(chars) -> Iterator[str]:
+    """The rows of a uint8 character matrix whose last column holds newlines,
+    as one text per block of at most ``_WRITE_BLOCK`` rows, each decoded at
+    once and without its last newline."""
+    for lo in range(0, len(chars), _WRITE_BLOCK):
+        yield chars[lo:lo + _WRITE_BLOCK].tobytes()[:-1].decode()
 
 
 def _write_out(target: str | IO[str], texts: Iterable[str]) -> None:
-    """Write each of ``texts`` (a line, or a block of table rows formatted by
-    one ``%`` per 2**14 rows in ``_rows``) and a newline to a path or an open
+    """Write each of ``texts`` (a line, or a block of up to 2**14 table rows
+    from ``_rows`` or ``_char_rows``) and a newline to a path or an open
     text stream; the package's one text writer.  A path is opened once the
     first text is formed.  A new path, or a regular file of the caller's with
     one link, is written beside it and moved onto it at the end, so a failed

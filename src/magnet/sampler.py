@@ -16,10 +16,11 @@ Two routes produce degrees with identical laws:
   by inversion of the component weights at one uniform per draw, then
   D ~ Bin(n - 1, p_s), as n - 1 minus a Bin(n - 1, 1 - p_s) draw when
   p_s > 1/2.  Binomial draws are exact-distribution and vectorized over
-  draws: sequential inversion when the mean is at most
-  ``INVERSION_MEAN_MAX``, otherwise Hörmann's (1993) transformed rejection
-  with squeeze (BTRS), whose acceptance test evaluates the log pmf in
-  Loader's saddle-point form.  No normal approximation anywhere.
+  draws: inversion when the mean is at most ``INVERSION_MEAN_MAX``, by a
+  search in one cdf table per component (table-guided inversion, Devroye
+  1986, III.2), otherwise Hörmann's (1993) transformed rejection with
+  squeeze (BTRS), whose acceptance test evaluates the log pmf in Loader's
+  saddle-point form.  No normal approximation anywhere.
 
 All randomness is counter-based (see ``_rng``): every value is a pure
 function of ``(seed, stream tag, index)``, so outputs are independent of
@@ -46,7 +47,8 @@ import numpy as np
 from . import _rng
 from .errors import BudgetError
 from .model import (
-    DEFAULT_PAIR_BUDGET, EXACT_MAX, ModelParams, SampleMethod, _check, _rows, _write_out,
+    DEFAULT_PAIR_BUDGET, EXACT_MAX, ModelParams, SampleMethod, _char_rows, _check, _rows,
+    _write_out,
 )
 from .degree_dist import DegreePmfTable, _binomial_log_pmf
 
@@ -299,52 +301,72 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int,
     table = DegreePmfTable.from_model(params, n, l)
     # P(D's component is at most j); a draw's j is how many its uniform reaches
     cdf_w = np.cumsum(np.exp(table.log_w[:-1]))
+    m = n - 1
+    flip = table.p > 0.5  # per component, as are q and inv
+    q = np.where(flip, 1.0 - table.p, table.p)
+    inv = m * q <= INVERSION_MEAN_MAX
     key_s = _rng.stream_key(seed, _rng.TAG_DIRECT_S)
     key_u = _rng.stream_key(seed, _rng.TAG_DIRECT_U)
     key_btrs = _rng.stream_key(seed, _rng.TAG_DIRECT_BTRS)
-    m = n - 1
     out = np.empty(count, dtype=np.int64)
     for i0, i1 in _spans(count, 16):  # a draw costs ~16 array elements, whatever l
         idx = np.arange(i0, i1, dtype=np.uint64)
-        p = table.p[np.searchsorted(cdf_w, _rng.uniforms_at(key_s, idx), side="right")]
-        flip = p > 0.5
-        q = np.where(flip, 1.0 - p, p)
+        comp = np.searchsorted(cdf_w, _rng.uniforms_at(key_s, idx), side="right").astype(
+            np.min_scalar_type(len(q) - 1))
         d = np.empty(len(idx), dtype=np.int64)
-        inv = m * q <= INVERSION_MEAN_MAX
-        if inv.any():
-            u = _rng.uniforms_at(key_u, idx[inv])
-            d[inv] = _binomial_inversion(m, q[inv], np.where(flip[inv], 1.0 - u, u))
-        rej = ~inv
+        at = inv[comp]
+        if at.any():
+            u = _rng.uniforms_at(key_u, idx[at])
+            c = comp[at]
+            d[at] = _binomial_inversion(m, q, c, np.where(flip[c], 1.0 - u, u))
+        rej = ~at
         if rej.any():
-            d[rej] = _binomial_btrs(m, q[rej], key_btrs, idx[rej])
-        out[i0:i1] = np.where(flip, m - d, d)
+            d[rej] = _binomial_btrs(m, q[comp[rej]], key_btrs, idx[rej])
+        out[i0:i1] = np.where(flip[comp], m - d, d)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.DIRECT, degrees=out)
 
 
-def _binomial_inversion(m: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exact binomial quantile at uniforms ``u``: min{k : P(X <= k) >= u}.
+def _binomial_inversion(m: int, q: np.ndarray, comp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Exact binomial quantiles min{k : P(X <= k) >= u[i]}, X ~ Bin(m, q[comp[i]]),
+    for unsigned integer component indices ``comp``.
 
-    Sequential search from k = 0 with the pmf ratio recurrence, which takes
-    O(mean) steps for the p <= 1/2 it is given.  Exact up to double rounding.
+    Draws are grouped by component with a counting sort.  Each component
+    drawn tabulates its cdf once, by the pmf ratio recurrence from k = 0, up
+    to the largest uniform among its draws, which takes O(mean) terms for the
+    q <= 1/2 it is given; a table stops early where the pmf underflows to 0
+    (the residual mass is then below 1e-300) or at k = m.  A draw's k is the
+    bisection of its uniform in its component's table, capped at the table's
+    last index: the k a sequential search from k = 0 stops at.  Exact up to
+    double rounding.
     """
+    counts = np.bincount(comp, minlength=len(q))
+    drawn = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[drawn]  # drawn component j's draws are u[starts[j]:ends[j]]
+    starts = ends - counts[drawn]
+    order = np.argsort(comp, kind="stable")  # a counting (radix) sort on 8 or 16 bits
+    u = u[order]
+    u_max = np.maximum.reduceat(u, starts)
+    p = q[drawn]
     pf = np.exp(m * np.log1p(-p))
     cdf = pf.copy()
-    k = np.zeros(p.shape, dtype=np.int64)
     odds = p / (1.0 - p)
-    active = np.nonzero(cdf < u)[0]
+    columns = [cdf.copy()]  # column k of every table; past a table's end it repeats its last
+    last = np.zeros(len(p), dtype=np.int64)
+    active = np.nonzero(cdf < u_max)[0]
     kk = 0
     while active.size and kk < m:
         ratio = ((m - kk) / (kk + 1.0)) * odds[active]
         pf[active] *= ratio
         cdf[active] += pf[active]
         kk += 1
-        k[active] = kk
-        still = cdf[active] < u[active]
-        # Guard against stalling once the pmf underflows; the residual
-        # probability mass at that point is below 1e-300.
-        still &= pf[active] > 0.0
-        active = active[still]
+        last[active] = kk
+        columns.append(cdf.copy())
+        active = active[(cdf[active] < u_max[active]) & (pf[active] > 0.0)]
+    tables = np.stack(columns, axis=1)
+    k = np.empty(len(u), dtype=np.int64)
+    for table, end, lo, hi in zip(tables, last, starts, ends):
+        k[order[lo:hi]] = np.minimum(np.searchsorted(table, u[lo:hi]), end)
     return k
 
 
@@ -431,8 +453,9 @@ def write_edge_list(graph: MagGraph, target: str | IO[str]) -> None:
 
 def write_attributes(graph: MagGraph, target: str | IO[str]) -> None:
     """Attribute dump: one line per node of l characters '0'/'1'."""
-    chars = graph.attribute_matrix() + ord("0")
-    _write_out(target, (bytes(row).decode("ascii") for row in chars))
+    chars = np.full((graph.n, graph.l + 1), ord("\n"), np.uint8)
+    np.add(graph.attribute_matrix(), ord("0"), out=chars[:, :-1])
+    _write_out(target, _char_rows(chars))
 
 
 def write_degrees_csv(samples: DegreeSampleSet, target: str | IO[str]) -> None:

@@ -414,6 +414,24 @@ def test_rows_match_per_row_formatting_in_blocks(monkeypatch, block):
             min(block, size - lo) for lo in range(0, size, block)]
         want = [f"7,{i},{a:.17g}\t{b:.17g}" for i, a, b in zip(ints.tolist(), *x.tolist())]
         assert "\n".join(texts) == "\n".join(want)
+    # integer-only formats take the digit path: every digit count, signs,
+    # int64's ends, uint64 past it, narrow types, a literal prefix
+    edges = [0, 9, 10, 2 ** 63 - 1, -2 ** 63, -1, -9, -10]
+    edges += [s * 10 ** k + d for k in range(1, 19) for s in (1, -1) for d in (-1, 0, 1)]
+    big = rng.integers(2 ** 63, 2 ** 64, size=4, dtype=np.uint64, endpoint=False)
+    for size in (0, 1, block - 1, block, 2 * block + 1, len(edges)):
+        i64 = rng.integers(-2 ** 63, 2 ** 63 - 1, size=size, endpoint=True)
+        i64[:len(edges)] = edges[:size]
+        u64 = rng.integers(0, 2 ** 64 - 1, size=size, dtype=np.uint64, endpoint=True)
+        u64[:8] = ([0, 2 ** 64 - 1, 10 ** 19 - 1, 10 ** 19] + big.tolist())[:size]
+        for fmt, columns in [("%d", (i64,)), ("%d", (u64,)), ("%d\t%d", (i64, u64)),
+                             ("%d\t%d", (u64.astype(np.uint8), i64.astype(np.int16))),
+                             ("node %d: %d", (np.abs(i64 // 2), u64 % 7))]:
+            texts = list(_rows(fmt, *columns))
+            assert [t.count("\n") + 1 for t in texts] == [
+                min(block, size - lo) for lo in range(0, size, block)]
+            want = [fmt % row for row in zip(*(c.tolist() for c in columns))]
+            assert "\n".join(texts) == "\n".join(want), (fmt, size)
 
 
 def test_text_writer_streams_blocks_and_removes_a_failed_file(tmp_path):

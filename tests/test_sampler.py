@@ -708,19 +708,75 @@ def test_both_degree_routes_agree_in_distribution():
 
 def test_binomial_inversion_matches_reference_distribution():
     rng_u = np.random.default_rng(0).uniform(size=20000)
+    one = np.zeros(20000, np.uint8)  # every draw from component 0
     # p > 0.5 unmirrored: the recurrence is exact there too, only slower
     # (the direct sampler mirrors before it calls this)
-    hi = _binomial_inversion(40, np.full(20000, 0.9), rng_u)
+    hi = _binomial_inversion(40, np.array([0.9]), one, rng_u)
     assert tv_to_exact(hi, stats.binom.pmf(np.arange(41), 40, 0.9)) < 0.02
-    lo = _binomial_inversion(40, np.full(20000, 0.1), rng_u)
+    lo = _binomial_inversion(40, np.array([0.1]), one, rng_u)
     assert tv_to_exact(lo, stats.binom.pmf(np.arange(41), 40, 0.1)) < 0.02
     # the quantile function is exact at explicit uniforms
     u = np.array([0.0, stats.binom.cdf(3, 40, 0.1) - 1e-12,
                   stats.binom.cdf(3, 40, 0.1) + 1e-12, 0.999999])
-    got = _binomial_inversion(40, np.full(4, 0.1), u)
+    got = _binomial_inversion(40, np.array([0.1]), one[:4], u)
     assert list(got[:3]) == [0, 3, 4]
     # degenerate corner: microscopic p yields all zeros
-    assert np.all(_binomial_inversion(10, np.full(100, 1e-300), rng_u[:100]) == 0)
+    assert np.all(_binomial_inversion(10, np.array([1e-300]), one[:100], rng_u[:100]) == 0)
+
+
+def _binomial_inversion_reference(m, p, u):
+    """The sequential search from k = 0, as first written: the pmf ratio
+    recurrence run once for every draw."""
+    pf = np.exp(m * np.log1p(-p))
+    cdf = pf.copy()
+    k = np.zeros(p.shape, dtype=np.int64)
+    odds = p / (1.0 - p)
+    active = np.nonzero(cdf < u)[0]
+    kk = 0
+    while active.size and kk < m:
+        ratio = ((m - kk) / (kk + 1.0)) * odds[active]
+        pf[active] *= ratio
+        cdf[active] += pf[active]
+        kk += 1
+        k[active] = kk
+        still = cdf[active] < u[active]
+        still &= pf[active] > 0.0
+        active = active[still]
+    return k
+
+
+def test_binomial_inversion_equals_per_draw_search():
+    # a table runs the per-draw recurrence operation for operation, so every
+    # k must match the sequential search's
+    top = 1.0 - 2.0 ** -53  # the largest uniform
+    rng = np.random.default_rng(41)
+    cases = [
+        (40, [0.9, 0.6, 0.5]),  # p > 1/2 unmirrored; at top the search stops at k = m
+        (10, [1e-300]),
+        (1000, [0.01]),  # the cdf stays below top and the pmf underflows at k = 291
+        (1000, [0.7]),  # the pmf underflows at once: k = 1 for any u > 0
+        (3, [0.1, 0.2, 0.3, 0.4]),
+        (1, [0.3]),
+        (10 ** 12, [30e-12, 1e-12, 1e-300]),
+    ]
+    for _ in range(30):
+        m = int(rng.choice([2, 7, 40, 300, 10 ** 6, 10 ** 12]))
+        cases.append((m, list(np.minimum(rng.uniform(0, 30, size=rng.integers(1, 30)) / m, 0.5))))
+    for m, q in cases:
+        q = np.array(q)
+        for size in (0, 1, 500):
+            comp = rng.integers(0, len(q), size=size).astype(np.uint8)
+            u = rng.uniform(size=size)
+            u[rng.uniform(size=size) < 0.1] = top
+            u[rng.uniform(size=size) < 0.05] = 0.0
+            got = _binomial_inversion(m, q, comp, u)
+            assert got.dtype == np.int64 and got.shape == (size,)
+            assert np.array_equal(got, _binomial_inversion_reference(m, q[comp], u)), (m, q, size)
+    # the stop rules fire: k = m below the cdf's top, and a pmf that underflows
+    one = np.zeros(1, np.uint8)
+    assert _binomial_inversion(40, np.array([0.1]), one, np.array([top]))[0] == 40
+    assert _binomial_inversion(1000, np.array([0.01]), one, np.array([top]))[0] == 291
+    assert _binomial_inversion(1000, np.array([0.7]), one, np.array([0.5]))[0] == 1
 
 
 def test_direct_sampler_validation():
@@ -786,3 +842,15 @@ def test_attributes_file_matches_per_bit_text():
     write_attributes(g, buf)
     per_bit = ["".join("1" if b else "0" for b in row) for row in g.attribute_matrix()]
     assert buf.getvalue() == "".join(line + "\n" for line in per_bit)
+
+
+@pytest.mark.parametrize("l", [1, 8, 9, 64, 65])
+def test_attributes_file_matches_per_row_text_in_blocks(monkeypatch, l):
+    # one decode per block of rows gives the bytes of one decode per row;
+    # 7 puts block boundaries inside the 20 rows
+    monkeypatch.setattr(model, "_WRITE_BLOCK", 7)
+    g = sample_graph(P, 20, l, seed=l)
+    buf = io.StringIO()
+    write_attributes(g, buf)
+    per_row = [bytes(row).decode("ascii") for row in g.attribute_matrix() + ord("0")]
+    assert buf.getvalue() == "".join(line + "\n" for line in per_row)
