@@ -63,8 +63,8 @@ BOUNDARY_TOL = 1e-12
 #: asymptotic layers (limits, bounds) take any n.
 EXACT_MAX = 2 ** 53
 
-#: Table rows formed as one text in ``_rows``: by one ``%``, or, for
-#: integer rows, in one byte buffer decoded once.
+#: Table rows formed as one text in ``_rows`` and ``_char_rows``: by one
+#: ``%``, or, for integer and character rows, from one byte buffer decoded once.
 _WRITE_BLOCK = 1 << 14
 
 DEFAULT_PAIR_BUDGET = 10 ** 9
@@ -151,6 +151,7 @@ def _digit_rows(parts: list[str], columns) -> str:
             sign = column < 0
             np.negative(mag, out=mag, where=sign)
         top = mag.max()
+        # the narrowest type that holds the block divides fastest
         fields.append((mag.astype(np.min_scalar_type(top)), len(str(top)), sign))
     width = sum(map(len, texts)) + sum(digits + (sign is not None) for _, digits, sign in fields)
     chars = np.empty((len(columns[0]), width), np.uint8)
@@ -167,7 +168,7 @@ def _digit_rows(parts: list[str], columns) -> str:
             at += 1
         for j in reversed(range(at, at + digits)):
             np.greater(mag, 0, out=keep[:, j])  # not a leading zero
-            rest = mag // 10  # narrow integers divide fastest
+            rest = mag // 10
             chars[:, j] = mag - rest * 10 + ord("0")
             mag = rest
         at += digits
