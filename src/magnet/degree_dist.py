@@ -11,7 +11,8 @@ so the unconditional law is the finite mixture, with w_s = P(S = s),
     P(D <= d) = sum_s w_s P(Bin(n - 1, p_s) <= d).
 
 Each component pmf takes Loader's (2000) saddle-point form
-(``_binomial_log_pmf``, shared with the BTRS sampler) and the mixture is
+(``_binomial_log_pmf``, the package's one binomial pmf: the direct
+sampler's inversion tables and BTRS test read it too) and the mixture is
 summed in log space by ``_logsumexp_rows``; no binomial coefficient is
 formed, so nothing cancels.  The sums, and the direct sampler, run over
 the components ``DegreePmfTable.from_model`` builds once: the distinct p_s

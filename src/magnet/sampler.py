@@ -17,10 +17,11 @@ Two routes produce degrees with identical laws:
   D ~ Bin(n - 1, p_s), as n - 1 minus a Bin(n - 1, 1 - p_s) draw when
   p_s > 1/2.  Binomial draws are exact-distribution and vectorized over
   draws: inversion when the mean is at most ``INVERSION_MEAN_MAX``, by a
-  search in one cdf table per component (table-guided inversion, Devroye
-  1986, III.2), otherwise Hörmann's (1993) transformed rejection with
-  squeeze (BTRS), whose acceptance test evaluates the log pmf in Loader's
-  saddle-point form.  No normal approximation anywhere.
+  search in one cdf table per component, summed from the exact law's
+  Loader pmf (table-guided inversion, Devroye 1986, III.2), otherwise
+  Hörmann's (1993) transformed rejection with squeeze (BTRS), set up once
+  per component, whose acceptance test evaluates that same log pmf.  No
+  normal approximation anywhere.
 
 All randomness is counter-based (see ``_rng``): every value is a pure
 function of ``(seed, stream tag, index)``, so outputs are independent of
@@ -50,7 +51,7 @@ from .model import (
     DEFAULT_PAIR_BUDGET, EXACT_MAX, ModelParams, SampleMethod, _char_rows, _check, _rows,
     _write_out,
 )
-from .degree_dist import DegreePmfTable, _binomial_log_pmf
+from .degree_dist import DegreePmfTable, _band, _binomial_log_pmf
 
 __all__ = [
     "SampleMethod",
@@ -65,8 +66,8 @@ __all__ = [
 ]
 
 #: Binomial draws whose mean, taken for the smaller of p and 1 - p, is at
-#: or below this use sequential inversion, the others BTRS (which needs a
-#: mean of at least 10).
+#: or below this use inversion in a cdf table, the others BTRS (which needs
+#: a mean of at least 10).
 INVERSION_MEAN_MAX = 30.0
 
 #: Most array elements per vectorized work chunk (one item at least).
@@ -321,7 +322,7 @@ def sample_degrees_direct(params: ModelParams, n: int, l: int, count: int,
             d[at] = _binomial_inversion(m, q, c, np.where(flip[c], 1.0 - u, u))
         rej = ~at
         if rej.any():
-            d[rej] = _binomial_btrs(m, q[comp[rej]], key_btrs, idx[rej])
+            d[rej] = _binomial_btrs(m, q, comp[rej], key_btrs, idx[rej])
         out[i0:i1] = np.where(flip[comp], m - d, d)
     return DegreeSampleSet(params=params, n=n, l=l, seed=seed,
                            method=SampleMethod.DIRECT, degrees=out)
@@ -332,13 +333,11 @@ def _binomial_inversion(m: int, q: np.ndarray, comp: np.ndarray, u: np.ndarray) 
     for unsigned integer component indices ``comp``.
 
     Draws are grouped by component with a counting sort.  Each component
-    drawn tabulates its cdf once, by the pmf ratio recurrence from k = 0, up
-    to the largest uniform among its draws, which takes O(mean) terms for the
-    q <= 1/2 it is given; a table stops early where the pmf underflows to 0
-    (the residual mass is then below 1e-300) or at k = m.  A draw's k is the
-    bisection of its uniform in its component's table, capped at the table's
-    last index: the k a sequential search from k = 0 stops at.  Exact up to
-    double rounding.
+    drawn tabulates its cdf once, as the running sum of its Loader pmf
+    (``_binomial_log_pmf``) over k = 0 .. min(m, mean + K), K the exact
+    law's ``_band``: past that end lies less than 1e-20 of the mass.  A
+    draw's k is the bisection of its uniform in its component's table,
+    capped at the table's end.  Exact up to double rounding.
     """
     counts = np.bincount(comp, minlength=len(q))
     drawn = np.flatnonzero(counts)
@@ -346,51 +345,42 @@ def _binomial_inversion(m: int, q: np.ndarray, comp: np.ndarray, u: np.ndarray) 
     starts = ends - counts[drawn]
     order = np.argsort(comp, kind="stable")  # a counting (radix) sort on 8 or 16 bits
     u = u[order]
-    u_max = np.maximum.reduceat(u, starts)
     p = q[drawn]
-    pf = np.exp(m * np.log1p(-p))
-    cdf = pf.copy()
-    odds = p / (1.0 - p)
-    columns = [cdf.copy()]  # column k of every table; past a table's end it repeats its last
-    last = np.zeros(len(p), dtype=np.int64)
-    active = np.nonzero(cdf < u_max)[0]
-    kk = 0
-    while active.size and kk < m:
-        ratio = ((m - kk) / (kk + 1.0)) * odds[active]
-        pf[active] *= ratio
-        cdf[active] += pf[active]
-        kk += 1
-        last[active] = kk
-        columns.append(cdf.copy())
-        active = active[(cdf[active] < u_max[active]) & (pf[active] > 0.0)]
-    tables = np.stack(columns, axis=1)
+    mean = m * p
+    last = np.minimum(m, np.ceil(mean + _band(mean))).astype(np.int64)
+    # columns past a table's end are never read: the search is capped there
+    k_all = np.arange(last.max(initial=0) + 1.0)
+    tables = np.cumsum(np.exp(_binomial_log_pmf(m, p[:, None], k_all)), axis=1)
     k = np.empty(len(u), dtype=np.int64)
     for table, end, lo, hi in zip(tables, last, starts, ends):
         k[order[lo:hi]] = np.minimum(np.searchsorted(table, u[lo:hi]), end)
     return k
 
 
-def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarray:
-    """Exact Bin(m, p) draws by transformed rejection with squeeze (BTRS),
-    for p <= 1/2.
+def _binomial_btrs(m: int, q: np.ndarray, comp: np.ndarray, key: int,
+                   idx: np.ndarray) -> np.ndarray:
+    """Exact Bin(m, q[comp[i]]) draws by transformed rejection with squeeze
+    (BTRS), for q <= 1/2 and unsigned integer component indices ``comp``.
 
     Hörmann (1993), "The generation of binomial random variates", J. Stat.
-    Comput. Simul. 46; needs m * p >= 10.  Attempt a of draw ``idx[i]``
+    Comput. Simul. 46; needs m * q >= 10.  The constants a, b, c, v_r,
+    alpha and ln f(mode), f the Bin(m, q) pmf, are formed once per
+    component and read through ``comp``.  Attempt a of draw ``idx[i]``
     takes its two uniforms from positions 2 idx[i] and 2 idx[i] + 1 of the
     stream keyed ``_rng.word_at(key, a)``, so every draw is a pure function
     of (key, draw index, attempt).  The loop runs over attempts, each on the
     draws still pending.
     """
-    spq = np.sqrt(m * p * (1.0 - p))
+    spq = np.sqrt(m * q * (1.0 - q))
     b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    c = m * p + 0.5
+    a = -0.0873 + 0.0248 * b + 0.01 * q
+    c = m * q + 0.5
     v_r = 0.92 - 4.2 / b
     alpha = (2.83 + 5.1 / b) * spq
-    mode = np.floor((m + 1) * p)
+    log_f_mode = _binomial_log_pmf(m, q, np.floor((m + 1) * q))
 
-    k = np.empty(len(p))
-    pending = np.arange(len(p))
+    k = np.empty(len(idx), dtype=np.int64)
+    pending = np.arange(len(idx))
     attempt = 0
     # u = -1/2 gives us = 0, hence k = -inf (rejected); v = 0 gives log 0.
     with np.errstate(divide="ignore"):
@@ -400,19 +390,19 @@ def _binomial_btrs(m: int, p: np.ndarray, key: int, idx: np.ndarray) -> np.ndarr
             u = _rng.uniforms_at(sub, at) - 0.5
             v = _rng.uniforms_at(sub, at + np.uint64(1))
             us = 0.5 - np.abs(u)
-            kk = np.floor((2.0 * a[pending] / us + b[pending]) * u + c[pending])
-            done = (us >= 0.07) & (v <= v_r[pending])
+            cp = comp[pending]
+            kk = np.floor((2.0 * a[cp] / us + b[cp]) * u + c[cp])
+            done = (us >= 0.07) & (v <= v_r[cp])
             test = np.nonzero(~done & (kk >= 0.0) & (kk <= m))[0]
             if test.size:
-                j = pending[test]
+                j = cp[test]
                 log_v = np.log(v[test] * alpha[j] / (a[j] / us[test] ** 2 + b[j]))
-                # ln f(k) / f(mode), f the Bin(m, p) pmf: the acceptance bound
-                done[test] = log_v <= (_binomial_log_pmf(m, p[j], kk[test])
-                                       - _binomial_log_pmf(m, p[j], mode[j]))
+                # ln f(k) / f(mode): the acceptance bound
+                done[test] = log_v <= _binomial_log_pmf(m, q[j], kk[test]) - log_f_mode[j]
             k[pending[done]] = kk[done]
             pending = pending[~done]
             attempt += 1
-    return k.astype(np.int64)
+    return k
 
 
 def _spans(count: int, item_elems: int) -> list[tuple[int, int]]:

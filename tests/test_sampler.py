@@ -32,7 +32,7 @@ from magnet import (
     write_degrees_csv,
     write_edge_list,
 )
-from magnet.degree_dist import _binomial_log_pmf
+from magnet.degree_dist import _band, _binomial_log_pmf
 from magnet.sampler import (
     INVERSION_MEAN_MAX,
     _binomial_inversion,
@@ -209,6 +209,21 @@ def test_realizations_are_frozen():
         "a55cc8ea370d2b34367763f7692c44a6a0b9c3201a96505613f4bedf34670234")
     assert degrees_digest(sample_degrees_direct(P, 10**6, 7, 5000, seed=13)) == (
         "a75d88cdecd7c00bf25d962ca2e52d3c662c67935e5324ea7f30303cc752b261")
+    # components with p > 1/2, drawn as m minus a mirrored draw: at n = 30,
+    # l = 2 all three by inversion, at n = 1e4, l = 2 all three by BTRS, at
+    # n = 1e6, l = 40 by BTRS on both sides of 1/2 (9 of 41 flipped); at
+    # n = 100, l = 10 both branches, the one flipped component by BTRS; and
+    # the bench's mixed shape, n = 1e12, l = 28, both branches unflipped.
+    flips = ModelParams(q11=0.99, q10=0.98, q00=0.97, mu1=0.5)
+    for params, n, l, digest in [
+        (flips, 30, 2, "1e52522c79a4a30142e1d3664dccacc23d786412bd9de7e5fa0a8560f1d151b2"),
+        (flips, 10**4, 2, "9b277226d22c07838f4ef46b50a4edca32e7a1ccc276912829a1ea18bdee728f"),
+        (flips, 10**6, 40, "af783868d6dc26a1bb10fdd74326928ba5478d7f9faef31bc975e57e0975d9ae"),
+        (ModelParams(q11=0.9999, q10=0.5, q00=0.5, mu1=0.9), 100, 10,
+         "f386ef75770b34c1a5eb994d9b7f6ad7528b9c917a249aa1cb8be97ff7dd64eb"),
+        (P, 10**12, 28, "bc236a7d8544c37a3ea93a57406d1e5d576b976d9f0992adc959509a71d64395"),
+    ]:
+        assert degrees_digest(sample_degrees_direct(params, n, l, 5000, seed=13)) == digest
 
 
 def _candidates_by_hand(seed, pairs, bound):
@@ -380,6 +395,21 @@ def test_sample_graph_memory_stays_bounded():
         tracemalloc.stop()
     assert len(np.unique(g.attr_words, axis=0)) == 1561
     assert peak <= 8 * 2 ** 20
+
+
+def test_direct_sampler_memory_stays_bounded():
+    # Bounds the BTRS setup at the bench's mixed shape, n = 1e12, l = 28,
+    # where ~40% of 200 000 draws take BTRS: its constants are held once per
+    # component and read through each draw's component index; seven float64
+    # arrays per draw (spq, a, b, c, v_r, alpha, mode) take it past 20 MiB.
+    sample_degrees_direct(P, 10**12, 28, 100, seed=1)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        sample_degrees_direct(P, 10**12, 28, 200000, seed=37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2 ** 20
 
 
 # ------------------------------------------------------- batched full graphs
@@ -709,7 +739,7 @@ def test_both_degree_routes_agree_in_distribution():
 def test_binomial_inversion_matches_reference_distribution():
     rng_u = np.random.default_rng(0).uniform(size=20000)
     one = np.zeros(20000, np.uint8)  # every draw from component 0
-    # p > 0.5 unmirrored: the recurrence is exact there too, only slower
+    # p > 0.5 unmirrored: the tables are exact there too, only longer
     # (the direct sampler mirrors before it calls this)
     hi = _binomial_inversion(40, np.array([0.9]), one, rng_u)
     assert tv_to_exact(hi, stats.binom.pmf(np.arange(41), 40, 0.9)) < 0.02
@@ -725,36 +755,35 @@ def test_binomial_inversion_matches_reference_distribution():
 
 
 def _binomial_inversion_reference(m, p, u):
-    """The sequential search from k = 0, as first written: the pmf ratio
-    recurrence run once for every draw."""
-    pf = np.exp(m * np.log1p(-p))
-    cdf = pf.copy()
-    k = np.zeros(p.shape, dtype=np.int64)
-    odds = p / (1.0 - p)
-    active = np.nonzero(cdf < u)[0]
-    kk = 0
-    while active.size and kk < m:
-        ratio = ((m - kk) / (kk + 1.0)) * odds[active]
-        pf[active] *= ratio
-        cdf[active] += pf[active]
-        kk += 1
-        k[active] = kk
-        still = cdf[active] < u[active]
-        still &= pf[active] > 0.0
-        active = active[still]
+    """The sequential search from k = 0, draw by draw: the first k at which
+    the running sum of the Loader pmf reaches u, else the table end
+    min(m, mean + K), past which the exact law puts less than 1e-20."""
+    cdfs = {}
+    k = np.zeros(len(u), dtype=np.int64)
+    for i, (pi, ui) in enumerate(zip(p, u)):
+        if pi not in cdfs:
+            end = int(min(m, math.ceil(m * pi + _band(m * pi))))
+            cdfs[pi] = np.add.accumulate(np.exp(_binomial_log_pmf(m, pi, np.arange(end + 1.0))))
+        cdf = cdfs[pi]
+        k[i] = len(cdf) - 1
+        for kk, c in enumerate(cdf):
+            if c >= ui:
+                k[i] = kk
+                break
     return k
 
 
 def test_binomial_inversion_equals_per_draw_search():
-    # a table runs the per-draw recurrence operation for operation, so every
-    # k must match the sequential search's
+    # a table is the per-draw running sum term for term, so every k must
+    # match the sequential search's; away from every cdf step, k is also
+    # scipy's quantile
     top = 1.0 - 2.0 ** -53  # the largest uniform
     rng = np.random.default_rng(41)
     cases = [
         (40, [0.9, 0.6, 0.5]),  # p > 1/2 unmirrored; at top the search stops at k = m
         (10, [1e-300]),
-        (1000, [0.01]),  # the cdf stays below top and the pmf underflows at k = 291
-        (1000, [0.7]),  # the pmf underflows at once: k = 1 for any u > 0
+        (1000, [0.01]),  # at top the search stops at k = 44, scipy's ppf at 45
+        (1000, [0.7]),  # p > 1/2 unmirrored: the table runs to k = m
         (3, [0.1, 0.2, 0.3, 0.4]),
         (1, [0.3]),
         (10 ** 12, [30e-12, 1e-12, 1e-300]),
@@ -772,11 +801,22 @@ def test_binomial_inversion_equals_per_draw_search():
             got = _binomial_inversion(m, q, comp, u)
             assert got.dtype == np.int64 and got.shape == (size,)
             assert np.array_equal(got, _binomial_inversion_reference(m, q[comp], u)), (m, q, size)
-    # the stop rules fire: k = m below the cdf's top, and a pmf that underflows
+            for j in np.unique(comp):
+                at = comp == j
+                end = min(m, math.ceil(m * q[j] + _band(m * q[j])))
+                steps = np.append(0.0, stats.binom.cdf(np.arange(end + 1), m, q[j]))
+                far = np.abs(u[at, None] - steps).min(axis=1) >= 1e-12
+                want = stats.binom.ppf(u[at][far], m, q[j])
+                assert np.array_equal(got[at][far], want), (m, q[j])
+    # at the largest uniform the search stops where the rounded running sum
+    # first reaches it, at scipy's quantile or within one of it, never past
+    # the table's end; an unmirrored p > 1/2 is searched up to its median
     one = np.zeros(1, np.uint8)
-    assert _binomial_inversion(40, np.array([0.1]), one, np.array([top]))[0] == 40
-    assert _binomial_inversion(1000, np.array([0.01]), one, np.array([top]))[0] == 291
-    assert _binomial_inversion(1000, np.array([0.7]), one, np.array([0.5]))[0] == 1
+    assert _binomial_inversion(40, np.array([0.1]), one, np.array([top]))[0] == 25
+    k = _binomial_inversion(1000, np.array([0.01]), one, np.array([top]))[0]
+    assert k == 44
+    assert abs(k - stats.binom.ppf(top, 1000, 0.01)) <= 1 and k <= 10 + _band(10.0)
+    assert _binomial_inversion(1000, np.array([0.7]), one, np.array([0.5]))[0] == 700
 
 
 def test_direct_sampler_validation():
